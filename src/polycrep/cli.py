@@ -12,8 +12,6 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
-import os
 import sys
 
 from . import arrangements, bunches, complexes, coxrelations, crosscheck, hyper_cones
@@ -35,34 +33,11 @@ def _emit(obj: dict, fmt: str, out=None):
             print(f"{k}={obj[k]}", file=out)
 
 
-def _workers(args) -> int:
-    env = os.environ.get("POLYCREP_WORKERS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, args.parallelism)
-
-
-def _count_prefix_task(task):
-    n, prefix = task
-    return complexes.count_max_biconnected(n, prefix)
-
-
 def cmd_complexes_count(args) -> int:
-    n = args.n
-    if args.full_only:
-        total = sum(1 for _ in complexes.enumerate_max_biconnected(
-            n, full_only=True))
-    else:
-        workers = _workers(args)
-        if workers == 1:
-            total = complexes.count_max_biconnected(n)
-        else:
-            depth = max(3, (4 * workers - 1).bit_length())
-            tasks = [(n, tuple(bool(b >> t & 1) for t in range(depth)))
-                     for b in range(1 << depth)]
-            with multiprocessing.Pool(workers) as pool:
-                total = sum(pool.map(_count_prefix_task, tasks, chunksize=8))
-    _emit({"n": n, "count": total, "full_only": args.full_only}, args.format)
+    count = (complexes.count_full_max_biconnected if args.full_only
+             else complexes.count_max_biconnected)
+    _emit({"n": args.n, "count": count(args.n), "full_only": args.full_only},
+          args.format)
     return 0
 
 
@@ -139,34 +114,49 @@ def cmd_oracle_crosscheck(args) -> int:
     return 0 if bad == 0 else 1
 
 
+def _global_options(top: bool) -> argparse.ArgumentParser:
+    """The options every command takes, before or after its name.  Only the
+    top-level copy has defaults, so a command-level copy that is not given
+    leaves the top-level value in place."""
+    g = argparse.ArgumentParser(add_help=False)
+
+    def default(value):
+        return value if top else argparse.SUPPRESS
+
+    g.add_argument("--format", choices=("json", "csv", "plain"),
+                   default=default("json"))
+    g.add_argument("--seed", type=int, default=default(0))
+    g.add_argument("--parallelism", type=int, default=default(1),
+                   help="accepted; no command uses worker processes")
+    return g
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="polycrep")
-    p.add_argument("--format", choices=("json", "csv", "plain"),
-                   default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallelism", type=int, default=1)
+    p = argparse.ArgumentParser(prog="polycrep",
+                                parents=[_global_options(True)])
     sub = p.add_subparsers(dest="command", required=True)
+    common = [_global_options(False)]
 
     cx = sub.add_parser("complexes").add_subparsers(dest="sub", required=True)
-    c = cx.add_parser("count")
+    c = cx.add_parser("count", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--full-only", action="store_true")
     c.set_defaults(func=cmd_complexes_count)
-    c = cx.add_parser("enumerate")
+    c = cx.add_parser("enumerate", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--full-only", action="store_true")
     c.set_defaults(func=cmd_complexes_enumerate)
 
     rs = sub.add_parser("resolutions").add_subparsers(dest="sub",
                                                       required=True)
-    c = rs.add_parser("census")
+    c = rs.add_parser("census", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--records", action="store_true",
                    help="stream one NDJSON record per complex")
     c.set_defaults(func=cmd_resolutions_census)
 
     ch = sub.add_parser("chambers").add_subparsers(dest="sub", required=True)
-    c = ch.add_parser("count")
+    c = ch.add_parser("count", parents=common)
     c.add_argument("--arrangement", choices=("A", "B"), required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--m", type=int)
@@ -177,18 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_chambers_count)
 
     bn = sub.add_parser("bunches").add_subparsers(dest="sub", required=True)
-    c = bn.add_parser("classify")
+    c = bn.add_parser("classify", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.set_defaults(func=cmd_bunches_classify)
 
     co = sub.add_parser("cox").add_subparsers(dest="sub", required=True)
-    c = co.add_parser("verify")
+    c = co.add_parser("verify", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--samples", type=int, default=100)
     c.set_defaults(func=cmd_cox_verify)
 
     orc = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
-    c = orc.add_parser("crosscheck")
+    c = orc.add_parser("crosscheck", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--max-k", type=int, default=3)
     c.set_defaults(func=cmd_oracle_crosscheck)

@@ -2,8 +2,9 @@
 
 Partitions, downward-closed complexes stored by their maximal faces,
 biconnectedness, enumeration of maximally-biconnected complexes, the
-Hosten-Morris counts, and the bijection between maximally-biconnected
-complexes on [n] and biconnected complexes on [n-1].
+Hosten-Morris counts (by structure, and by walking every complex), and the
+bijection between maximally-biconnected complexes on [n] and biconnected
+complexes on [n-1].
 
 Ground sets are {1..n}; internally subsets are bitmasks (bit i-1 for
 element i) and a whole family of subsets is a single big int with bit s set
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 MAX_ENUM_N = 9
+MAX_COUNT_N = 7
 
 
 def mask_of(members, n: int) -> int:
@@ -134,41 +136,30 @@ def is_maximal_biconnected(d: Complex) -> bool:
 # ---------------------------------------------------------------------------
 # enumeration of maximally-biconnected complexes
 
+def _complement_image(family: int, n: int) -> int:
+    """The family {[n] minus s : s in family}.  Subset mask s sits at bit s
+    and its complement at bit 2^n - 1 - s, so this reverses the 2^n-bit
+    word."""
+    return int(format(family, f"0{1 << n}b")[::-1], 2)
+
+
 @functools.lru_cache(maxsize=None)
 def _tables(n: int):
-    """down/up closure masks and complement-image masks, per subset of [n]."""
-    full = (1 << n) - 1
+    """Per subset mask s of [n]: the family masks of ↓s (every subset of s,
+    ∅ included) and ↑s (every superset of s), and their complement images."""
     nsub = 1 << n
     down = [0] * nsub
     up = [0] * nsub
-    for s in range(1, nsub):
-        t, m = s, 0
+    for s in range(nsub):
+        t = s
         while True:
-            if t:
-                m |= 1 << t
+            down[s] |= 1 << t
+            up[t] |= 1 << s
             if t == 0:
                 break
             t = (t - 1) & s
-        down[s] = m
-        rest = full ^ s
-        t, m = rest, 0
-        while True:
-            m |= 1 << (s | t)
-            if t == 0:
-                break
-            t = (t - 1) & rest
-        up[s] = m
-
-    def comp_image(mask):
-        out = 0
-        while mask:
-            b = mask & -mask
-            out |= 1 << (full ^ (b.bit_length() - 1))
-            mask ^= b
-        return out
-
-    compdown = [comp_image(m) for m in down]
-    compup = [comp_image(m) for m in up]
+    compdown = [_complement_image(m, n) for m in down]
+    compup = [_complement_image(m, n) for m in up]
     return down, up, compdown, compup
 
 
@@ -181,29 +172,50 @@ def _pair_reps(n: int):
     return reps
 
 
-def _iter_max_biconnected_masks(n: int) -> Iterator[int]:
-    """Yield each maximally-biconnected complex on [n] as a family bitmask
-    (bit s set <=> subset-mask s is a face), in deterministic DFS order with
-    the 'representative in' branch explored first."""
-    down, up, compdown, compup = _tables(n)
-    reps = _pair_reps(n)
-    nreps = len(reps)
+def _mask_dfs(items, first, second) -> Iterator[int]:
+    """Yield each family mask that decides every subset in items, in DFS order.
+
+    A subset s is decided by one of two branches, each an (in, out) pair of
+    tables: the branch adds in[s] to the member mask and out[s] to the
+    non-member mask.  A branch that makes some subset both is pruned, and a
+    subset an earlier branch already decided is skipped.  The first branch
+    is explored first.
+    """
+    in1, out1 = first
+    in2, out2 = second
+    nitems = len(items)
     stack = [(0, 0, 0)]
     while stack:
         idx, inm, outm = stack.pop()
-        while idx < nreps and ((inm >> reps[idx]) & 1 or (outm >> reps[idx]) & 1):
+        while idx < nitems and ((inm >> items[idx]) & 1 or (outm >> items[idx]) & 1):
             idx += 1
-        if idx == nreps:
+        if idx == nitems:
             yield inm
             continue
-        r = reps[idx]
-        # branch "r out" pushed first so that "r in" is explored first
-        nin, nout = inm | compup[r], outm | up[r]
+        s = items[idx]
+        # the second branch is pushed first so that the first is popped first
+        nin, nout = inm | in2[s], outm | out2[s]
         if not nin & nout:
             stack.append((idx + 1, nin, nout))
-        nin, nout = inm | down[r], outm | compdown[r]
+        nin, nout = inm | in1[s], outm | out1[s]
         if not nin & nout:
             stack.append((idx + 1, nin, nout))
+
+
+def _iter_max_biconnected_masks(n: int) -> Iterator[int]:
+    """Each maximally-biconnected complex on [n] as a family bitmask (bit s
+    set <=> subset-mask s is a face, ∅ always), deterministic order.  A
+    representative in puts its ↓ in and the complements of its ↓ out; out
+    puts its ↑ out and their complements in.  'In' is explored first."""
+    down, up, compdown, compup = _tables(n)
+    return _mask_dfs(_pair_reps(n), (down, compdown), (compup, up))
+
+
+def _iter_downset_masks(n: int) -> Iterator[int]:
+    """Every downset of 2^[n] as a family bitmask, the empty family too."""
+    down, up, _, _ = _tables(n)
+    zero = [0] * len(down)
+    return _mask_dfs(range(len(down)), (down, zero), (zero, up))
 
 
 def _mask_is_full(inm: int, n: int) -> bool:
@@ -238,84 +250,63 @@ def enumerate_max_biconnected(n: int, full_only: bool = False) -> Iterator[Compl
         yield _complex_from_mask(inm, n)
 
 
-def count_max_biconnected(n: int, prefix: Optional[tuple] = None) -> int:
-    """Count of maximally-biconnected complexes on [n].
+def _check_count_range(n: int):
+    if not 4 <= n <= MAX_COUNT_N:
+        raise ValueError(
+            f"n={n} outside supported range 4..{MAX_COUNT_N} for counting "
+            "(beyond it the sum over downsets, 7 828 354 terms at n=8, "
+            "needs a symmetry reduction)")
 
-    prefix optionally fixes the first k pair decisions (True = representative
-    side in); this is the split point for parallel counting.
+
+def _count_downsets(p: int, down, up, memo: dict) -> int:
+    """Number of downsets of the subposet p (a family mask) of 2^[k].
+
+    Split on the largest member x: a downset either leaves x out, and with
+    it all of ↑x, or takes x in, and with it all of ↓x."""
+    if not p:
+        return 1
+    c = memo.get(p)
+    if c is None:
+        x = p.bit_length() - 1
+        c = (_count_downsets(p & ~up[x], down, up, memo)
+             + _count_downsets(p & ~down[x], down, up, memo))
+        memo[p] = c
+    return c
+
+
+def count_max_biconnected(n: int) -> int:
+    """λ(n), the number of maximally-biconnected complexes on [n], by
+    structure rather than by walking them.
+
+    Through the [n] <-> [n-1] bijection λ(n) counts the biconnected complexes
+    D on [n-1].  With k = n-2, split D by the element n-1 into D₁ ⊆ D₀, both
+    downsets of 2^[k]: D₀ holds the faces without n-1, D₁ those with it, less
+    n-1.  D is biconnected exactly when D₁ is a downset of
+    T(D₀) = {B ∈ D₀ : [k] minus B ∉ D₀}, so λ(n) is the sum over D₀ of
+    #downsets(T(D₀)).
     """
-    if not 4 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n={n} outside supported range 4..{MAX_ENUM_N}")
-    down, up, compdown, compup = _tables(n)
-    reps = _pair_reps(n)
-    inm = outm = 0
-    for k, side_in in enumerate(prefix or ()):
-        r = reps[k]
-        if (inm >> r) & 1 or (outm >> r) & 1:
-            if side_in != bool((inm >> r) & 1):
-                return 0
-            continue
-        if side_in:
-            inm, outm = inm | down[r], outm | compdown[r]
-        else:
-            inm, outm = inm | compup[r], outm | up[r]
-        if inm & outm:
-            return 0
-    nreps = len(reps)
-    start = len(prefix or ())
-    count = 0
-    stack = [(start, inm, outm)]
-    while stack:
-        idx, inm, outm = stack.pop()
-        while idx < nreps and ((inm >> reps[idx]) & 1 or (outm >> reps[idx]) & 1):
-            idx += 1
-        if idx == nreps:
-            count += 1
-            continue
-        r = reps[idx]
-        nin, nout = inm | compup[r], outm | up[r]
-        if not nin & nout:
-            stack.append((idx + 1, nin, nout))
-        nin, nout = inm | down[r], outm | compdown[r]
-        if not nin & nout:
-            stack.append((idx + 1, nin, nout))
-    return count
+    _check_count_range(n)
+    k = n - 2
+    down, up, _, _ = _tables(k)
+    memo = {}
+    return sum(_count_downsets(d0 & ~_complement_image(d0, k), down, up, memo)
+               for d0 in _iter_downset_masks(k))
 
 
-def _count_biconnected_families(m: int) -> int:
-    """Number of biconnected complexes on [m], counting the empty family and
-    the family {∅} separately (the two preimages of 'no nonempty face')."""
-    down, up, _, _ = _tables(m)
-    full = (1 << m) - 1
-    items = [s for s in range(1, full)]  # [m] itself can never be a face
-    items.sort(key=lambda s: tuple(i for i in range(m) if s >> i & 1))
-    nitems = len(items)
-    count = 0
-    stack = [(0, 0, 0)]
-    while stack:
-        idx, inm, outm = stack.pop()
-        while idx < nitems and ((inm >> items[idx]) & 1 or (outm >> items[idx]) & 1):
-            idx += 1
-        if idx == nitems:
-            count += 1
-            continue
-        s = items[idx]
-        nin, nout = inm, outm | up[s]
-        if not nin & nout:
-            stack.append((idx + 1, nin, nout))
-        # s in: subsets of s in; any J with s ∪ J = [m], i.e. J ⊇ s^c, out
-        nin, nout = inm | down[s], outm | up[full ^ s]
-        if not nin & nout:
-            stack.append((idx + 1, nin, nout))
-    return count + 1  # +1 for the family {∅}
+def count_full_max_biconnected(n: int) -> int:
+    """Number of full maximally-biconnected complexes on [n], by walking
+    every complex's mask (a route apart from count_max_biconnected)."""
+    _check_count_range(n)
+    singletons = sum(1 << (1 << i) for i in range(n))
+    return sum(1 for inm in _iter_max_biconnected_masks(n)
+               if inm & singletons == singletons)
 
 
 def hosten_morris(n: int) -> int:
-    """λ(n), computed two independent ways (cross-checked)."""
-    if not 4 <= n <= 7:
-        raise ValueError("hosten_morris supported for 4 <= n <= 7")
+    """λ(n), computed two independent ways (cross-checked): by structure,
+    and by walking every maximally-biconnected complex on [n]."""
     a = count_max_biconnected(n)
-    b = _count_biconnected_families(n - 1)
+    b = sum(1 for _ in _iter_max_biconnected_masks(n))
     if a != b:
         raise AssertionError(
             f"Hosten-Morris self-check failed for n={n}: {a} != {b}")

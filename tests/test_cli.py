@@ -1,6 +1,7 @@
 """CLI dispatch, formats, exit codes, and golden outputs."""
 
 import json
+import time
 
 import pytest
 
@@ -92,6 +93,35 @@ def test_parallelism_does_not_change_output(capsys):
                          "--n", "6"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_full_only_is_count_minus_n(n, capsys):
+    counts = []
+    for extra in ([], ["--full-only"]):
+        assert cli.main(["complexes", "count", "--n", str(n)] + extra) == 0
+        counts.append(json.loads(capsys.readouterr().out)["count"])
+    assert counts[1] == counts[0] - n
+
+
+def test_global_options_after_the_command(capsys):
+    tail = ["--n", "5", "--samples", "2"]
+    outs = []
+    for argv in (["--seed", "7", "--format", "plain", "cox", "verify"] + tail,
+                 ["cox", "verify"] + tail + ["--seed", "7", "--format",
+                                              "plain"]):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        assert cli.build_parser().parse_args(argv).seed == 7
+    assert outs[0] == outs[1]
+    assert "samples=2" in outs[0].splitlines()
+
+
+def test_count_beyond_range_fails_fast(capsys):
+    t0 = time.monotonic()
+    assert cli.main(["complexes", "count", "--n", "8"]) == 1
+    assert time.monotonic() - t0 < 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_computation_error_exit_1(capsys):

@@ -1,6 +1,7 @@
 """Complex/partition combinatorics and the enumeration counts."""
 
 import itertools
+import random
 
 import pytest
 
@@ -128,15 +129,37 @@ def test_bijection_of_nonfull_missing_n():
     assert b.maximal_faces == ()  # the empty family on [5]
 
 
-def test_count_prefix_split():
-    n = 6
-    total = cx.count_max_biconnected(n)
-    for depth in (1, 3, 5):
-        split = sum(
-            cx.count_max_biconnected(
-                n, tuple(bool(b >> t & 1) for t in range(depth)))
-            for b in range(1 << depth))
-        assert split == total
+def test_downset_counter_matches_brute_force():
+    """The memoized split count equals counting every sub-family of P that
+    is closed downward in P, on seeded random downsets P of 2^[4]."""
+    rng = random.Random(11)
+    k = 4
+    down, up, _, _ = cx._tables(k)
+    for _ in range(40):
+        p = 0
+        for s in rng.sample(range(1 << k), rng.randint(0, 6)):
+            p |= down[s]
+        members = [s for s in range(1 << k) if p >> s & 1]
+        brute = 0
+        for bits in range(1 << len(members)):
+            d = sum(1 << s for i, s in enumerate(members) if bits >> i & 1)
+            brute += all(down[s] & p & ~d == 0
+                         for s in members if d >> s & 1)
+        assert cx._count_downsets(p, down, up, {}) == brute
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_structural_count_matches_mask_dfs(n):
+    walked = sum(1 for _ in cx._iter_max_biconnected_masks(n))
+    assert cx.count_max_biconnected(n) == walked == {4: 12, 5: 81, 6: 2646}[n]
+
+
+def test_count_range_errors():
+    for n in (3, 8):
+        with pytest.raises(ValueError):
+            cx.count_max_biconnected(n)
+        with pytest.raises(ValueError):
+            cx.count_full_max_biconnected(n)
 
 
 def test_refines():
