@@ -9,12 +9,14 @@ Two independent counting backends:
   is first essentialized and space is covered by the 2^r simplicial sign cones
   of r independent normals.
 * ``charpoly`` — the intersection lattice is built by breadth-first closure
-  over flats (exact integer row reduction), the Möbius function is computed
-  rank by rank, and the region count is (−1)^d · χ(−1) (Zaslavsky).
+  over flats (the covers of a flat are read off the normals' residuals
+  modulo its span, by exact integer elimination), the Möbius function is
+  computed rank by rank, and the region count is (−1)^d · χ(−1)
+  (Zaslavsky).
 
-Everything is exact; numpy int64 is used only as a fast carrier for small
-integer dot products, with an explicit magnitude guard and a Python-int
-fallback.
+Everything is exact Python-int arithmetic, whatever the size of the
+entries.  numpy is imported only by the finite-field oracle
+``count_points_mod_p``.
 """
 
 from __future__ import annotations
@@ -22,18 +24,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from math import gcd
 
 from . import ratgeom
+from .polygon_cones import v_I
 from .ratgeom import ConeH, canon_normal, primitive
 
 MAX_DIM = 8
 MAX_HYPERPLANES = 64
-
-# |C @ ray| stays below 2^63 as long as ray entries are below this bound
-# (constraint entries are small; the factor 2^8 covers dim * max |entry|).
-_INT64_SAFE = 1 << 54
 
 
 @dataclass(frozen=True)
@@ -76,11 +74,6 @@ class Chamber:
 
     signs: tuple
     witness: tuple
-
-
-def v_I(I, n: int) -> tuple:
-    I = set(I)
-    return tuple(-1 if i in I else 1 for i in range(1, n + 1))
 
 
 def build_A(n: int) -> Arrangement:
@@ -138,18 +131,20 @@ def cone_Ci(n: int, i: int) -> ConeH:
 # ---------------------------------------------------------------------------
 # enumerate backend: DD region splitting
 
-def _ray_data(r, C, Cobj):
-    """(ray, constraint values, tight bitmask); exact by magnitude guard."""
-    if max(abs(x) for x in r) < _INT64_SAFE:
-        vals = C @ np.array(r, dtype=np.int64)
-    else:
-        vals = np.array([sum(a * b for a, b in zip(row, r)) for row in Cobj],
-                        dtype=object)
-    tight = 0
-    for i, v in enumerate(vals):
-        if v == 0:
-            tight |= 1 << i
-    return (r, vals, tight)
+def _ray(r, vals):
+    """A ray record: (ray, constraint values, positive mask, negative mask,
+    tight mask), the masks over constraint indices."""
+    pos = neg = tight = 0
+    bit = 1
+    for v in vals:
+        if v > 0:
+            pos |= bit
+        elif v < 0:
+            neg |= bit
+        else:
+            tight |= bit
+        bit <<= 1
+    return (r, vals, pos, neg, tight)
 
 
 def _split_regions(normals, cone_facets, cone_rays, collect):
@@ -157,60 +152,87 @@ def _split_regions(normals, cone_facets, cone_rays, collect):
     cone given by facets/extreme rays.  Exact, LP-free: children of a split
     are built by the double-description step, and adjacency of two rays is
     certified by the no-third-ray test over decided (non-cutting) constraints.
+
+    Constraint values are evaluated once, for the start rays.  A new ray
+    (a·r₋ + b·r₊)/g needs values only on the hyperplanes that still cut its
+    region, (a·vals₋ + b·vals₊)/g, exact because the values are linear in
+    the ray.  On a decided constraint both parents are weakly on one side,
+    so the new ray's sign there is theirs and is taken from their masks.
+    collect(rays, positive) receives each region's rays and the bitmask of
+    the hyperplanes positive on its interior.
     """
-    cons = [tuple(c) for c in cone_facets] + [tuple(h) for h in normals]
+    cons = [tuple((j, c) for j, c in enumerate(row) if c)
+            for row in (*cone_facets, *normals)]
     nf = len(cone_facets)
-    nh = len(normals)
-    C = np.array(cons, dtype=np.int64)
-    Cobj = cons
-    rays0 = [_ray_data(primitive(r), C, Cobj) for r in cone_rays]
+    rays0 = []
+    for r in cone_rays:
+        r = primitive(r)
+        rays0.append(_ray(r, [sum(c * r[j] for j, c in row) for row in cons]))
+    facets = (1 << nf) - 1
+    # adjacent rays span a 2-face, which needs at least d - 2 common tight
+    # constraints: a cheap necessary condition before the no-third-ray test
+    face = len(rays0[0][0]) - 2
     count = 0
-    stack = [(rays0, list(range(nh)), (1 << nf) - 1)]
+    # (rays, hyperplanes still to test, decided constraints), as masks over
+    # constraint indices: the cone's facets first, then the normals
+    stack = [(rays0, ((1 << len(cons)) - 1) ^ facets, facets)]
     while stack:
         rays, remaining, decided = stack.pop()
-        cut = None
-        keep = []
-        for h in remaining:
-            haspos = hasneg = False
-            for rv in rays:
-                v = rv[1][nf + h]
-                if v > 0:
-                    haspos = True
-                elif v < 0:
-                    hasneg = True
-                if haspos and hasneg:
-                    break
-            if haspos and hasneg:
-                if cut is None:
-                    cut = h
-                else:
-                    keep.append(h)
-            else:
-                decided |= 1 << (nf + h)
-        if cut is None:
+        pos = neg = 0
+        for rv in rays:
+            pos |= rv[2]
+            neg |= rv[3]
+        cutting = pos & neg & remaining
+        decided |= remaining ^ cutting
+        if not cutting:
             count += 1
             if collect is not None:
-                collect(rays)
+                collect(rays, pos >> nf)
             continue
-        decided_h = decided | (1 << (nf + cut))
+        bit = cutting & -cutting
+        cut = bit.bit_length() - 1
+        keep = cutting ^ bit
+        todo = []
+        m = keep
+        while m:
+            low = m & -m
+            todo.append((low.bit_length() - 1, low))
+            m ^= low
         plus, minus, zero = [], [], []
         for rv in rays:
-            v = rv[1][nf + cut]
-            (plus if v > 0 else minus if v < 0 else zero).append(rv)
+            (plus if rv[2] & bit else minus if rv[3] & bit else zero).append(rv)
         new = []
         for rp in plus:
+            vp = rp[1]
+            a = vp[cut]
             for rm in minus:
-                t12 = rp[2] & rm[2] & decided_h
-                if any(r3[2] & t12 == t12 for r3 in rays
-                       if r3 is not rp and r3 is not rm):
+                t12 = rp[4] & rm[4] & decided
+                if t12.bit_count() < face or any(
+                        r3[4] & t12 == t12 for r3 in rays
+                        if r3 is not rp and r3 is not rm):
                     continue
-                a = int(rp[1][nf + cut])
-                b = -int(rm[1][nf + cut])
-                nr = primitive(tuple(a * x + b * y
-                                     for x, y in zip(rm[0], rp[0])))
-                new.append(_ray_data(nr, C, Cobj))
-        stack.append((plus + zero + new, keep, decided_h))
-        stack.append((minus + zero + new, keep, decided_h))
+                vm = rm[1]
+                b = -vm[cut]
+                r = [a * x + b * y for x, y in zip(rm[0], rp[0])]
+                g = gcd(*r)
+                npos = (rp[2] | rm[2]) & decided
+                nneg = (rp[3] | rm[3]) & decided
+                ntight = t12 | bit
+                vals = {}
+                for c, cbit in todo:
+                    v = (a * vm[c] + b * vp[c]) // g
+                    vals[c] = v
+                    if v > 0:
+                        npos |= cbit
+                    elif v < 0:
+                        nneg |= cbit
+                    else:
+                        ntight |= cbit
+                new.append((tuple(x // g for x in r), vals, npos, nneg,
+                            ntight))
+        decided |= bit
+        stack.append((plus + zero + new, keep, decided))
+        stack.append((minus + zero + new, keep, decided))
     return count
 
 
@@ -228,17 +250,10 @@ def _essentialize(a: Arrangement):
     return tuple(proj), r
 
 
-def _sign_cone_rays(basis, signs):
-    """Extreme rays of {x : s_i b_i · x >= 0}: signed adjugate columns."""
-    d = len(basis)
-    m = [tuple(s * x for x in row) for s, row in zip(signs, basis)]
-    det, adj = ratgeom._det_and_adjugate(m)
-    flip = 1 if det > 0 else -1
-    return m, [primitive(tuple(flip * adj[i][j] for i in range(d)))
-               for j in range(d)]
-
-
 def _count_enumerate(a: Arrangement) -> int:
+    """Split each of the 2^d simplicial cones {x : s_i b_i·x >= 0} of d
+    independent normals b_i.  Their extreme rays are the columns of the
+    adjugate of b, signed by det(b) and by s_j."""
     normals, d = _essentialize(a)
     if d == 0:
         return 1
@@ -248,74 +263,94 @@ def _count_enumerate(a: Arrangement) -> int:
             basis.append(h)
         if len(basis) == d:
             break
+    det, adj = ratgeom._det_and_adjugate(basis)
+    flip = 1 if det > 0 else -1
+    rays = [primitive(tuple(flip * adj[i][j] for i in range(d)))
+            for j in range(d)]
     total = 0
     for signs in itertools.product((1, -1), repeat=d):
-        facets, rays = _sign_cone_rays(basis, signs)
-        total += _split_regions(normals, facets, rays, None)
+        facets = [tuple(s * x for x in v) for s, v in zip(signs, basis)]
+        srays = [tuple(s * x for x in v) for s, v in zip(signs, rays)]
+        total += _split_regions(normals, facets, srays, None)
     return total
 
 
 # ---------------------------------------------------------------------------
 # charpoly backend: intersection lattice and Möbius function
 
-def _flats(normals, dim):
-    """All flats of the intersection lattice as (hyperplane bitmask, rank),
-    by breadth-first rank-increasing closure."""
+def _flats(normals):
+    """All flats of the intersection lattice as {hyperplane bitmask: rank},
+    by breadth-first rank-increasing closure.
+
+    A flat is keyed by its mask, the hyperplanes containing it.  The flats
+    covering a flat X are the lines of the quotient of the normals' span by
+    X's span: reduce every normal outside X against a basis of X, and the
+    normals whose residuals are parallel make one cover together with X.
+    The basis is kept in reduced form, (pivot, primitive row) pairs each
+    zero at the pivots before it, so a residual is unique up to scale.
+    """
     n = len(normals)
     flats = {0: 0}
-    frontier = {(): ((), ())}
+    frontier = {0: ()}
     rk = 0
-    N = np.array(normals, dtype=np.int64)
     while frontier:
         rk += 1
         new = {}
-        for basis, pivs in frontier.values():
-            for h in range(n):
-                if ratgeom.in_rowspace(basis, pivs, normals[h]):
+        for mask, basis in frontier.items():
+            lines = {}
+            for g in range(n):
+                if mask >> g & 1:
                     continue
-                nb, npv = ratgeom.row_reduce(list(basis) + [normals[h]])
-                if nb in new:
-                    continue
-                kb = ratgeom.kernel_basis(nb, dim)
-                if kb and max(abs(x) for v in kb for x in v) < _INT64_SAFE:
-                    K = np.array(kb, dtype=np.int64).T
-                    zero = (N @ K == 0).all(axis=1)
-                    mask = 0
-                    for g in range(n):
-                        if zero[g]:
-                            mask |= 1 << g
-                else:
-                    mask = 0
-                    for g in range(n):
-                        if ratgeom.in_rowspace(nb, npv, normals[g]):
-                            mask |= 1 << g
-                new[nb] = (npv, mask)
-        frontier = {}
-        for nb, (npv, mask) in new.items():
-            if mask not in flats:
-                flats[mask] = rk
-                frontier[mask] = (nb, npv)
+                v = normals[g]
+                for p, row in basis:
+                    if v[p]:
+                        a, b = row[p], v[p]
+                        v = [a * x - b * y for x, y in zip(v, row)]
+                for x in v:
+                    if x:
+                        break
+                d = gcd(*v)
+                key = tuple(y // d for y in v) if x > 0 else tuple(
+                    -y // d for y in v)
+                lines[key] = lines.get(key, mask) | 1 << g
+            for key, cover in lines.items():
+                if cover not in new:
+                    p = next(i for i, x in enumerate(key) if x)
+                    new[cover] = basis + ((p, key),)
+        for cover in new:
+            flats[cover] = rk
+        frontier = new
     return flats
 
 
 def char_poly(a: Arrangement) -> dict:
-    """Characteristic polynomial χ(t) as {power: coefficient}."""
-    flats = _flats(a.normals, a.dim)
-    items = sorted(flats.items(), key=lambda kv: (kv[1], kv[0]))
-    masks = [k for k, _ in items]
-    ranks = [v for _, v in items]
-    if len(masks) > 1:
-        am = np.array(masks, dtype=object)
-    mu = [0] * len(items)
-    mu[0] = 1
-    for i in range(1, len(items)):
-        mi = masks[i]
-        below = (am[:i] & mi) == am[:i]
-        mu[i] = -int(np.array(mu[:i], dtype=object)[below].sum())
-    coeffs = {}
-    for m, r in zip(mu, ranks):
-        p = a.dim - r
-        coeffs[p] = coeffs.get(p, 0) + m
+    """Characteristic polynomial χ(t) as {power: coefficient}.
+
+    μ(0̂, X) = −Σ_{Y < X} μ(0̂, Y), taken rank by rank: a flat below X has
+    lower rank and its hyperplanes are a subset of X's.  Lower flats are
+    bucketed by their first hyperplane, so X looks only at the buckets of
+    its own hyperplanes.
+    """
+    by_rank = {}
+    for mask, r in _flats(a.normals).items():
+        by_rank.setdefault(r, []).append(mask)
+    buckets = [[] for _ in a.normals]
+    coeffs = {a.dim: 1}
+    for r in range(1, max(by_rank) + 1):
+        level = []
+        for x in by_rank[r]:
+            mu = -1
+            rest = x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                for y, m in buckets[low.bit_length() - 1]:
+                    if y & x == y:
+                        mu -= m
+            level.append((x, mu))
+        for x, mu in level:
+            buckets[(x & -x).bit_length() - 1].append((x, mu))
+        coeffs[a.dim - r] = sum(mu for _, mu in level)
     return {p: c for p, c in sorted(coeffs.items(), reverse=True) if c}
 
 
@@ -330,8 +365,9 @@ def count_points_mod_p(a: Arrangement, q: int) -> int:
     For primes q larger than every minor of the normal matrix this equals
     χ(q); kept as an independent cross-check for small arrangements.
     """
+    import numpy as np  # the oracle alone needs numpy
+
     N = np.array(a.normals, dtype=np.int64) % q
-    count = 0
     dims = (q,) * a.dim
     grid = np.indices(dims).reshape(a.dim, -1)
     vals = (N @ grid) % q
@@ -388,15 +424,18 @@ def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
 def chambers_in_cone(a: Arrangement, cone: ConeH):
     """Yield a Chamber per region inside the cone.
 
-    The witness is the (exact) sum of the region's extreme rays; signs are
-    its evaluations against the arrangement normals.
+    The witness is the (exact) sum of the region's extreme rays, made
+    primitive.  The sign of h·w is the sign of the sum of the rays' values
+    on h; no hyperplane cuts the region, so that sum is positive exactly
+    when some ray is positive on h.
     """
     _require_cone_in_arrangement(a, cone)
     out = []
+    nh = len(a.normals)
 
-    def collect(rays):
+    def collect(rays, positive):
         w = primitive(tuple(sum(c) for c in zip(*(rv[0] for rv in rays))))
-        signs = tuple(1 if ratgeom.dot(h, w) > 0 else -1 for h in a.normals)
+        signs = tuple(1 if positive >> h & 1 else -1 for h in range(nh))
         out.append(Chamber(signs, w))
 
     _split_regions(a.normals, cone.inequalities, _cone_rays(cone), collect)

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-MAX_ENUM_N = 9
+MAX_ENUM_N = 7
 MAX_COUNT_N = 7
 
 
@@ -243,7 +243,9 @@ def _complex_from_mask(inm: int, n: int) -> Complex:
 def enumerate_max_biconnected(n: int, full_only: bool = False) -> Iterator[Complex]:
     """All maximally-biconnected complexes on [n], deterministic order."""
     if not 4 <= n <= MAX_ENUM_N:
-        raise ValueError(f"n={n} outside supported range 4..{MAX_ENUM_N}")
+        raise ValueError(
+            f"n={n} outside supported range 4..{MAX_ENUM_N} for enumeration "
+            "(there are 229 809 982 112 complexes at n=8)")
     for inm in _iter_max_biconnected_masks(n):
         if full_only and not _mask_is_full(inm, n):
             continue

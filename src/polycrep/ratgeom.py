@@ -21,6 +21,10 @@ Vec = tuple  # tuple of int/Fraction, length = ambient dimension
 
 def primitive(v: Iterable) -> tuple:
     """Scale a rational vector to a primitive integer vector (same ray)."""
+    v = tuple(v)
+    if all(type(x) is int for x in v):
+        g = gcd(*v)
+        return tuple(x // g for x in v) if g > 1 else v
     v = [Fraction(x) for x in v]
     den = 1
     for x in v:
@@ -139,15 +143,6 @@ def row_reduce(rows):
 
 def rank(rows) -> int:
     return len(row_reduce(rows)[0])
-
-
-def in_rowspace(rref, pivs, v) -> bool:
-    v = list(v)
-    for row, pc in zip(rref, pivs):
-        if v[pc]:
-            a, b = row[pc], v[pc]
-            v = [a * x - b * y for x, y in zip(v, row)]
-    return not any(v)
 
 
 def kernel_basis(rows, dim: int):

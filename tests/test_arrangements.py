@@ -1,6 +1,10 @@
 """Arrangement construction and exact region counting."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polycrep import arrangements as ar, ratgeom
 from polycrep.arrangements import Arrangement, Hyperplane
@@ -154,3 +158,60 @@ def test_chamber_to_complex_central():
 def test_mode_validation():
     with pytest.raises(ValueError):
         ar.count_regions(ar.build_B(6, 3), "magic")
+
+
+def test_entry_beyond_int64():
+    a = Arrangement(2, ((1, 0), (2 ** 63, 1), (0, 1)))
+    assert ar.count_regions(a, "enumerate") == 6
+    assert ar.count_regions(a, "charpoly") == 6
+
+
+def test_generic_large_entries_match_zaslavsky():
+    # 6 central planes in general position in Q^3: 2·(C(5,0)+C(5,1)+C(5,2))
+    rng = random.Random(2406)
+    coords = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for _ in range(20):
+        planes = tuple(tuple(rng.choice((-1, 1)) * rng.randint(2 ** 30, 2 ** 45)
+                             for _ in range(3)) for _ in range(3))
+        normals = coords + planes
+        assert all(ratgeom.rank(t) == 3
+                   for t in itertools.combinations(normals, 3))
+        a = Arrangement(3, normals)
+        assert ar.count_regions(a, "enumerate") == 32
+        assert ar.count_regions(a, "charpoly") == 32
+
+
+@st.composite
+def hostile_arrangements(draw):
+    """Integer arrangements in Q^2..Q^4 with entries up to 2^70, dependent
+    normals (integer combinations of others) and, when a lineality vector u
+    is drawn, every normal v replaced by (u·u)v − (v·u)u ⊥ u."""
+    dim = draw(st.integers(2, 4))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+    vec = st.tuples(*[entry] * dim)
+    gens = draw(st.lists(vec, min_size=1, max_size=4))
+    normals = list(gens)
+    combos = st.lists(st.integers(-2, 2), min_size=len(gens),
+                      max_size=len(gens))
+    for coeffs in draw(st.lists(combos, max_size=3)):
+        normals.append(tuple(sum(c * g[i] for c, g in zip(coeffs, gens))
+                             for i in range(dim)))
+    u = draw(st.one_of(st.none(), vec))
+    if u is not None and any(u):
+        uu = ratgeom.dot(u, u)
+        normals = [tuple(uu * x - ratgeom.dot(v, u) * y
+                         for x, y in zip(v, u)) for v in normals]
+    normals = tuple(v for v in normals if any(v))
+    assume(normals)
+    return Arrangement(dim, normals), draw(st.integers(0, len(normals) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hostile_arrangements())
+def test_backends_agree_on_hostile_inputs(case):
+    a, k = case
+    h = a.hyperplanes[k % len(a.hyperplanes)]
+    count = ar.count_regions(a, "enumerate")
+    assert count == ar.count_regions(a, "charpoly")
+    assert count == (ar.count_regions(ar.delete(a, h))
+                     + ar.count_regions(ar.restrict(a, h)))

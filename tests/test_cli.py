@@ -1,6 +1,10 @@
 """CLI dispatch, formats, exit codes, and golden outputs."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -122,6 +126,26 @@ def test_count_beyond_range_fails_fast(capsys):
     assert cli.main(["complexes", "count", "--n", "8"]) == 1
     assert time.monotonic() - t0 < 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["complexes", "enumerate", "--n", "8"],
+                                  ["bunches", "classify", "--n", "8"]])
+def test_enumeration_beyond_range_fails_fast(argv, capsys):
+    # λ(8) = 229 809 982 112 complexes: the walk is refused before it starts
+    t0 = time.monotonic()
+    assert cli.main(argv) == 1
+    assert time.monotonic() - t0 < 3
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, polycrep.cli; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True)
+    assert res.stdout.strip() == "False"
 
 
 def test_computation_error_exit_1(capsys):

@@ -20,6 +20,18 @@ def test_primitive():
     assert ratgeom.primitive((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
 
 
+def test_primitive_int_and_mixed_input():
+    assert ratgeom.primitive((-4, 0, -6)) == (-2, 0, -3)
+    assert ratgeom.primitive((0, -5)) == (0, -1)
+    assert ratgeom.primitive(()) == ()
+    big = 3 * 2 ** 100
+    assert ratgeom.primitive((big, -2 * big, 0)) == (1, -2, 0)
+    assert ratgeom.primitive((2 ** 80 + 1, 2 ** 80)) == (2 ** 80 + 1, 2 ** 80)
+    assert ratgeom.primitive((2, Fraction(4, 3), -6)) == (3, 2, -9)
+    assert ratgeom.primitive((Fraction(big), 2 * big)) == (1, 2)
+    assert all(type(x) is int for x in ratgeom.primitive((Fraction(6), 4)))
+
+
 def test_canon_normal_identifies_signs():
     assert ratgeom.canon_normal((-1, 2, 0)) == (1, -2, 0)
     assert ratgeom.canon_normal((0, -2, 4)) == (0, 1, -2)
