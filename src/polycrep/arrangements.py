@@ -15,8 +15,7 @@ Two independent counting backends:
   (Zaslavsky).
 
 Everything is exact Python-int arithmetic, whatever the size of the
-entries.  numpy is imported only by the finite-field oracle
-``count_points_mod_p``.
+entries.
 """
 
 from __future__ import annotations
@@ -169,9 +168,6 @@ def _split_regions(normals, cone_facets, cone_rays, collect):
         r = primitive(r)
         rays0.append(_ray(r, [sum(c * r[j] for j, c in row) for row in cons]))
     facets = (1 << nf) - 1
-    # adjacent rays span a 2-face, which needs at least d - 2 common tight
-    # constraints: a cheap necessary condition before the no-third-ray test
-    face = len(rays0[0][0]) - 2
     count = 0
     # (rays, hyperplanes still to test, decided constraints), as masks over
     # constraint indices: the cone's facets first, then the normals
@@ -207,9 +203,8 @@ def _split_regions(normals, cone_facets, cone_rays, collect):
             a = vp[cut]
             for rm in minus:
                 t12 = rp[4] & rm[4] & decided
-                if t12.bit_count() < face or any(
-                        r3[4] & t12 == t12 for r3 in rays
-                        if r3 is not rp and r3 is not rm):
+                if any(r3[4] & t12 == t12 for r3 in rays
+                       if r3 is not rp and r3 is not rm):
                     continue
                 vm = rm[1]
                 b = -vm[cut]
@@ -365,13 +360,10 @@ def count_points_mod_p(a: Arrangement, q: int) -> int:
     For primes q larger than every minor of the normal matrix this equals
     χ(q); kept as an independent cross-check for small arrangements.
     """
-    import numpy as np  # the oracle alone needs numpy
-
-    N = np.array(a.normals, dtype=np.int64) % q
-    dims = (q,) * a.dim
-    grid = np.indices(dims).reshape(a.dim, -1)
-    vals = (N @ grid) % q
-    return int(((vals != 0).all(axis=0)).sum())
+    normals = [tuple(c % q for c in h) for h in a.normals]
+    return sum(
+        all(sum(c * x for c, x in zip(h, pt)) % q for h in normals)
+        for pt in itertools.product(range(q), repeat=a.dim))
 
 
 def count_regions(a: Arrangement, mode: str = "enumerate") -> int:

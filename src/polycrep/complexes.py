@@ -20,8 +20,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-MAX_ENUM_N = 7
-MAX_COUNT_N = 7
+MAX_N = 7
 
 
 def mask_of(members, n: int) -> int:
@@ -242,9 +241,9 @@ def _complex_from_mask(inm: int, n: int) -> Complex:
 
 def enumerate_max_biconnected(n: int, full_only: bool = False) -> Iterator[Complex]:
     """All maximally-biconnected complexes on [n], deterministic order."""
-    if not 4 <= n <= MAX_ENUM_N:
+    if not 4 <= n <= MAX_N:
         raise ValueError(
-            f"n={n} outside supported range 4..{MAX_ENUM_N} for enumeration "
+            f"n={n} outside supported range 4..{MAX_N} for enumeration "
             "(there are 229 809 982 112 complexes at n=8)")
     for inm in _iter_max_biconnected_masks(n):
         if full_only and not _mask_is_full(inm, n):
@@ -253,9 +252,9 @@ def enumerate_max_biconnected(n: int, full_only: bool = False) -> Iterator[Compl
 
 
 def _check_count_range(n: int):
-    if not 4 <= n <= MAX_COUNT_N:
+    if not 4 <= n <= MAX_N:
         raise ValueError(
-            f"n={n} outside supported range 4..{MAX_COUNT_N} for counting "
+            f"n={n} outside supported range 4..{MAX_N} for counting "
             "(beyond it the sum over downsets, 7 828 354 terms at n=8, "
             "needs a symmetry reduction)")
 
