@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import ratgeom
+from .complexes import _complement_image, _complex_from_mask, family_mask
 from .polygon_cones import v_I
 from .ratgeom import ConeH, canon_normal, primitive
 
@@ -130,48 +131,23 @@ def cone_Ci(n: int, i: int) -> ConeH:
 # ---------------------------------------------------------------------------
 # enumerate backend: DD region splitting
 
-def _ray(r, vals):
-    """A ray record: (ray, constraint values, positive mask, negative mask,
-    tight mask), the masks over constraint indices."""
-    pos = neg = tight = 0
-    bit = 1
-    for v in vals:
-        if v > 0:
-            pos |= bit
-        elif v < 0:
-            neg |= bit
-        else:
-            tight |= bit
-        bit <<= 1
-    return (r, vals, pos, neg, tight)
-
-
 def _split_regions(normals, cone_facets, cone_rays, collect):
     """Count (and optionally report) regions of the arrangement inside the
-    cone given by facets/extreme rays.  Exact, LP-free: children of a split
-    are built by the double-description step, and adjacency of two rays is
-    certified by the no-third-ray test over decided (non-cutting) constraints.
+    cone given by facets/extreme rays.  Exact, LP-free: a region is split by
+    one ratgeom.dd_cut into the ray sets of its two children.
 
-    Constraint values are evaluated once, for the start rays.  A new ray
-    (a·r₋ + b·r₊)/g needs values only on the hyperplanes that still cut its
-    region, (a·vals₋ + b·vals₊)/g, exact because the values are linear in
-    the ray.  On a decided constraint both parents are weakly on one side,
-    so the new ray's sign there is theirs and is taken from their masks.
-    collect(rays, positive) receives each region's rays and the bitmask of
-    the hyperplanes positive on its interior.
+    Constraint values are evaluated once, for the start rays; dd_cut
+    carries them to new rays on the hyperplanes that still cut their
+    region.  collect(rays, positive) receives each region's rays and the
+    bitmask of the hyperplanes positive on its interior.
     """
-    cons = [tuple((j, c) for j, c in enumerate(row) if c)
-            for row in (*cone_facets, *normals)]
     nf = len(cone_facets)
-    rays0 = []
-    for r in cone_rays:
-        r = primitive(r)
-        rays0.append(_ray(r, [sum(c * r[j] for j, c in row) for row in cons]))
+    rays0 = ratgeom.ray_records(cone_rays, (*cone_facets, *normals))
     facets = (1 << nf) - 1
     count = 0
     # (rays, hyperplanes still to test, decided constraints), as masks over
     # constraint indices: the cone's facets first, then the normals
-    stack = [(rays0, ((1 << len(cons)) - 1) ^ facets, facets)]
+    stack = [(rays0, ((1 << (nf + len(normals))) - 1) ^ facets, facets)]
     while stack:
         rays, remaining, decided = stack.pop()
         pos = neg = 0
@@ -186,45 +162,9 @@ def _split_regions(normals, cone_facets, cone_rays, collect):
                 collect(rays, pos >> nf)
             continue
         bit = cutting & -cutting
-        cut = bit.bit_length() - 1
         keep = cutting ^ bit
-        todo = []
-        m = keep
-        while m:
-            low = m & -m
-            todo.append((low.bit_length() - 1, low))
-            m ^= low
-        plus, minus, zero = [], [], []
-        for rv in rays:
-            (plus if rv[2] & bit else minus if rv[3] & bit else zero).append(rv)
-        new = []
-        for rp in plus:
-            vp = rp[1]
-            a = vp[cut]
-            for rm in minus:
-                t12 = rp[4] & rm[4] & decided
-                if any(r3[4] & t12 == t12 for r3 in rays
-                       if r3 is not rp and r3 is not rm):
-                    continue
-                vm = rm[1]
-                b = -vm[cut]
-                r = [a * x + b * y for x, y in zip(rm[0], rp[0])]
-                g = gcd(*r)
-                npos = (rp[2] | rm[2]) & decided
-                nneg = (rp[3] | rm[3]) & decided
-                ntight = t12 | bit
-                vals = {}
-                for c, cbit in todo:
-                    v = (a * vm[c] + b * vp[c]) // g
-                    vals[c] = v
-                    if v > 0:
-                        npos |= cbit
-                    elif v < 0:
-                        nneg |= cbit
-                    else:
-                        ntight |= cbit
-                new.append((tuple(x // g for x in r), vals, npos, nneg,
-                            ntight))
+        plus, minus, zero, new = ratgeom.dd_cut(
+            rays, bit.bit_length() - 1, decided, keep)
         decided |= bit
         stack.append((plus + zero + new, keep, decided))
         stack.append((minus + zero + new, keep, decided))
@@ -247,21 +187,13 @@ def _essentialize(a: Arrangement):
 
 def _count_enumerate(a: Arrangement) -> int:
     """Split each of the 2^d simplicial cones {x : s_i b_i·x >= 0} of d
-    independent normals b_i.  Their extreme rays are the columns of the
-    adjugate of b, signed by det(b) and by s_j."""
+    independent normals b_i.  Their extreme rays are b's simplicial rays,
+    signed by s_j."""
     normals, d = _essentialize(a)
     if d == 0:
         return 1
-    basis = []
-    for h in normals:
-        if ratgeom.rank(basis + [h]) == len(basis) + 1:
-            basis.append(h)
-        if len(basis) == d:
-            break
-    det, adj = ratgeom._det_and_adjugate(basis)
-    flip = 1 if det > 0 else -1
-    rays = [primitive(tuple(flip * adj[i][j] for i in range(d)))
-            for j in range(d)]
+    basis = [normals[i] for i in ratgeom.independent_rows(normals, d)]
+    rays = ratgeom.simplicial_rays(basis)
     total = 0
     for signs in itertools.product((1, -1), repeat=d):
         facets = [tuple(s * x for x in v) for s, v in zip(signs, basis)]
@@ -469,17 +401,12 @@ def restrict(a: Arrangement, h: Hyperplane) -> Arrangement:
 def chamber_to_complex(a: Arrangement, ch: Chamber):
     """The maximally-biconnected complex of a chamber inside C_0 ∩ F:
     faces are the subsets I with v_I > 0 at the chamber's interior point."""
-    from .complexes import _complex_from_mask
     n = a.dim
     theta = ch.witness
     if any(t <= 0 for t in theta):
         raise ValueError("chamber not inside the open orthant")
-    total = sum(theta)
-    fam = 0
-    for bits in range(1, 1 << n):
-        s = 2 * sum(theta[i] for i in range(n) if bits >> i & 1)
-        if s == total:
-            raise ValueError("witness lies on an arrangement hyperplane")
-        if s < total:
-            fam |= 1 << bits
+    fam = family_mask(theta, n)
+    # v_I(θ) = 0 exactly when neither I nor its complement is a face
+    if fam | _complement_image(fam, n) != (1 << (1 << n)) - 1:
+        raise ValueError("witness lies on an arrangement hyperplane")
     return _complex_from_mask(fam, n)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratgeom
-from .complexes import Complex, Partition, enumerate_partitions
-from .polygon_cones import PolygonCone, is_free, relint_disjoint_free, v_I
+from .complexes import Complex, Partition, enumerate_partitions, mask_of
+from .polygon_cones import PolygonCone, is_free, v_I
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,22 @@ def _free_partitions_with(n: int, pred) -> list:
 
 
 def is_bunch(phi: Bunch) -> bool:
-    """Pairwise-meeting interiors plus upward closure under refinement."""
+    """Pairwise-meeting interiors plus upward closure under refinement.
+
+    Two free cones have disjoint relative interiors exactly when a part of
+    one and a part of the other cover [n], and two parts of one free
+    partition never do, so the interiors meet pairwise exactly when no two
+    member parts cover [n]."""
     cones = list(phi.cones)
     if not cones:
         return False
     for c in cones:
         if not is_free(c):
             raise ValueError("bunch members must be free cones")
-    for i, p in enumerate(cones):
-        for q in cones[i + 1:]:
-            if _relint_disjoint_cached(p, q):
-                return False
+    full = (1 << phi.n) - 1
+    parts = {mask_of(part, phi.n) for c in cones for part in c.partition.parts}
+    if any(a | b == full for a in parts for b in parts):
+        return False
     # Upward closure: any free Q refining a member P must itself be a member.
     partitions = {c.partition for c in cones}
     for p in cones:
@@ -77,11 +82,6 @@ def is_bunch(phi: Bunch) -> bool:
             if len(q.parts) >= 3 and q not in partitions:
                 return False
     return True
-
-
-@functools.lru_cache(maxsize=1 << 18)
-def _relint_disjoint_cached(p: PolygonCone, q: PolygonCone) -> bool:
-    return relint_disjoint_free(p, q)
 
 
 @functools.lru_cache(maxsize=4096)

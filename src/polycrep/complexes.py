@@ -221,6 +221,22 @@ def _mask_is_full(inm: int, n: int) -> bool:
     return all(inm >> (1 << i) & 1 for i in range(n))
 
 
+def family_mask(theta, n: int) -> int:
+    """The family {I : v_I(θ) > 0}, i.e. 2·Σ_{i∈I} θ_i < Σθ, as a bitmask
+    with the empty face's bit 0 set (subset sums by DP).  At a generic θ in
+    the open orthant this is a maximally-biconnected complex."""
+    sums = [0] * (1 << n)
+    for bits in range(1, 1 << n):
+        low = bits & -bits
+        sums[bits] = sums[bits ^ low] + theta[low.bit_length() - 1]
+    total = sums[-1]
+    fam = 1
+    for bits in range(1, 1 << n):
+        if 2 * sums[bits] < total:
+            fam |= 1 << bits
+    return fam
+
+
 def _maximal_faces_of_mask(inm: int, n: int):
     """Maximal faces of a family bitmask, as subset masks."""
     up = _tables(n)[1]

@@ -18,8 +18,8 @@ from typing import Iterator, Optional
 
 from . import arrangements, bunches, ratgeom
 from .complexes import (Complex, Partition, _complex_from_mask,
-                        _iter_max_biconnected_masks, _mask_is_full, is_full,
-                        is_maximal_biconnected)
+                        _iter_max_biconnected_masks, _mask_is_full,
+                        family_mask, is_full, is_maximal_biconnected)
 from .polygon_cones import PolygonCone, eta
 from . import polygon_cones
 
@@ -81,16 +81,6 @@ def generators_hyper(c: HyperCone) -> list:
         v[k - 1] = -1
         gens.append(tuple(v))
     return gens
-
-
-def in_omega_X(p: Partition, k) -> bool:
-    """Orbit-data test: at least 4 parts meet K, or no part meets K in
-    exactly one element."""
-    K = frozenset(k)
-    meets = sum(1 for J in p.parts if J & K)
-    if meets >= 4:
-        return True
-    return all(len(J & K) != 1 for J in p.parts)
 
 
 def in_omega_X_free(p: Partition, k) -> bool:
@@ -190,26 +180,12 @@ def _corner_witness(n: int, i: int) -> tuple:
     return tuple(theta)
 
 
-def _family_mask_of_theta(theta, n: int) -> int:
-    """Bitmask over nonempty subsets I with v_I(θ) > 0 (subset-sum DP)."""
-    sums = [0] * (1 << n)
-    for bits in range(1, 1 << n):
-        low = bits & -bits
-        sums[bits] = sums[bits ^ low] + theta[low.bit_length() - 1]
-    total = sums[-1]
-    fam = 1  # the empty face, always a member
-    for bits in range(1, 1 << n):
-        if 2 * sums[bits] < total:
-            fam |= 1 << bits
-    return fam
-
-
 def _projective_full_masks(n: int) -> dict:
     """family mask -> chamber witness θ, over the chambers of 𝒜 in C_0."""
     a = arrangements.build_A(n)
     bank = {}
     for ch in arrangements.chambers_in_cone(a, arrangements.cone_C0(n)):
-        bank[_family_mask_of_theta(ch.witness, n)] = ch.witness
+        bank[family_mask(ch.witness, n)] = ch.witness
     return bank
 
 

@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass
 
 from .complexes import Partition, refines
-from . import ratgeom
 
 
 class NotFreeError(ValueError):
@@ -54,11 +53,6 @@ def generators(c: PolygonCone) -> list:
         v[j - 1] = 1
         gens.append(tuple(v))
     return gens
-
-
-def in_omega_Y(p: Partition) -> bool:
-    """Every partition of every subset names a polygon orbit cone."""
-    return True
 
 
 def in_omega_Y_free(p: Partition) -> bool:
@@ -105,10 +99,6 @@ def eta(I, n: int) -> PolygonCone:
     if I:
         parts.append(I)
     return PolygonCone(n, Partition(n, tuple(parts)))
-
-
-def as_ratgeom_cone(c: PolygonCone) -> ratgeom.ConeV:
-    return ratgeom.ConeV(c.n, tuple(generators(c)))
 
 
 def to_json_obj(c: PolygonCone) -> dict:

@@ -6,13 +6,19 @@ simplex with Bland's rule).  Everything here is exact: vectors are tuples of
 ints or Fractions, rays are canonicalized to primitive integer form, and no
 operation ever rounds.  This module is the brute-force oracle against which
 the closed-form combinatorial criteria of the other modules are validated.
+
+One integer double-description step, dd_cut, serves both H-to-V conversion
+and the region splitting of the arrangements module: rays carry their
+constraint values and sign/tight bitmasks, start from the simplicial rays
+of independent rows (fraction-free row reduction), and new rays get their
+values by a linear update, so the DD path builds no Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 
@@ -146,124 +152,165 @@ def rank(rows) -> int:
 
 
 def kernel_basis(rows, dim: int):
-    """Primitive integer basis of {x : rows · x = 0}, deterministic order."""
+    """Primitive integer basis of {x : rows · x = 0}, deterministic order.
+
+    The RREF rows are scaled, so each free column f gives the kernel vector
+    with x_f = L and x_p = −row_f · L / row_p at each pivot p, L the lcm of
+    the pivot entries."""
     rref, pivs = row_reduce(rows)
-    free = [c for c in range(dim) if c not in pivs]
+    scale = lcm(*(row[pc] for row, pc in zip(rref, pivs)))
     basis = []
-    for f in free:
-        x = [Fraction(0)] * dim
-        x[f] = Fraction(1)
+    for f in range(dim):
+        if f in pivs:
+            continue
+        x = [0] * dim
+        x[f] = scale
         for row, pc in zip(rref, pivs):
-            x[pc] = Fraction(-row[f], row[pc])
+            x[pc] = -row[f] * (scale // row[pc])
         basis.append(primitive(x))
     return basis
 
 
-def _det_and_adjugate(m):
-    """Exact determinant and adjugate of a small integer matrix."""
-    k = len(m)
-    fm = [[Fraction(x) for x in row] for row in m]
-    # LU-free cofactor via Gaussian elimination on an augmented identity
-    det = Fraction(1)
-    inv = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    a = [row[:] for row in fm]
-    for c in range(k):
-        pr = None
-        for i in range(c, k):
-            if a[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return 0, None
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            inv[c], inv[pr] = inv[pr], inv[c]
-            det = -det
-        det *= a[c][c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        inv[c] = [x / pv for x in inv[c]]
-        for i in range(k):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[c])]
-    det_i = int(det)
-    adj = [[int(inv[i][j] * det) for j in range(k)] for i in range(k)]
-    return det_i, adj
+def independent_rows(rows, k: int) -> list:
+    """Indices of the first k integer rows that are linearly independent,
+    picked greedily in order (fewer if the rows have rank < k).
+
+    Each picked row is kept reduced against the earlier ones, as a (pivot,
+    row) pair zero at the earlier pivots, so a later row is dependent
+    exactly when its residual vanishes."""
+    basis = []
+    picked = []
+    for i, v in enumerate(rows):
+        if len(picked) == k:
+            break
+        for p, b in basis:
+            if v[p]:
+                v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        g = gcd(*v)
+        basis.append((p, [x // g for x in v]))
+        picked.append(i)
+    return picked
+
+
+def simplicial_rays(rows) -> list:
+    """Extreme rays r_i of the simplicial cone {x : rows · x >= 0}, for an
+    invertible square integer matrix: rows · r_i = p_i e_i with p_i > 0.
+
+    Fraction-free RREF of [rowsᵀ | I] is [diag(p) | diag(p) · rows⁻ᵀ] with
+    positive leading entries, so row i's right half is p_i times column i
+    of rows⁻¹."""
+    k = len(rows)
+    aug = [[rows[j][i] for j in range(k)] + [int(i == j) for j in range(k)]
+           for i in range(k)]
+    rref, pivs = row_reduce(aug)
+    if pivs != tuple(range(k)):
+        raise ValueError("rows are not independent")
+    return [primitive(row[k:]) for row in rref]
 
 
 # ---------------------------------------------------------------------------
 # double description
 
+def ray_records(rays, rows) -> list:
+    """A record per ray: (ray, values on the constraint rows, and the
+    positive, negative and tight masks over the row indices)."""
+    sparse = [tuple((j, c) for j, c in enumerate(row) if c) for row in rows]
+    out = []
+    for r in rays:
+        vals = [sum(c * r[j] for j, c in row) for row in sparse]
+        pos = neg = tight = 0
+        bit = 1
+        for v in vals:
+            if v > 0:
+                pos |= bit
+            elif v < 0:
+                neg |= bit
+            else:
+                tight |= bit
+            bit <<= 1
+        out.append((r, vals, pos, neg, tight))
+    return out
+
+
+def dd_cut(rays, cut: int, decided: int, todo: int):
+    """One double-description step: cut the cone of the ray records by
+    constraint number `cut`.
+
+    Returns (plus, minus, zero, new): the records strictly positive,
+    strictly negative and zero on the cut, and one new ray on the cut per
+    adjacent plus/minus pair.  The rays must be the extreme rays of a
+    pointed cone on which every `decided` constraint is weakly one-signed;
+    two rays are adjacent when no third ray is tight on every decided
+    constraint both are tight on.  A new ray (a·r₋ + b·r₊)/g gets values
+    (a·vals₋ + b·vals₊)/g only on the `todo` constraints, exact because the
+    values are linear in the ray; on a decided constraint both parents are
+    weakly on one side, so its sign there is theirs, read off their masks.
+    """
+    bit = 1 << cut
+    plus, minus, zero = [], [], []
+    for rv in rays:
+        (plus if rv[2] & bit else minus if rv[3] & bit else zero).append(rv)
+    new = []
+    todo_bits = []
+    m = todo
+    while m:
+        low = m & -m
+        todo_bits.append((low.bit_length() - 1, low))
+        m ^= low
+    for rp in plus:
+        vp = rp[1]
+        a = vp[cut]
+        for rm in minus:
+            t12 = rp[4] & rm[4] & decided
+            if any(r3[4] & t12 == t12 for r3 in rays
+                   if r3 is not rp and r3 is not rm):
+                continue
+            vm = rm[1]
+            b = -vm[cut]
+            r = [a * x + b * y for x, y in zip(rm[0], rp[0])]
+            g = gcd(*r)
+            npos = (rp[2] | rm[2]) & decided
+            nneg = (rp[3] | rm[3]) & decided
+            ntight = t12 | bit
+            vals = {}
+            for c, cbit in todo_bits:
+                v = (a * vm[c] + b * vp[c]) // g
+                vals[c] = v
+                if v > 0:
+                    npos |= cbit
+                elif v < 0:
+                    nneg |= cbit
+                else:
+                    ntight |= cbit
+            new.append((tuple(x // g for x in r), vals, npos, nneg, ntight))
+    return plus, minus, zero, new
+
+
 def _extreme_rays_pointed(ineqs, k):
     """Extreme rays of the pointed cone {t in Q^k : ineqs · t >= 0}.
 
-    Starts from a simplicial subcone cut out by k independent inequalities and
-    inserts the rest one at a time (standard double description step with the
-    combinatorial adjacency test, valid because the cone is pointed).
+    Starts from the simplicial cone of the first k independent inequalities
+    and cuts by the others in order, one dd_cut each.
     """
     if k == 0:
         return []
-    # pick k independent rows for the simplicial start
-    base_idx = []
-    rows = []
-    for i, a in enumerate(ineqs):
-        if rank(rows + [a]) == len(rows) + 1:
-            base_idx.append(i)
-            rows.append(a)
-            if len(rows) == k:
-                break
-    if len(rows) < k:
+    base = independent_rows(ineqs, k)
+    if len(base) < k:
         raise ValueError("inequality system is not pointed")
-    det, adj = _det_and_adjugate(rows)
-    sgn = 1 if det > 0 else -1
-    rays = [primitive(tuple(sgn * adj[j][i] for j in range(k))) for i in range(k)]
-
-    def tight_mask(r, upto):
-        m = 0
-        for idx in range(upto):
-            if dot(ineqs[idx], r) == 0:
-                m |= 1 << idx
-        return m
-
-    base_set = set(base_idx)
-    processed = sorted(base_set)
-    # rays currently satisfy all processed inequalities
-    for h, a in enumerate(ineqs):
-        if h in base_set:
+    rays = ray_records(simplicial_rays([ineqs[i] for i in base]), ineqs)
+    decided = sum(1 << i for i in base)
+    todo = ((1 << len(ineqs)) - 1) ^ decided
+    for h in range(len(ineqs)):
+        if decided >> h & 1:
             continue
-        vals = [dot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            processed.append(h)
-            continue
-        processed.append(h)
-        upto = len(ineqs)  # masks taken over all rows seen so far is fine:
-        # only processed rows are consulted below via proc_mask
-        proc_mask = 0
-        for idx in processed:
-            proc_mask |= 1 << idx
-        tights = [tight_mask(r, upto) & proc_mask for r in rays]
-        plus = [i for i, v in enumerate(vals) if v > 0]
-        minus = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
-        new = []
-        for ip in plus:
-            for im in minus:
-                t12 = tights[ip] & tights[im]
-                adjacent = True
-                for io in range(len(rays)):
-                    if io in (ip, im):
-                        continue
-                    if (tights[io] & t12) == t12:
-                        adjacent = False
-                        break
-                if adjacent:
-                    vp, vm = vals[ip], -vals[im]
-                    new.append(primitive(tuple(
-                        vp * x + vm * y for x, y in zip(rays[im], rays[ip]))))
-        rays = [rays[i] for i in plus + zero] + new
-    return rays
+        todo ^= 1 << h
+        plus, _, zero, new = dd_cut(rays, h, decided, todo)
+        rays = plus + zero + new
+        decided |= 1 << h
+    return [rv[0] for rv in rays]
 
 
 def h_to_v(cone: ConeH) -> ConeV:
@@ -443,8 +490,3 @@ def relint_intersects(a: ConeV, b: ConeV) -> bool:
     rhs = [sum(g[i] for g in gb) - sum(g[i] for g in ga) for i in range(d)]
     return solve_eq_nonneg(A, rhs) is not None
 
-
-def cone_subset(a: ConeV, b: ConeV) -> bool:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("dimension mismatch")
-    return all(contains_point(b, g) for g in a.generators)

@@ -1,10 +1,12 @@
 """Bunch axioms, the complex<->bunch bijection, projectivity certificates."""
 
 import itertools
+import random
 
 import pytest
 
-from polycrep import bunches, complexes as cx, polygon_cones as pc
+from polycrep import (arrangements as ar, bunches, complexes as cx,
+                      polygon_cones as pc)
 from polycrep.bunches import Bunch
 from polycrep.complexes import Complex, Partition
 from polycrep.polygon_cones import PolygonCone
@@ -56,6 +58,50 @@ def test_roundtrip_and_injectivity():
             assert bunches.complex_from_bunch(phi) == d
             seen.add(phi)
         assert len(seen) == cx.hosten_morris(n) - n
+
+
+def test_is_bunch_matches_pairwise_definition():
+    """is_bunch against the definition written out: nonempty, every pair of
+    members with meeting relative interiors, and every free refinement of
+    a member a member.  Subsets are random, upward closures of random
+    subsets, and closures of subsets of a chamber's bunch Φ_θ plus maybe
+    one other cone."""
+    n = 5
+    free = [PolygonCone(n, p)
+            for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)]
+    a = ar.build_A(n)
+    thetas = [ch.witness for ch in ar.chambers_in_cone(a, ar.cone_C0(n))]
+
+    def closure(cones):
+        return {q for q in free
+                if any(cx.refines(q.partition, c.partition) for c in cones)}
+
+    def pairwise(cones):
+        cones = list(cones)
+        if not cones:
+            return False
+        if any(pc.relint_disjoint_free(p, q)
+               for i, p in enumerate(cones) for q in cones[i + 1:]):
+            return False
+        return closure(cones) <= set(cones)
+
+    rng = random.Random(7)
+    seen = {True: 0, False: 0}
+    for trial in range(3000):
+        kind = trial % 3
+        if kind == 2:
+            phi = bunches.bunch_from_theta(rng.choice(thetas), n).cones
+            cones = set(rng.sample(sorted(phi, key=str), rng.randint(1, 4)))
+            if rng.random() < 0.5:
+                cones.add(rng.choice(free))
+        else:
+            cones = set(rng.sample(free, rng.randint(1, 6)))
+        if kind:
+            cones = closure(cones)
+        want = pairwise(cones)
+        assert bunches.is_bunch(Bunch(n, frozenset(cones))) == want, cones
+        seen[want] += 1
+    assert min(seen.values()) > 300, seen
 
 
 def test_phi_requires_free_partition():

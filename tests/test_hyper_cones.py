@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from polycrep import hyper_cones as hc, ratgeom
-from polycrep.complexes import Complex, Partition
+from polycrep import arrangements, hyper_cones as hc, ratgeom
+from polycrep.complexes import (Complex, Partition, _complex_from_mask,
+                                family_mask)
 from polycrep.hyper_cones import CornerCone, HyperCone
 from polycrep.ratgeom import ConeV
 
@@ -16,13 +17,6 @@ def part(n, *blocks):
 
 def singletons(n):
     return part(n, *({i} for i in range(1, n + 1)))
-
-
-def test_in_omega_X():
-    assert hc.in_omega_X(singletons(5), set())
-    assert not hc.in_omega_X(singletons(5), {1})
-    assert hc.in_omega_X(singletons(5), {1, 2, 3, 4})
-    assert hc.in_omega_X(part(5, {1, 2, 3}), {4})  # K misses the ground
 
 
 def test_in_omega_X_free():
@@ -130,6 +124,25 @@ def test_census_range():
         list(hc.census(8))
 
 
+def test_chamber_complex_is_census_bank_key():
+    """chamber_to_complex and the census bank produce one family mask per
+    C0 chamber of A(5)."""
+    n = 5
+    a = arrangements.build_A(n)
+    chambers = arrangements.chambers_in_cone(a, arrangements.cone_C0(n))
+    by_witness = {w: m for m, w in hc._projective_full_masks(n).items()}
+    assert len(by_witness) == len(chambers) == 76
+    for ch in chambers:
+        assert (arrangements.chamber_to_complex(a, ch)
+                == _complex_from_mask(by_witness[ch.witness], n))
+    on_wall = arrangements.Chamber((), (1, 1, 1, 1, 2))  # v_{123} = 0
+    with pytest.raises(ValueError, match="hyperplane"):
+        arrangements.chamber_to_complex(a, on_wall)
+    with pytest.raises(ValueError, match="orthant"):
+        arrangements.chamber_to_complex(
+            a, arrangements.Chamber((), (0, 1, 1, 1, 1)))
+
+
 def test_census_witnesses_are_generic_and_interior():
     for rec in itertools.islice(hc.census(6), 300):
         if rec.witness is None:
@@ -143,7 +156,7 @@ def test_census_witnesses_are_generic_and_interior():
         # witness complex matches the record for full complexes
         from polycrep.complexes import is_full
         if is_full(rec.complex):
-            fam = hc._family_mask_of_theta(theta, n)
+            fam = family_mask(theta, n)
             got = set()
             for bits in range(1, 1 << n):
                 if fam >> bits & 1:

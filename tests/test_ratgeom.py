@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polycrep import ratgeom
 from polycrep.ratgeom import ConeH, ConeV
@@ -65,12 +65,6 @@ def test_contains_point():
     assert ratgeom.contains_point(c, (3, 2, 1))
     assert not ratgeom.contains_point(c, (0, 0, 1))
     assert not ratgeom.contains_point(c, (-1, 0, 0))
-
-
-def test_cone_subset():
-    small = ConeV(3, ((1, 1, 0), (1, 0, 1)))
-    assert ratgeom.cone_subset(small, orthant(3))
-    assert not ratgeom.cone_subset(orthant(3), small)
 
 
 def test_relint_intersects_basic():
@@ -168,3 +162,79 @@ def test_generators_inside_own_h_form(c):
     h = ratgeom.v_to_h(c)
     for g in c.generators:
         assert all(ratgeom.dot(i, g) >= 0 for i in h.inequalities)
+
+
+# ---------------------------------------------------------------------------
+# the integer double-description kernel on hostile inputs
+
+HUGE = 2 ** 70
+entries = st.one_of(st.integers(-3, 3), st.integers(-HUGE, HUGE))
+
+
+@st.composite
+def invertible_matrices(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    rows = [tuple(draw(entries) for _ in range(k)) for _ in range(k)]
+    assume(ratgeom.rank(rows) == k)
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(invertible_matrices())
+def test_simplicial_rays_invert_the_rows(rows):
+    rays = ratgeom.simplicial_rays(rows)
+    k = len(rows)
+    for i, r in enumerate(rays):
+        image = [ratgeom.dot(row, r) for row in rows]
+        assert image[i] > 0
+        assert all(image[j] == 0 for j in range(k) if j != i)
+
+
+@st.composite
+def h_cones(draw):
+    """Inequality systems with repeated rows, redundant rows (a positive
+    combination of two others) and, when there are fewer rows than
+    dimensions or a row and its negative, lineality or equalities.  Rows
+    are often oriented to be positive at one point, so the cone is full
+    and has many extreme rays."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    rows = [tuple(draw(entries) for _ in range(d))
+            for _ in range(draw(st.integers(min_value=1, max_value=6)))]
+    if draw(st.booleans()):
+        p = [draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
+             for _ in range(d)]
+        rows = [a if ratgeom.dot(a, p) >= 0 else tuple(-x for x in a)
+                for a in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(("repeat", "sum", "negate")))
+        a = draw(st.sampled_from(rows))
+        if kind == "repeat":
+            rows.append(a)
+        elif kind == "sum":
+            b = draw(st.sampled_from(rows))
+            s, t = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(-x for x in a))
+    return ConeH(d, tuple(rows))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(h_cones(), st.lists(st.lists(st.integers(-4, 4), min_size=4,
+                                    max_size=4), min_size=1, max_size=6))
+def test_h_to_v_agrees_with_the_simplex(h, points):
+    """Every generator satisfies every inequality, and membership by the
+    inequalities equals membership by the exact LP over the generators;
+    for pointed cones no extreme ray lies in the cone of the others."""
+    d = h.ambient_dim
+    v = ratgeom.h_to_v(h)
+    for g in v.generators:
+        assert all(ratgeom.dot(a, g) >= 0 for a in h.inequalities)
+    gen_sum = [sum(c) for c in zip(*v.generators)] or [0] * d
+    for x in [p[:d] for p in points] + [gen_sum]:
+        inside = all(ratgeom.dot(a, x) >= 0 for a in h.inequalities)
+        assert inside == ratgeom.contains_point(v, x)
+    if ratgeom.rank(h.inequalities) == d:
+        for g in v.generators:
+            others = ConeV(d, tuple(o for o in v.generators if o != g))
+            assert not ratgeom.contains_point(others, g)
