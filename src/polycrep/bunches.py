@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratgeom
-from .complexes import Complex, Partition, enumerate_partitions, mask_of
+from .complexes import (Complex, Partition, complex_family,
+                        enumerate_partitions, family_mask, mask_of, members_of)
 from .polygon_cones import PolygonCone, is_free, v_I
 
 
@@ -34,28 +35,41 @@ class Bunch:
                 raise ValueError("ambient rank mismatch")
 
 
-def _free_partitions_with(n: int, pred) -> list:
-    """All partitions of [n] into >= 3 parts, every part satisfying pred.
+def _free_partitions_with(n: int, family: int) -> list:
+    """All partitions of [n] into >= 3 parts, every part in the family (a
+    family bitmask, bit s set for the subset with mask s).
 
-    Recursive construction: the smallest unassigned element picks its part.
+    Recursion on int masks: the lowest unassigned element picks its part
+    among the submasks of what is left; Partition objects are built only
+    for the accepted partitions.
     """
-    out = []
+    found = []
 
     def rec(remaining, parts):
         if not remaining:
             if len(parts) >= 3:
-                out.append(Partition(n, tuple(parts)))
+                found.append(parts)
             return
-        m = min(remaining)
-        rest = sorted(remaining - {m})
-        for bits in range(1 << len(rest)):
-            part = frozenset({m} | {rest[t] for t in range(len(rest))
-                                    if bits >> t & 1})
-            if pred(part):
-                rec(remaining - part, parts + [part])
+        low = remaining & -remaining
+        rest = remaining ^ low
+        sub = rest
+        while True:
+            part = low | sub
+            if family >> part & 1:
+                rec(remaining ^ part, parts + (part,))
+            if not sub:
+                break
+            sub = (sub - 1) & rest
 
-    rec(frozenset(range(1, n + 1)), [])
-    return out
+    rec((1 << n) - 1, ())
+    sets = _subsets(n)
+    return [Partition(n, tuple(sets[p] for p in parts)) for parts in found]
+
+
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple:
+    """The subset of [n] with mask s, at index s."""
+    return tuple(members_of(s) for s in range(1 << n))
 
 
 def is_bunch(phi: Bunch) -> bool:
@@ -96,7 +110,7 @@ def _refinements(p: Partition) -> tuple:
 def phi_from_complex(d: Complex) -> Bunch:
     """Φ_Δ: all free partitions of [n] whose parts are faces of Δ."""
     n = d.n
-    parts = _free_partitions_with(n, d.member)
+    parts = _free_partitions_with(n, complex_family(d))
     if not parts:
         raise ValueError("complex admits no free partition")
     return Bunch(n, frozenset(PolygonCone(n, p) for p in parts))
@@ -152,11 +166,7 @@ def bunch_from_theta(theta, n: int) -> Bunch:
         I = {i + 1 for i in range(n) if bits >> i & 1}
         if sum(theta[i - 1] for i in I) * 2 == total:
             raise ValueError("theta lies on a wall of the arrangement")
-
-    def pred(part):
-        return 2 * sum(theta[i - 1] for i in part) < total
-
-    parts = _free_partitions_with(n, pred)
+    parts = _free_partitions_with(n, family_mask(theta, n))
     return Bunch(n, frozenset(PolygonCone(n, p) for p in parts))
 
 

@@ -237,6 +237,16 @@ def family_mask(theta, n: int) -> int:
     return fam
 
 
+def complex_family(d: Complex) -> int:
+    """The family mask of a complex: every subset of a maximal face, so the
+    empty face's bit 0 is set whenever d has a face."""
+    down = _tables(d.n)[0]
+    fam = 0
+    for f in d.maximal_faces:
+        fam |= down[mask_of(f, d.n)]
+    return fam
+
+
 def _maximal_faces_of_mask(inm: int, n: int):
     """Maximal faces of a family bitmask, as subset masks."""
     up = _tables(n)[1]

@@ -1,7 +1,9 @@
 """Symbolic generators of the Cox-ring presentation and exact checks.
 
 Polynomials are sparse dicts {monomial: coefficient} over tokenized graded
-variables; monomials are sorted tuples of variable tokens.  Tokens:
+variables; monomials are sorted tuples of variable tokens.  The
+generators have integer coefficients (±1 and 2); a caller's Fraction
+coefficient works too.  Tokens:
 ("phi", i, j) with i < j (antisymmetry is normalized at construction),
 ("c", k), ("x", i), ("y", i), ("z", i), ("w", i).
 
@@ -14,6 +16,7 @@ quadric equations Σc_i x_i² = Σc_i x_i y_i = Σc_i y_i² = 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -35,7 +38,7 @@ def poly(*terms) -> dict:
     """Build a polynomial from (coeff, (var, ...)) terms."""
     p = {}
     for coeff, mono in terms:
-        _add_term(p, Fraction(coeff), tuple(sorted(mono)))
+        _add_term(p, coeff, tuple(sorted(mono)))
     return p
 
 
@@ -57,7 +60,6 @@ def p_add(a: dict, b: dict) -> dict:
 
 
 def p_scale(a: dict, s) -> dict:
-    s = Fraction(s)
     return {m: c * s for m, c in a.items()} if s else {}
 
 
@@ -259,24 +261,46 @@ def sample_X_point(n: int, seed: int, max_retries: int = 32) -> XPoint:
     raise ValueError("no suitable sample found within retry budget")
 
 
-def evaluate(p: dict, pt: XPoint):
-    """Evaluate a polynomial in φ, c at a point, via φ_ij = x_i y_j − x_j y_i."""
-    total = Fraction(0)
+def _point_values(pt: XPoint) -> dict:
+    """Every φ_ij = x_i y_j − x_j y_i (any i, j in [n]) and c_k at the point,
+    keyed by variable token; integral values are stored as ints."""
+    x, y, c = (tuple(v.numerator if v.denominator == 1 else v for v in t)
+               for t in (pt.x, pt.y, pt.c))
+    vals = {("c", k + 1): ck for k, ck in enumerate(c)}
+    for i in range(pt.n):
+        for j in range(pt.n):
+            vals[("phi", i + 1, j + 1)] = x[i] * y[j] - x[j] * y[i]
+    return vals
+
+
+def _evaluate(p: dict, vals: dict):
+    total = 0
     for mono, coeff in p.items():
-        v = Fraction(coeff)
+        v = coeff
         for t in mono:
-            if t[0] == "phi":
-                i, j = t[1], t[2]
-                v *= pt.x[i - 1] * pt.y[j - 1] - pt.x[j - 1] * pt.y[i - 1]
-            elif t[0] == "c":
-                v *= pt.c[t[1] - 1]
-            else:
-                raise ValueError(f"cannot evaluate variable {t}")
+            try:
+                v *= vals[t]
+            except KeyError:
+                raise ValueError(f"cannot evaluate variable {t}") from None
         total += v
     return total
 
 
+def evaluate(p: dict, pt: XPoint):
+    """Evaluate a polynomial in φ, c at a point, via φ_ij = x_i y_j − x_j y_i.
+
+    Exact: an int at an integral point with integer coefficients, a
+    Fraction otherwise."""
+    return _evaluate(p, _point_values(pt))
+
+
+@functools.lru_cache(maxsize=8)
+def _relations(n: int) -> tuple:
+    """The Plücker and σ relations for n, built once per n."""
+    return tuple(plucker_relations(n) + sigma_relations(n))
+
+
 def verify_relations_vanish(pt: XPoint) -> bool:
     """All Plücker and σ relations vanish exactly at the point."""
-    rels = plucker_relations(pt.n) + sigma_relations(pt.n)
-    return all(evaluate(r, pt) == 0 for r in rels)
+    vals = _point_values(pt)
+    return all(_evaluate(r, vals) == 0 for r in _relations(pt.n))

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 
 from . import bunches, hyper_cones, polygon_cones, ratgeom
-from .complexes import enumerate_max_biconnected, enumerate_partitions, is_full
+from .complexes import (enumerate_max_biconnected, enumerate_partitions,
+                        is_full, is_maximal_biconnected)
 from .polygon_cones import PolygonCone
 from .ratgeom import ConeH, ConeV
 
@@ -122,7 +123,11 @@ def psi_suite(n: int, max_k: int = 3) -> dict:
     corner_rays = {i: ratgeom.h_to_v(
         hyper_cones.CornerCone(n, i).h_form()).generators
         for i in range(1, n + 1)}
+    if not all(hyper_cones.is_free(hc) for hc in data):
+        raise ValueError("free_orbit_data yielded a non-free cone")
     for d in enumerate_max_biconnected(n):
+        if not is_maximal_biconnected(d):
+            raise ValueError("enumerated a non-maximal complex")
         if is_full(d):
             phi = bunches.phi_from_complex(d)
             members = 0
@@ -135,7 +140,7 @@ def psi_suite(n: int, max_k: int = 3) -> dict:
             oracle_bits = [_contains_all(h, corner_rays[i]) for h in hforms]
         for hc, oracle in zip(data, oracle_bits):
             checked += 1
-            if hyper_cones.psi_membership(d, hc) != oracle:
+            if hyper_cones._psi_member(d, hc) != oracle:
                 mismatches += 1
     return {"suite": "psi", "n": n, "max_k": max_k,
             "checked": checked, "mismatches": mismatches}

@@ -138,6 +138,11 @@ def psi_membership(d: Complex, c: HyperCone) -> bool:
         raise ValueError("requires a free hyper cone")
     if not is_maximal_biconnected(d):
         raise ValueError("requires a maximally-biconnected complex")
+    return _psi_member(d, c)
+
+
+def _psi_member(d: Complex, c: HyperCone) -> bool:
+    """psi_membership for a complex and a cone already checked valid."""
     n = d.n
     if not is_full(d):
         missing = [i for i in range(1, n + 1) if not d.member({i})]

@@ -157,7 +157,11 @@ def kernel_basis(rows, dim: int):
     The RREF rows are scaled, so each free column f gives the kernel vector
     with x_f = L and x_p = −row_f · L / row_p at each pivot p, L the lcm of
     the pivot entries."""
-    rref, pivs = row_reduce(rows)
+    return _kernel_from_rref(*row_reduce(rows), dim)
+
+
+def _kernel_from_rref(rref, pivs, dim: int) -> list:
+    """kernel_basis from the output of row_reduce."""
     scale = lcm(*(row[pc] for row, pc in zip(rref, pivs)))
     basis = []
     for f in range(dim):
@@ -325,9 +329,9 @@ def h_to_v(cone: ConeH) -> ConeV:
             gens.append(tuple(e))
             gens.append(tuple(-x for x in e))
         return ConeV(d, tuple(gens))
-    lines = kernel_basis(A, d)
-    # complement of the lineality: the row space of A
-    basis, _ = row_reduce(A)
+    # the row space of A complements the lineality space, its kernel
+    basis, pivs = row_reduce(A)
+    lines = _kernel_from_rref(basis, pivs, d)
     k = len(basis)
     gens = []
     for b in lines:
@@ -371,73 +375,91 @@ def cone_dim(cone: ConeV) -> int:
 # ---------------------------------------------------------------------------
 # exact LP feasibility (phase-1 simplex, Bland's rule)
 
+def _integer_row(row) -> list:
+    """The row scaled by the lcm of its denominators (integer rows as is)."""
+    if all(type(x) is int for x in row):
+        return list(row)
+    row = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def solve_eq_nonneg(A, b) -> Optional[list]:
     """A feasible point of {y >= 0 : A y = b}, or None.
 
     A: list of rows (length-n rationals), b: list of rationals.  Phase-1
     simplex with artificial variables and Bland's rule (deterministic,
     guaranteed to terminate).
+
+    Fraction-free: each equation is scaled to integers, and the tableau is
+    an integer matrix T standing for T / D, D the last pivot (Bareiss,
+    Edmonds).  Every entry of T is a minor of the initial integer tableau,
+    so the update (T[i][j]·pv − T[i][e]·T[r][j]) // D is exact, and D > 0
+    keeps every sign of the true tableau.
     """
     m = len(A)
     n = len(A[0]) if m else 0
+    nvars = n + m
+    # rows [A_i | e_i | b_i] with b_i >= 0; artificial i is basic in row i
     T = []
     for i in range(m):
-        row = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
+        row = _integer_row(list(A[i]) + [b[i]])
         if row[-1] < 0:
             row = [-x for x in row]
-        T.append(row)
-    # artificial variable i is basic in row i
+        art = [0] * m
+        art[i] = 1
+        T.append(row[:n] + art + row[n:])
     basis = [n + i for i in range(m)]
-    nvars = n + m
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        T[i] = T[i][:n] + art + [T[i][n]]
     # cost row for minimizing the sum of artificials
-    cost = [Fraction(0)] * (nvars + 1)
+    cost = [sum(col) for col in zip(*T)] if m else [0] * (nvars + 1)
     for i in range(m):
-        for j in range(nvars + 1):
-            cost[j] += T[i][j]
-    for i in range(m):
-        cost[n + i] -= Fraction(1)
+        cost[n + i] -= 1
+    D = 1
 
     while True:
-        enter = -1
-        for j in range(nvars):
-            if cost[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(nvars) if cost[j] > 0), -1)
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
             if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # ratio T[i][-1] / T[i][e] against the best so far
+                lhs = T[i][-1] * T[leave][enter]
+                rhs = T[leave][-1] * T[i][enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # unbounded phase-1 objective cannot happen (bounded below by 0)
             raise RuntimeError("phase-1 simplex: unexpected unboundedness")
-        pv = T[leave][enter]
-        T[leave] = [x / pv for x in T[leave]]
+        prow = T[leave]
+        pv = prow[enter]
         for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-        f = cost[enter]
-        cost = [x - f * y for x, y in zip(cost, T[leave])]
+            if i != leave:
+                T[i] = _pivot_row(T[i], prow, enter, pv, D)
+        cost = _pivot_row(cost, prow, enter, pv, D)
         basis[leave] = enter
+        D = pv
 
     if cost[-1] != 0:
         return None
     y = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            y[bi] = T[i][-1]
+            y[bi] = Fraction(T[i][-1], D)
     return y
+
+
+def _pivot_row(row, prow, e, pv, D) -> list:
+    """One fraction-free pivot update of a non-pivot row."""
+    f = row[e]
+    if not f:
+        if pv == D:
+            return row
+        return [x * pv // D for x in row]
+    return [(x * pv - f * y) // D for x, y in zip(row, prow)]
 
 
 def solve_ge(A, rhs) -> Optional[tuple]:

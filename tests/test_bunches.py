@@ -124,6 +124,46 @@ def test_every_maximal_bunch_contains_singletons_cone():
         assert sing in bunches.phi_from_complex(d).cones
 
 
+def test_phi_from_complex_matches_definition():
+    """Φ_Δ against the definition written out over frozensets: every
+    partition of [n] into >= 3 parts whose parts are all faces of Δ, for
+    every complex at n=5, 200 seeded complexes at n=6, and two complexes
+    with two-part partitions into faces."""
+    cases = list(cx.enumerate_max_biconnected(5))
+    cases += random.Random(11).sample(list(cx.enumerate_max_biconnected(6)),
+                                      200)
+    cases += [size2_complex(4),
+              Complex(6, tuple(frozenset(f) for f in
+                               itertools.combinations(range(1, 7), 3)))]
+    for d in cases:
+        n = d.n
+        want = frozenset(
+            PolygonCone(n, p)
+            for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)
+            if all(d.member(part) for part in p.parts))
+        if not want:
+            with pytest.raises(ValueError):
+                bunches.phi_from_complex(d)
+            continue
+        assert bunches.phi_from_complex(d).cones == want
+
+
+def test_bunch_from_theta_matches_definition():
+    """Φ_θ against the definition: every free partition each of whose parts
+    has θ-weight below half the total, at every C0 chamber witness of
+    A(5)."""
+    n = 5
+    free = [p for p in cx.enumerate_partitions(range(1, n + 1), n,
+                                               min_parts=3)]
+    for ch in ar.chambers_in_cone(ar.build_A(n), ar.cone_C0(n)):
+        theta = ch.witness
+        total = sum(theta)
+        want = frozenset(PolygonCone(n, p) for p in free
+                         if all(2 * sum(theta[i - 1] for i in part) < total
+                                for part in p.parts))
+        assert bunches.bunch_from_theta(theta, n).cones == want
+
+
 def test_bunch_from_theta_ones():
     phi = bunches.bunch_from_theta((1, 1, 1, 1, 1), 5)
     assert phi == bunches.phi_from_complex(size2_complex(5))

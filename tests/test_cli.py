@@ -43,6 +43,8 @@ GOLDEN = [
      '"regions": 332}'),
     (["bunches", "classify", "--n", "5"],
      '{"n": 5, "nonprojective": 0, "projective": 76, "total": 76}'),
+    (["--seed", "3", "cox", "verify", "--n", "8", "--samples", "25"],
+     '{"failures": 0, "identities": "ok", "n": 8, "samples": 25}'),
 ]
 
 

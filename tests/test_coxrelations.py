@@ -1,6 +1,7 @@
 """Cox-ring relation generators, grading, iota identities, point checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,3 +112,49 @@ def test_sampler_deterministic_in_seed(seed):
     a = cx.sample_X_point(6, seed)
     b = cx.sample_X_point(6, seed)
     assert (a.x, a.y, a.c) == (b.x, b.y, b.c)
+
+
+def _unchecked_point(n, x, y, c):
+    """An XPoint built without the quadric check."""
+    pt = cx.XPoint.__new__(cx.XPoint)
+    for name, value in (("n", n), ("x", x), ("y", y), ("c", c)):
+        object.__setattr__(pt, name, value)
+    return pt
+
+
+def test_non_integral_point_verifies():
+    for n in (5, 8):
+        pt = cx.sample_X_point(n, 2)
+        x = tuple(v / 3 for v in pt.x)
+        y = tuple(v / 3 for v in pt.y)
+        scaled = cx.XPoint(n, x, y, pt.c)  # the quadrics are homogeneous
+        assert cx.verify_relations_vanish(scaled)
+        value = cx.evaluate(cx.phi(1, 2), scaled)
+        assert isinstance(value, Fraction)
+        assert value == (pt.x[0] * pt.y[1] - pt.x[1] * pt.y[0]) / 9
+        bad = _unchecked_point(n, x, y, (pt.c[0] + 1,) + pt.c[1:])
+        assert not cx.verify_relations_vanish(bad)
+
+
+def test_evaluate_rejects_unknown_variables():
+    pt = cx.sample_X_point(5, 0)
+    with pytest.raises(ValueError):
+        cx.evaluate(cx.var("x", 1), pt)
+    assert cx.evaluate(cx.p_scale(cx.phi(2, 1), Fraction(1, 2)), pt) == \
+        Fraction(pt.x[1] * pt.y[0] - pt.x[0] * pt.y[1], 2)
+
+
+def test_mutating_returned_relations_leaves_the_check_intact():
+    good = cx.sample_X_point(8, 4)
+    bad = _unchecked_point(8, good.x, good.y, (good.c[0] + 1,) + good.c[1:])
+    assert cx.verify_relations_vanish(good)
+    assert not cx.verify_relations_vanish(bad)
+    plucker = cx.plucker_relations(8)
+    for r in plucker:
+        r[()] = 1
+    plucker.append({(): 1})
+    sigma = cx.sigma_relations(8)
+    for r in sigma:
+        r.clear()
+    assert cx.verify_relations_vanish(good)
+    assert not cx.verify_relations_vanish(bad)

@@ -91,6 +91,17 @@ def test_psi_membership_basics():
     assert not hc.psi_membership(Complex(5, (frozenset({1, 3, 4, 5}),)), c)
 
 
+def test_psi_membership_validates_its_arguments():
+    full = Complex(5, tuple(frozenset(q) for q in
+                            itertools.combinations(range(1, 6), 2)))
+    free = HyperCone(5, singletons(5), frozenset())
+    with pytest.raises(ValueError):
+        hc.psi_membership(Complex(5, (frozenset({1, 2}),)), free)
+    with pytest.raises(ValueError):
+        hc.psi_membership(full, HyperCone(5, part(5, {1, 2}, {3, 4, 5}),
+                                          frozenset()))
+
+
 def test_corner_cone_forms():
     c0 = CornerCone(5, 0)
     rays = c0.v_form().generators

@@ -92,6 +92,12 @@ def test_solve_eq_nonneg():
     assert ratgeom.solve_eq_nonneg([(1, 1)], [-1]) is None
 
 
+def test_solve_eq_nonneg_breaks_ratio_ties_by_basis_index():
+    # a degenerate system where Bland's leaving rule decides the vertex
+    A = [(0, -2, -2, -2), (-1, 2, 1, -1), (-1, -2, -1, 0)]
+    assert ratgeom.solve_eq_nonneg(A, [-6, -2, -2]) == [1, 0, 1, 2]
+
+
 def test_solve_ge():
     sol = ratgeom.solve_ge([(1, 0), (0, 1), (-1, -1)], [1, 1, -10])
     assert sol is not None
@@ -238,3 +244,104 @@ def test_h_to_v_agrees_with_the_simplex(h, points):
         for g in v.generators:
             others = ConeV(d, tuple(o for o in v.generators if o != g))
             assert not ratgeom.contains_point(others, g)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free simplex against the all-Fraction one it replaced
+
+def _fraction_simplex(A, b):
+    """Phase-1 simplex with Bland's rule over Fractions, as solve_eq_nonneg
+    computed it before its tableau became an integer matrix."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    T = []
+    for i in range(m):
+        row = [Fraction(x) for x in A[i]] + [Fraction(b[i])]
+        if row[-1] < 0:
+            row = [-x for x in row]
+        T.append(row[:n] + [Fraction(int(i == j)) for j in range(m)]
+                 + [row[n]])
+    basis = [n + i for i in range(m)]
+    nvars = n + m
+    cost = [sum(T[i][j] for i in range(m)) for j in range(nvars + 1)]
+    for i in range(m):
+        cost[n + i] -= 1
+    while True:
+        enter = next((j for j in range(nvars) if cost[j] > 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][-1] / T[i][enter]
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        pv = T[leave][enter]
+        T[leave] = [x / pv for x in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, T[leave])]
+        basis[leave] = enter
+    if cost[-1] != 0:
+        return None
+    y = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            y[bi] = T[i][-1]
+    return y
+
+
+rationals = st.builds(Fraction, entries, st.integers(1, 12))
+
+
+@st.composite
+def lp_systems(draw, entry):
+    """A y = b with zero columns, duplicate (possibly inconsistent) rows,
+    and b either A·y₀ for a small y₀ >= 0 (feasible) or drawn freely."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=7))
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in A:
+            row[j] = 0
+    if draw(st.booleans()):
+        y0 = [draw(st.integers(0, 3)) for _ in range(n)]
+        b = [sum(a * y for a, y in zip(row, y0)) for row in A]
+    else:
+        b = [draw(entry) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(A) - 1))
+        s = draw(st.sampled_from((1, -1, 2)))
+        A.append([s * x for x in A[i]])
+        b.append(s * b[i] + draw(st.sampled_from((0, 0, 1))))
+    return A, b
+
+
+def _check_solution(A, b, y):
+    assert all(v >= 0 for v in y)
+    assert all(sum(a * v for a, v in zip(row, y)) == bi
+               for row, bi in zip(A, b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lp_systems(entries))
+def test_integer_simplex_returns_the_fraction_simplex_point(system):
+    A, b = system
+    got = ratgeom.solve_eq_nonneg(A, b)
+    assert got == _fraction_simplex(A, b)
+    if got is not None:
+        _check_solution(A, b, got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lp_systems(st.one_of(entries, rationals)))
+def test_integer_simplex_on_rational_systems(system):
+    A, b = system
+    got = ratgeom.solve_eq_nonneg(A, b)
+    assert (got is None) == (_fraction_simplex(A, b) is None)
+    if got is not None:
+        _check_solution(A, b, got)
