@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import ratgeom
-from .complexes import _complement_image, _complex_from_mask, family_mask
+from .complexes import _complex_from_mask, _splits_every_pair, family_mask
 from .polygon_cones import v_I
 from .ratgeom import ConeH, canon_normal, primitive
 
@@ -407,6 +407,6 @@ def chamber_to_complex(a: Arrangement, ch: Chamber):
         raise ValueError("chamber not inside the open orthant")
     fam = family_mask(theta, n)
     # v_I(θ) = 0 exactly when neither I nor its complement is a face
-    if fam | _complement_image(fam, n) != (1 << (1 << n)) - 1:
+    if not _splits_every_pair(fam, n):
         raise ValueError("witness lies on an arrangement hyperplane")
     return _complex_from_mask(fam, n)

@@ -6,19 +6,21 @@ Maximal bunches are in bijection with full maximally-biconnected complexes:
 Φ_Δ = {ω_P free : every part of P is a face of Δ}, and the inverse recovers
 Δ as the downward closure of all member parts.  Projectivity of the quotient
 attached to a maximal bunch amounts to the member cones sharing a common
-interior point, which we certify with an exact rational LP.
+interior point, which the extreme rays of their intersection certify; an
+exact rational LP is the second route.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratgeom
-from .complexes import (Complex, Partition, complex_family,
-                        enumerate_partitions, family_mask, mask_of, members_of)
+from .complexes import (Complex, Partition, _closure, _complex_from_mask,
+                        _mask_is_full, _maximal_faces_of_mask,
+                        _partition_masks, _splits_every_pair, _subsets,
+                        complex_family, family_mask, is_full,
+                        is_maximal_biconnected, mask_of, members_of)
 from .polygon_cones import PolygonCone, is_free, v_I
 
 
@@ -35,41 +37,18 @@ class Bunch:
                 raise ValueError("ambient rank mismatch")
 
 
-def _free_partitions_with(n: int, family: int) -> list:
-    """All partitions of [n] into >= 3 parts, every part in the family (a
-    family bitmask, bit s set for the subset with mask s).
-
-    Recursion on int masks: the lowest unassigned element picks its part
-    among the submasks of what is left; Partition objects are built only
-    for the accepted partitions.
-    """
-    found = []
-
-    def rec(remaining, parts):
-        if not remaining:
-            if len(parts) >= 3:
-                found.append(parts)
-            return
-        low = remaining & -remaining
-        rest = remaining ^ low
-        sub = rest
-        while True:
-            part = low | sub
-            if family >> part & 1:
-                rec(remaining ^ part, parts + (part,))
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-
-    rec((1 << n) - 1, ())
+def _free_bunch(n: int, family: int) -> Bunch:
+    """The free cones ω_P, P a partition of [n] into >= 3 parts each in the
+    family mask."""
     sets = _subsets(n)
-    return [Partition(n, tuple(sets[p] for p in parts)) for parts in found]
+    return Bunch(n, frozenset(
+        PolygonCone(n, Partition(n, tuple(sets[p] for p in parts)))
+        for parts in _partition_masks((1 << n) - 1, family, 3)))
 
 
-@functools.lru_cache(maxsize=None)
-def _subsets(n: int) -> tuple:
-    """The subset of [n] with mask s, at index s."""
-    return tuple(members_of(s) for s in range(1 << n))
+def _part_masks(phi: Bunch) -> set:
+    return {mask_of(part, phi.n)
+            for c in phi.cones for part in c.partition.parts}
 
 
 def is_bunch(phi: Bunch) -> bool:
@@ -85,51 +64,42 @@ def is_bunch(phi: Bunch) -> bool:
     for c in cones:
         if not is_free(c):
             raise ValueError("bunch members must be free cones")
-    full = (1 << phi.n) - 1
-    parts = {mask_of(part, phi.n) for c in cones for part in c.partition.parts}
+    n = phi.n
+    full = (1 << n) - 1
+    members = {tuple(mask_of(part, n) for part in c.partition.parts)
+               for c in cones}
+    parts = {p for m in members for p in m}
     if any(a | b == full for a in parts for b in parts):
         return False
-    # Upward closure: any free Q refining a member P must itself be a member.
-    partitions = {c.partition for c in cones}
-    for p in cones:
-        for q in _refinements(p.partition):
-            if len(q.parts) >= 3 and q not in partitions:
-                return False
+    # Upward closure under refinement.  Every refinement of a member is
+    # reached by splitting one part in two at a time, and each step is still
+    # free, so it is enough that every such split of a member is a member.
+    for m in members:
+        for i, part in enumerate(m):
+            low = part & -part
+            rest = part ^ low
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                q = m[:i] + m[i + 1:] + (low | sub, rest ^ sub)
+                if tuple(sorted(q, key=lambda s: s & -s)) not in members:
+                    return False
     return True
-
-
-@functools.lru_cache(maxsize=4096)
-def _refinements(p: Partition) -> tuple:
-    """All partitions refining p: split each part independently."""
-    choices = [[sub.parts for sub in enumerate_partitions(part, p.n)]
-               for part in p.parts]
-    return tuple(Partition(p.n, tuple(pt for sub in combo for pt in sub))
-                 for combo in itertools.product(*choices))
 
 
 def phi_from_complex(d: Complex) -> Bunch:
     """Φ_Δ: all free partitions of [n] whose parts are faces of Δ."""
-    n = d.n
-    parts = _free_partitions_with(n, complex_family(d))
-    if not parts:
+    phi = _free_bunch(d.n, complex_family(d))
+    if not phi.cones:
         raise ValueError("complex admits no free partition")
-    return Bunch(n, frozenset(PolygonCone(n, p) for p in parts))
-
-
-def _closure_complex(phi: Bunch) -> Complex:
-    faces = set()
-    for c in phi.cones:
-        faces.update(c.partition.parts)
-    maximal = [f for f in faces if not any(f < g for g in faces)]
-    return Complex(phi.n, tuple(maximal))
+    return phi
 
 
 def complex_from_bunch(phi: Bunch) -> Complex:
     """Downward closure of all member parts; inverse of phi_from_complex."""
     if not is_bunch(phi):
         raise ValueError("not a bunch")
-    d = _closure_complex(phi)
-    from .complexes import is_full, is_maximal_biconnected
+    d = _complex_from_mask(_closure(phi.n, _part_masks(phi)), phi.n)
     if not (is_full(d) and is_maximal_biconnected(d)):
         raise ValueError("not a maximal bunch")
     if phi_from_complex(d) != phi:
@@ -151,33 +121,30 @@ def bunch_from_theta(theta, n: int) -> Bunch:
     """Φ_θ: all free P with θ strictly interior to ω_P.
 
     Requires θ componentwise positive, strictly inside C_0, and off every
-    wall v_I = 0 (so strict membership is decided by signs alone).
+    wall v_I = 0 (so strict membership is decided by signs alone).  The
+    family of the I with v_I(θ) > 0 decides the last two: θ is inside C_0
+    when it holds every singleton, and on a wall when it holds neither I
+    nor its complement.
     """
     theta = tuple(Fraction(t) for t in theta)
     if len(theta) != n:
         raise ValueError("dimension mismatch")
     if any(t <= 0 for t in theta):
         raise ValueError("theta must lie in the open orthant")
-    total = sum(theta)
-    for t in theta:
-        if 2 * t >= total:
-            raise ValueError("theta must lie in the interior of C_0")
-    for bits in range(1, 1 << (n - 1)):
-        I = {i + 1 for i in range(n) if bits >> i & 1}
-        if sum(theta[i - 1] for i in I) * 2 == total:
-            raise ValueError("theta lies on a wall of the arrangement")
-    parts = _free_partitions_with(n, family_mask(theta, n))
-    return Bunch(n, frozenset(PolygonCone(n, p) for p in parts))
+    family = family_mask(theta, n)
+    if not _mask_is_full(family, n):
+        raise ValueError("theta must lie in the interior of C_0")
+    if not _splits_every_pair(family, n):
+        raise ValueError("theta lies on a wall of the arrangement")
+    return _free_bunch(n, family)
 
 
 def _intersection_ineqs(phi: Bunch):
     """H-description of the intersection of all member cones: the orthant
     plus v_I >= 0 over every part in use (subsets of parts are implied)."""
     n = phi.n
-    parts = set()
-    for c in phi.cones:
-        parts.update(c.partition.parts)
-    maximal = [p for p in parts if not any(p < q for q in parts)]
+    maximal = [members_of(s) for s in
+               _maximal_faces_of_mask(_closure(n, _part_masks(phi)), n)]
     rows = []
     for i in range(n):
         e = [0] * n
@@ -192,15 +159,17 @@ def projectivity_witness(phi: Bunch):
     """A rational θ interior to every member cone, or None.
 
     The intersection cone is pointed (it sits in the orthant), so its
-    extreme rays certify the answer: it has interior points exactly when
-    the rays span, and their sum is then such a point.
+    extreme rays certify the answer: their sum lies in its relative
+    interior, which is the interior exactly when no inequality vanishes
+    there.  With no rays the sum is 0 and the answer is None.
     """
     n = phi.n
     rows = _intersection_ineqs(phi)
     rays = ratgeom.h_to_v(ratgeom.ConeH(n, tuple(rows))).generators
-    if ratgeom.rank(rays) < n:
+    theta = tuple(sum(r[i] for r in rays) for i in range(n))
+    if any(ratgeom.dot(row, theta) <= 0 for row in rows):
         return None
-    return ratgeom.primitive(tuple(sum(c) for c in zip(*rays)))
+    return ratgeom.primitive(theta)
 
 
 def _projectivity_witness_lp(phi: Bunch):
@@ -214,6 +183,3 @@ def is_projective(phi: Bunch) -> bool:
     """Whether the member cones share a full-dimensional intersection."""
     return projectivity_witness(phi) is not None
 
-
-def to_json_obj(phi: Bunch) -> list:
-    return sorted([sorted(p) for p in c.partition.parts] for c in phi.cones)

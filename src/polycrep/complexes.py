@@ -115,21 +115,12 @@ def is_maximal_biconnected(d: Complex) -> bool:
 
     The complementary-pair criterion is the implemented notion of maximality
     (it is what the classification results rely on); the add-a-face probing
-    test is kept in the test suite as a debug oracle for small n.
+    test is kept in the test suite as a debug oracle for small n.  A
+    downward-closed family that splits every pair, ∅ and [n] included, is
+    biconnected: faces f, g with f ∪ g = [n] would put [n] minus f in the
+    family next to f.
     """
-    if not is_biconnected(d):
-        return False
-    n = d.n
-    face_masks = [mask_of(f, n) for f in d.maximal_faces]
-    full = (1 << n) - 1
-
-    def member(m):
-        return any(m & fm == m for fm in face_masks)
-
-    for s in range(1, full):
-        if member(s) == member(full ^ s):
-            return False
-    return True
+    return _splits_every_pair(complex_family(d), d.n)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +131,12 @@ def _complement_image(family: int, n: int) -> int:
     and its complement at bit 2^n - 1 - s, so this reverses the 2^n-bit
     word."""
     return int(format(family, f"0{1 << n}b")[::-1], 2)
+
+
+def _splits_every_pair(family: int, n: int) -> bool:
+    """Whether the family holds exactly one of each pair {s, [n] minus s},
+    the pair {∅, [n]} included."""
+    return family ^ _complement_image(family, n) == (1 << (1 << n)) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,14 +234,19 @@ def family_mask(theta, n: int) -> int:
     return fam
 
 
+def _closure(n: int, masks) -> int:
+    """The family mask of every subset of the given subset masks."""
+    down = _tables(n)[0]
+    fam = 0
+    for s in masks:
+        fam |= down[s]
+    return fam
+
+
 def complex_family(d: Complex) -> int:
     """The family mask of a complex: every subset of a maximal face, so the
     empty face's bit 0 is set whenever d has a face."""
-    down = _tables(d.n)[0]
-    fam = 0
-    for f in d.maximal_faces:
-        fam |= down[mask_of(f, d.n)]
-    return fam
+    return _closure(d.n, (mask_of(f, d.n) for f in d.maximal_faces))
 
 
 def _maximal_faces_of_mask(inm: int, n: int):
@@ -349,22 +351,19 @@ def max_biconnected_to_biconnected(d: Complex) -> Complex:
 
     Membership rule: K ∈ image <=> K ∪ {n} ∈ d, including K = ∅ (which is in
     the image exactly when {n} ∈ d, encoded by the sole-empty-face family).
+    The subsets containing n are the top half of d's family mask.
     """
     if not is_maximal_biconnected(d):
         raise ValueError("input is not maximally biconnected")
     n = d.n
-    m = n - 1
-    faces = [frozenset(f) - {n} for f in d.maximal_faces if n in f]
-    if faces:
-        maximal = [f for f in faces if not any(f < g for g in faces)]
-        return Complex(m, tuple(set(maximal)))
-    if d.member({n}):
-        return Complex(m, (frozenset(),))
-    return Complex(m, ())
+    return _complex_from_mask(complex_family(d) >> (1 << (n - 1)), n - 1)
 
 
 def biconnected_to_max_biconnected(d: Complex, n: Optional[int] = None) -> Complex:
-    """Inverse of max_biconnected_to_biconnected; d lives on [n-1]."""
+    """Inverse of max_biconnected_to_biconnected; d lives on [n-1].
+
+    K ∪ {n} is a face exactly when K ∈ d, and K is one exactly when
+    [n-1] minus K ∉ d."""
     if n is None:
         n = d.n + 1
     m = n - 1
@@ -372,18 +371,10 @@ def biconnected_to_max_biconnected(d: Complex, n: Optional[int] = None) -> Compl
         raise ValueError("ground-set mismatch")
     if not is_biconnected(d):
         raise ValueError("input is not biconnected")
-    full_m = frozenset(range(1, m + 1))
-    faces = set()
-    for kmask in range(1 << m):
-        k = members_of(kmask)
-        if d.member(k):
-            faces.add(k | {n})
-        comp = full_m - k
-        if not d.member(comp):  # member(∅) = "family has any face"
-            faces.add(k)
-    faces.discard(frozenset())
-    maximal = [f for f in faces if not any(f < g for g in faces)]
-    return Complex(n, tuple(maximal))
+    fam = complex_family(d)
+    every = (1 << (1 << m)) - 1
+    return _complex_from_mask(
+        fam << (1 << m) | ~_complement_image(fam, m) & every, n)
 
 
 # ---------------------------------------------------------------------------
@@ -396,23 +387,47 @@ def refines(q: Partition, p: Partition) -> bool:
     return all(any(a <= b for b in p.parts) for a in q.parts)
 
 
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple:
+    """The subset of [n] with mask s, at index s."""
+    return tuple(members_of(s) for s in range(1 << n))
+
+
+def _partition_masks(ground: int, family: int, min_parts: int) -> list:
+    """Every partition of the subset mask ground into >= min_parts parts,
+    each part in the family mask, as a tuple of part masks ordered by
+    lowest element (Partition's canonical order).
+
+    The lowest unassigned element picks its part among the submasks of what
+    is left, largest first."""
+    found = []
+
+    def rec(remaining, parts):
+        if not remaining:
+            if len(parts) >= min_parts:
+                found.append(parts)
+            return
+        low = remaining & -remaining
+        rest = remaining ^ low
+        sub = rest
+        while True:
+            part = low | sub
+            if family >> part & 1:
+                rec(remaining ^ part, parts + (part,))
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+
+    rec(ground, ())
+    return found
+
+
 def enumerate_partitions(ground, n: int, min_parts: int = 1) -> Iterator[Partition]:
     """Set partitions of a ground subset of [n] with >= min_parts parts,
-    in restricted-growth-string order."""
-    elems = sorted(ground)
-    if not elems:
+    the one-block partition first."""
+    g = mask_of(ground, n)
+    if not g:
         raise ValueError("ground must be nonempty")
-    k = len(elems)
-
-    def rec(i, rgs, maxblock):
-        if i == k:
-            if maxblock + 1 >= min_parts:
-                parts = [[] for _ in range(maxblock + 1)]
-                for e, b in zip(elems, rgs):
-                    parts[b].append(e)
-                yield Partition(n, tuple(frozenset(p) for p in parts))
-            return
-        for b in range(maxblock + 2):
-            yield from rec(i + 1, rgs + [b], max(maxblock, b))
-
-    yield from rec(1, [0], 0)
+    # -1 has every bit set: the family of all subsets, whatever n is
+    for parts in _partition_masks(g, -1, min_parts):
+        yield Partition(n, tuple(members_of(p) for p in parts))

@@ -16,9 +16,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from . import arrangements, bunches, ratgeom
+from . import arrangements, ratgeom
 from .complexes import (Complex, Partition, _complex_from_mask,
                         _iter_max_biconnected_masks, _mask_is_full,
+                        count_max_biconnected, enumerate_partitions,
                         family_mask, is_full, is_maximal_biconnected)
 from .polygon_cones import PolygonCone, eta
 from . import polygon_cones
@@ -160,7 +161,6 @@ def _psi_member(d: Complex, c: HyperCone) -> bool:
 
 def free_orbit_data(n: int, max_k: Optional[int] = None) -> Iterator[HyperCone]:
     """All free hyper cones on [n], optionally with #K bounded."""
-    from .complexes import enumerate_partitions
     elems = list(range(1, n + 1))
     for p in enumerate_partitions(elems, n, min_parts=2):
         for size in range(0, (max_k if max_k is not None else n) + 1):
@@ -219,22 +219,14 @@ def census(n: int) -> Iterator[ResolutionRecord]:
 
 
 def census_counts(n: int) -> dict:
-    """{total, projective, nonprojective} without materializing records."""
+    """{total, projective, nonprojective} by structure, without the census
+    walk: λ(n) complexes, of which the n non-full ones and the one full
+    complex per chamber of 𝒜 inside C_0 are projective (a chamber lies on
+    no hyperplane v_I = 0, so it is fixed by, and fixes, its complex)."""
     if not 5 <= n <= 7:
         raise ValueError("supported range is 5 <= n <= 7")
-    bank = _projective_full_masks(n)
-    total = proj = 0
-    for inm in _iter_max_biconnected_masks(n):
-        total += 1
-        if _mask_is_full(inm, n):
-            proj += inm in bank
-        else:
-            proj += 1
+    total = count_max_biconnected(n)
+    proj = n + arrangements.count_regions_in_cone(arrangements.build_A(n),
+                                                  arrangements.cone_C0(n))
     return {"n": n, "total": total, "projective": proj,
             "nonprojective": total - proj}
-
-
-def phi_projective_witness(d: Complex):
-    """LP route to projectivity of a single full complex (independent of the
-    chamber route): a common interior point of Φ_Δ, or None."""
-    return bunches.projectivity_witness(bunches.phi_from_complex(d))

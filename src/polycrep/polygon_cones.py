@@ -100,6 +100,3 @@ def eta(I, n: int) -> PolygonCone:
         parts.append(I)
     return PolygonCone(n, Partition(n, tuple(parts)))
 
-
-def to_json_obj(c: PolygonCone) -> dict:
-    return {"n": c.n, "partition": [sorted(p) for p in c.partition.parts]}

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -171,12 +172,38 @@ def test_bunch_from_theta_ones():
 
 
 def test_bunch_from_theta_rejections():
-    with pytest.raises(ValueError):
+    """Orthant, then C0, then wall: each point fails the first check it
+    breaks, also when it breaks a later one."""
+    with pytest.raises(ValueError, match="C_0"):
         bunches.bunch_from_theta((10, 1, 1, 1, 1), 5)  # inside a corner cone
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="C_0"):
+        bunches.bunch_from_theta((4, 1, 1, 1, 1), 5)  # also on v_{1} = 0
+    with pytest.raises(ValueError, match="wall"):
         bunches.bunch_from_theta((1, 1, 1, 1, 1, 1), 6)  # on walls (#I=3)
-    with pytest.raises(ValueError):
-        bunches.bunch_from_theta((0, 1, 1, 1, 1), 5)  # boundary of orthant
+    with pytest.raises(ValueError, match="wall"):
+        bunches.bunch_from_theta((1, 2, 3, 4, 4), 5)  # v_{34} = 0, in C0°
+    with pytest.raises(ValueError, match="orthant"):
+        bunches.bunch_from_theta((0, 1, 1, 1, 1), 5)  # also on a wall
+
+
+def test_bunch_from_theta_non_integral():
+    """A generic non-integral θ: Φ_θ against the definition, and the same
+    bunch as the integral multiple of θ."""
+    n = 5
+    theta = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5),
+             Fraction(5, 6))
+    total = sum(theta)
+    assert all(2 * sum(theta[i - 1] for i in I) != total
+               for k in range(1, n)
+               for I in itertools.combinations(range(1, n + 1), k))
+    want = frozenset(
+        PolygonCone(n, p)
+        for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)
+        if all(2 * sum(theta[i - 1] for i in part) < total
+               for part in p.parts))
+    phi = bunches.bunch_from_theta(theta, n)
+    assert phi.cones == want
+    assert phi == bunches.bunch_from_theta([60 * t for t in theta], n)
 
 
 def test_same_chamber_same_bunch():

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polycrep import complexes as cx
 from polycrep.complexes import Complex, Partition
@@ -179,7 +180,7 @@ def test_enumerate_partitions():
     assert len(all5) == 52
     assert len(list(cx.enumerate_partitions(range(1, 6), 5, min_parts=3))) == 36
     assert list(cx.enumerate_partitions(range(1, 3), 5, min_parts=3)) == []
-    # restricted-growth order: the one-block partition comes first
+    # the one-block partition comes first
     assert all5[0].parts == (frozenset({1, 2, 3, 4, 5}),)
     assert len(set(all5)) == 52
 
@@ -199,3 +200,133 @@ def test_json_encoding():
     assert obj["n"] == 4
     assert obj["maximal_faces"][0] == [1, 2]
     assert all(f == sorted(f) for f in obj["maximal_faces"])
+
+
+def maximal_sets(faces):
+    faces = set(faces)
+    return tuple(f for f in faces if not any(f < g for g in faces))
+
+
+def member_by_definition(faces, face):
+    return any(face <= f for f in faces)
+
+
+def max_biconnected_by_definition(faces, n):
+    """Biconnected, and exactly one of each pair {I, I^c} of nonempty proper
+    subsets of [n] a face, over frozensets."""
+    ground = frozenset(range(1, n + 1))
+    if any(f | g == ground for f in faces for g in faces):
+        return False
+    return all(member_by_definition(faces, frozenset(I))
+               != member_by_definition(faces, ground - frozenset(I))
+               for k in range(1, n) for I in itertools.combinations(ground, k))
+
+
+@st.composite
+def downward_closed(draw):
+    """A complex on [n], 4 <= n <= 6: random faces, or the faces of a
+    threshold family {I : 2 Σ_I θ < Σθ} (maximally biconnected when θ is
+    generic) with one maximal face dropped or one random face added."""
+    n = draw(st.integers(4, 6))
+    subset = st.frozensets(st.integers(1, n), max_size=n)
+    kind = draw(st.sampled_from(("random", "threshold", "dropped", "added")))
+    if kind == "random":
+        faces = draw(st.lists(subset, max_size=6))
+    else:
+        theta = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+        faces = [frozenset(I) for k in range(n + 1)
+                 for I in itertools.combinations(range(1, n + 1), k)
+                 if 2 * sum(theta[i - 1] for i in I) < sum(theta)]
+        faces = list(maximal_sets(faces))
+        if kind == "dropped":
+            faces.pop(draw(st.integers(0, len(faces) - 1)))
+        elif kind == "added":
+            faces.append(draw(subset))
+    return Complex(n, maximal_sets(faces))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(downward_closed())
+@example(Complex(5, ()))
+@example(Complex(5, (frozenset(),)))
+@example(Complex(4, (frozenset(range(1, 5)),)))
+@example(Complex(6, (frozenset({1, 2, 3}), frozenset({4, 5, 6}))))
+@example(subsets_leq(6, 3))
+@example(subsets_avoiding(6, 2))
+def test_is_maximal_biconnected_matches_definition(d):
+    assert cx.is_maximal_biconnected(d) == max_biconnected_by_definition(
+        d.maximal_faces, d.n)
+
+
+def test_max_to_biconnected_membership_rule():
+    """K is in the image exactly when K ∪ {n} is a face of d, K = ∅ too,
+    for every maximally-biconnected complex at n = 4, 5, 6."""
+    for n in (4, 5, 6):
+        for d in cx.enumerate_max_biconnected(n):
+            b = cx.max_biconnected_to_biconnected(d)
+            assert b.n == n - 1
+            for kmask in range(1 << (n - 1)):
+                k = cx.members_of(kmask)
+                assert b.member(k) == d.member(k | {n})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(3, 5).flatmap(lambda m: st.tuples(
+    st.just(m), st.lists(st.frozensets(st.integers(1, m), max_size=m - 1),
+                         max_size=5))))
+@example((4, []))
+@example((4, [frozenset()]))
+def test_biconnected_to_max_membership_rule(case):
+    """On a biconnected complex d on [m], the image is maximally biconnected
+    on [m+1] by the definition, and K ∪ {m+1} is a face of it exactly when
+    K ∈ d."""
+    m, faces = case
+    ground = frozenset(range(1, m + 1))
+    assume(not any(f | g == ground for f in faces for g in faces))
+    d = Complex(m, maximal_sets(faces))
+    r = cx.biconnected_to_max_biconnected(d)
+    assert r.n == m + 1
+    assert max_biconnected_by_definition(r.maximal_faces, m + 1)
+    for kmask in range(1 << m):
+        k = cx.members_of(kmask)
+        assert member_by_definition(r.maximal_faces, k | {m + 1}) == d.member(k)
+
+
+def partitions_by_restricted_growth(elems):
+    """Every set partition of the list elems, from restricted-growth strings."""
+    if not elems:
+        return []
+    out = []
+
+    def rec(i, rgs, top):
+        if i == len(elems):
+            blocks = [[] for _ in range(top + 1)]
+            for e, b in zip(elems, rgs):
+                blocks[b].append(e)
+            out.append(frozenset(frozenset(b) for b in blocks))
+            return
+        for b in range(top + 2):
+            rec(i + 1, rgs + [b], max(top, b))
+
+    rec(1, [0], 0)
+    return out
+
+
+def test_enumerate_partitions_matches_restricted_growth():
+    """Every nonempty ground subset of [6] and every min_parts: the same set
+    of partitions as the restricted-growth reference, each once, Bell(#ground)
+    of them without a bound, each with >= min_parts parts."""
+    bell = [1, 1, 2, 5, 15, 52, 203]
+    n = 6
+    for gmask in range(1, 1 << n):
+        ground = sorted(cx.members_of(gmask))
+        reference = partitions_by_restricted_growth(ground)
+        assert len(reference) == bell[len(ground)]
+        for min_parts in range(1, len(ground) + 2):
+            got = [frozenset(p.parts) for p in
+                   cx.enumerate_partitions(ground, n, min_parts=min_parts)]
+            assert len(got) == len(set(got))
+            assert all(len(p) >= min_parts for p in got)
+            assert set(got) == {p for p in reference if len(p) >= min_parts}
+    with pytest.raises(ValueError):
+        list(cx.enumerate_partitions([], n))

@@ -128,6 +128,17 @@ def test_census_n6_counts():
         "n": 6, "total": 2646, "projective": 1684, "nonprojective": 962}
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_census_counts_tally_the_records(n):
+    """The structural counts equal the tally of the census records' kinds,
+    which come from the chamber bank and the walk over every complex."""
+    kinds = [r.kind for r in hc.census(n)]
+    assert hc.census_counts(n) == {
+        "n": n, "total": len(kinds),
+        "projective": kinds.count("projective"),
+        "nonprojective": kinds.count("non-projective")}
+
+
 def test_census_range():
     with pytest.raises(ValueError):
         hc.census_counts(4)

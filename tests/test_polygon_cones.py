@@ -108,7 +108,3 @@ def test_relint_disjoint_implies_not_subset():
             if pc.relint_disjoint_free(p, q):
                 assert not pc.subset_free(p, q)
 
-
-def test_json():
-    c = pc.eta({2, 3}, 4)
-    assert pc.to_json_obj(c) == {"n": 4, "partition": [[1], [2, 3], [4]]}
