@@ -1,4 +1,4 @@
-"""Hyperplane arrangements and exact region counting.
+"""Arrangements of hyperplanes and exact region counting.
 
 Two independent counting backends:
 
@@ -14,8 +14,11 @@ Two independent counting backends:
   computed rank by rank, and the region count is (−1)^d · χ(−1)
   (Zaslavsky).
 
-Everything is exact Python-int arithmetic, whatever the size of the
-entries.
+An arrangement is stored as its hyperplanes' canonical normals, and a
+region is reported as one primitive interior point θ: that is all a GIT
+chamber inside C_0 needs, since its complex is {I : v_I(θ) > 0}
+(``chamber_to_complex``).  Everything is exact Python-int arithmetic,
+whatever the size of the entries.
 """
 
 from __future__ import annotations
@@ -34,46 +37,33 @@ MAX_DIM = 8
 MAX_HYPERPLANES = 64
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """A linear hyperplane normal·x = 0, canonically normalized."""
+def _normal(v, dim: int) -> tuple:
+    """The canonical normal of the hyperplane v·x = 0 in Q^dim: primitive,
+    first nonzero entry positive."""
+    v = canon_normal(v)
+    if not any(v):
+        raise ValueError("zero normal")
+    if len(v) != dim:
+        raise ValueError("normal dimension mismatch")
+    return v
 
-    normal: tuple
 
-    def __post_init__(self):
-        v = canon_normal(self.normal)
-        if not any(v):
-            raise ValueError("zero normal")
-        object.__setattr__(self, "normal", v)
+def _check_dim(dim: int):
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension bound exceeded (dim <= {MAX_DIM})")
 
 
 @dataclass(frozen=True)
 class Arrangement:
-    """A central arrangement: deduplicated, sorted hyperplanes in Q^dim."""
+    """A central arrangement in Q^dim, stored as its hyperplanes' canonical
+    normals, deduplicated and sorted."""
 
     dim: int
-    hyperplanes: tuple
+    normals: tuple
 
     def __post_init__(self):
-        hs = sorted({Hyperplane(h.normal if isinstance(h, Hyperplane) else h)
-                     for h in self.hyperplanes},
-                    key=lambda h: h.normal)
-        for h in hs:
-            if len(h.normal) != self.dim:
-                raise ValueError("normal dimension mismatch")
-        object.__setattr__(self, "hyperplanes", tuple(hs))
-
-    @property
-    def normals(self):
-        return tuple(h.normal for h in self.hyperplanes)
-
-
-@dataclass(frozen=True)
-class Chamber:
-    """An open region: one sign per hyperplane plus an interior witness."""
-
-    signs: tuple
-    witness: tuple
+        object.__setattr__(self, "normals", tuple(sorted(
+            {_normal(v, self.dim) for v in self.normals})))
 
 
 def build_A(n: int) -> Arrangement:
@@ -81,6 +71,7 @@ def build_A(n: int) -> Arrangement:
     plus the n coordinate hyperplanes: 2^(n−1) + n in total."""
     if n < 4:
         raise ValueError("n >= 4 required")
+    _check_dim(n)
     normals = set()
     for bits in range(1 << n):
         I = {i + 1 for i in range(n) if bits >> i & 1}
@@ -97,6 +88,7 @@ def build_B(n: int, m: int) -> Arrangement:
     if n != 2 * m or m < 3:
         raise ValueError("require n = 2m with m >= 3")
     d = n - 1
+    _check_dim(d)
     normals = [tuple(1 if i in I else 0 for i in range(d))
                for I in itertools.combinations(range(d), m)]
     return Arrangement(d, tuple(normals))
@@ -138,8 +130,7 @@ def _split_regions(normals, cone_facets, cone_rays, collect):
 
     Constraint values are evaluated once, for the start rays; dd_cut
     carries them to new rays on the hyperplanes that still cut their
-    region.  collect(rays, positive) receives each region's rays and the
-    bitmask of the hyperplanes positive on its interior.
+    region.  collect(rays) receives each region's ray records (ray first).
     """
     nf = len(cone_facets)
     rays0 = ratgeom.ray_records(cone_rays, (*cone_facets, *normals))
@@ -159,7 +150,7 @@ def _split_regions(normals, cone_facets, cone_rays, collect):
         if not cutting:
             count += 1
             if collect is not None:
-                collect(rays, pos >> nf)
+                collect(rays)
             continue
         bit = cutting & -cutting
         keep = cutting ^ bit
@@ -300,12 +291,11 @@ def count_points_mod_p(a: Arrangement, q: int) -> int:
 
 def count_regions(a: Arrangement, mode: str = "enumerate") -> int:
     """Number of open regions of the arrangement."""
-    if a.dim > MAX_DIM:
-        raise ValueError(f"dimension bound exceeded (dim <= {MAX_DIM})")
-    if len(a.hyperplanes) > MAX_HYPERPLANES:
+    _check_dim(a.dim)
+    if len(a.normals) > MAX_HYPERPLANES:
         raise ValueError(
             f"hyperplane bound exceeded (<= {MAX_HYPERPLANES} hyperplanes)")
-    if not a.hyperplanes:
+    if not a.normals:
         return 1
     if mode == "enumerate":
         return _count_enumerate(a)
@@ -345,22 +335,15 @@ def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
     return _split_regions(a.normals, cone.inequalities, _cone_rays(cone), None)
 
 
-def chambers_in_cone(a: Arrangement, cone: ConeH):
-    """Yield a Chamber per region inside the cone.
-
-    The witness is the (exact) sum of the region's extreme rays, made
-    primitive.  The sign of h·w is the sign of the sum of the rays' values
-    on h; no hyperplane cuts the region, so that sum is positive exactly
-    when some ray is positive on h.
-    """
+def chambers_in_cone(a: Arrangement, cone: ConeH) -> list:
+    """One interior point per region inside the cone: the (exact) sum of
+    the region's extreme rays, made primitive.  No hyperplane cuts the
+    region, so the point is off every hyperplane."""
     _require_cone_in_arrangement(a, cone)
     out = []
-    nh = len(a.normals)
 
-    def collect(rays, positive):
-        w = primitive(tuple(sum(c) for c in zip(*(rv[0] for rv in rays))))
-        signs = tuple(1 if positive >> h & 1 else -1 for h in range(nh))
-        out.append(Chamber(signs, w))
+    def collect(rays):
+        out.append(primitive(tuple(map(sum, zip(*(rv[0] for rv in rays))))))
 
     _split_regions(a.normals, cone.inequalities, _cone_rays(cone), collect)
     return out
@@ -372,37 +355,39 @@ def count_chambers_at_ray(a: Arrangement, theta) -> int:
     theta = tuple(Fraction(t) for t in theta)
     if len(theta) != a.dim or not any(theta):
         raise ValueError("theta must be a nonzero vector of the right dimension")
-    local = [h.normal for h in a.hyperplanes
-             if ratgeom.dot(h.normal, theta) == 0]
+    local = [h for h in a.normals if ratgeom.dot(h, theta) == 0]
     if not local:
         return 1
     return count_regions(Arrangement(a.dim, tuple(local)))
 
 
-def delete(a: Arrangement, h: Hyperplane) -> Arrangement:
-    rest = tuple(g.normal for g in a.hyperplanes if g != h)
-    return Arrangement(a.dim, rest)
+def delete(a: Arrangement, h) -> Arrangement:
+    """The arrangement without the hyperplane of normal h."""
+    h = _normal(h, a.dim)
+    return Arrangement(a.dim, tuple(g for g in a.normals if g != h))
 
 
-def restrict(a: Arrangement, h: Hyperplane) -> Arrangement:
-    """The arrangement induced on the hyperplane h (coordinates = a kernel
-    basis of h's normal)."""
-    basis = ratgeom.kernel_basis([h.normal], a.dim)
+def restrict(a: Arrangement, h) -> Arrangement:
+    """The arrangement induced on the hyperplane of normal h (coordinates =
+    a kernel basis of h)."""
+    h = _normal(h, a.dim)
+    basis = ratgeom.kernel_basis([h], a.dim)
     normals = set()
-    for g in a.hyperplanes:
+    for g in a.normals:
         if g == h:
             continue
-        v = tuple(ratgeom.dot(g.normal, b) for b in basis)
+        v = tuple(ratgeom.dot(g, b) for b in basis)
         if any(v):
             normals.add(canon_normal(v))
     return Arrangement(a.dim - 1, tuple(normals))
 
 
-def chamber_to_complex(a: Arrangement, ch: Chamber):
-    """The maximally-biconnected complex of a chamber inside C_0 ∩ F:
-    faces are the subsets I with v_I > 0 at the chamber's interior point."""
+def chamber_to_complex(a: Arrangement, theta):
+    """The maximally-biconnected complex of the chamber inside C_0 ∩ F
+    with interior point theta: the subsets I with v_I(θ) > 0."""
     n = a.dim
-    theta = ch.witness
+    if len(theta) != n:
+        raise ValueError("theta must have one entry per coordinate")
     if any(t <= 0 for t in theta):
         raise ValueError("chamber not inside the open orthant")
     fam = family_mask(theta, n)

@@ -100,10 +100,11 @@ class Complex:
 
 
 def is_biconnected(d: Complex) -> bool:
-    """No two faces (a face with itself included) union to [n]."""
-    full = set(range(1, d.n + 1))
-    faces = d.maximal_faces
-    return all(set(f) | set(g) != full for f in faces for g in faces)
+    """No two faces (a face with itself included) union to [n].  Faces f, g
+    of a downset with f ∪ g = [n] put [n] minus f in it next to f, so this
+    holds exactly when the family meets its complement image nowhere."""
+    fam = complex_family(d)
+    return not fam & _complement_image(fam, d.n)
 
 
 def is_full(d: Complex) -> bool:
@@ -142,21 +143,12 @@ def _splits_every_pair(family: int, n: int) -> bool:
 @functools.lru_cache(maxsize=None)
 def _tables(n: int):
     """Per subset mask s of [n]: the family masks of ↓s (every subset of s,
-    ∅ included) and ↑s (every superset of s), and their complement images."""
-    nsub = 1 << n
-    down = [0] * nsub
-    up = [0] * nsub
-    for s in range(nsub):
-        t = s
-        while True:
-            down[s] |= 1 << t
-            up[t] |= 1 << s
-            if t == 0:
-                break
-            t = (t - 1) & s
-    compdown = [_complement_image(m, n) for m in down]
-    compup = [_complement_image(m, n) for m in up]
-    return down, up, compdown, compup
+    ∅ included) and ↑s (every superset of s), and their complement images.
+    ↑s is the complement image of ↓([n] minus s), and the complement image
+    of ↓s is ↑([n] minus s): each table is another read backwards."""
+    down = [_closure(n, (s,)) for s in range(1 << n)]
+    up = [_complement_image(m, n) for m in reversed(down)]
+    return down, up, up[::-1], down[::-1]
 
 
 def _pair_reps(n: int):
@@ -234,12 +226,26 @@ def family_mask(theta, n: int) -> int:
     return fam
 
 
+@functools.lru_cache(maxsize=None)
+def _lacking(n: int) -> tuple:
+    """Per element index i: the family mask of every subset of [n] lacking
+    it, runs of 2^i set bits alternating with runs of 2^i clear ones."""
+    every = (1 << (1 << n)) - 1
+    return tuple(((1 << (1 << i)) - 1) * (every // ((1 << (2 << i)) - 1))
+                 for i in range(n))
+
+
 def _closure(n: int, masks) -> int:
-    """The family mask of every subset of the given subset masks."""
-    down = _tables(n)[0]
+    """The family mask of every subset of the given subset masks.
+
+    The one kernel for family masks: per element i, fam >> 2^i & L_i moves
+    each member holding i to the member without it (L_i: the subsets
+    lacking i).  Folding that in for every i in turn closes downward."""
     fam = 0
     for s in masks:
-        fam |= down[s]
+        fam |= 1 << s
+    for i, lacking in enumerate(_lacking(n)):
+        fam |= fam >> (1 << i) & lacking
     return fam
 
 
@@ -250,15 +256,17 @@ def complex_family(d: Complex) -> int:
 
 
 def _maximal_faces_of_mask(inm: int, n: int):
-    """Maximal faces of a family bitmask, as subset masks."""
-    up = _tables(n)[1]
+    """Maximal faces of a downward-closed family bitmask, as subset masks:
+    the members s with no member s ∪ {i}, i ∉ s, found by the _closure
+    step taken once per i without folding it in."""
+    covered = 0
+    for i, lacking in enumerate(_lacking(n)):
+        covered |= inm >> (1 << i) & lacking
     out = []
-    m = inm
+    m = inm & ~covered
     while m:
         b = m & -m
-        s = b.bit_length() - 1
-        if up[s] & inm == 1 << s:
-            out.append(s)
+        out.append(b.bit_length() - 1)
         m ^= b
     return out
 

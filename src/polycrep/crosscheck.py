@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import bunches, hyper_cones, polygon_cones, ratgeom
+from . import arrangements, bunches, hyper_cones, polygon_cones, ratgeom
 from .complexes import (enumerate_max_biconnected, enumerate_partitions,
                         is_full, is_maximal_biconnected)
 from .polygon_cones import PolygonCone
@@ -73,11 +73,9 @@ def hyper_suite(n: int, max_k: int = 3) -> dict:
     invariant vs the oracle, over all free orbit data with #K bounded."""
     checked = mismatches = 0
     f_rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    corner_rays = {}
-    for i in range(1, n + 1):
-        corner_rays[i] = ratgeom.h_to_v(
-            hyper_cones.CornerCone(n, i).h_form()).generators
-    c0_h = hyper_cones.CornerCone(n, 0).h_form()
+    corner_rays = {i: ratgeom.h_to_v(arrangements.cone_Ci(n, i)).generators
+                   for i in range(1, n + 1)}
+    c0_h = arrangements.cone_C0(n)
     for hc in hyper_cones.free_orbit_data(n, max_k):
         gens = hyper_cones.generators_hyper(hc)
         h = _h_form(gens, n)
@@ -120,9 +118,8 @@ def psi_suite(n: int, max_k: int = 3) -> dict:
             if _contains_all(h, gens):
                 bits |= 1 << idx
         contains.append(bits)
-    corner_rays = {i: ratgeom.h_to_v(
-        hyper_cones.CornerCone(n, i).h_form()).generators
-        for i in range(1, n + 1)}
+    corner_rays = {i: ratgeom.h_to_v(arrangements.cone_Ci(n, i)).generators
+                   for i in range(1, n + 1)}
     if not all(hyper_cones.is_free(hc) for hc in data):
         raise ValueError("free_orbit_data yielded a non-free cone")
     for d in enumerate_max_biconnected(n):

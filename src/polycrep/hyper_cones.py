@@ -16,13 +16,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from . import arrangements, ratgeom
+from . import arrangements, polygon_cones
 from .complexes import (Complex, Partition, _complex_from_mask,
                         _iter_max_biconnected_masks, _mask_is_full,
                         count_max_biconnected, enumerate_partitions,
                         family_mask, is_full, is_maximal_biconnected)
 from .polygon_cones import PolygonCone, eta
-from . import polygon_cones
 
 
 @dataclass(frozen=True)
@@ -39,26 +38,6 @@ class HyperCone:
             raise ValueError("partition range mismatch")
         if self.K and (min(self.K) < 1 or max(self.K) > self.n):
             raise ValueError("K outside [n]")
-
-
-@dataclass(frozen=True)
-class CornerCone:
-    """C_0 (i = 0) or a corner chamber C_i = Cone(e_i, e_i + e_j)."""
-
-    n: int
-    i: int
-
-    def __post_init__(self):
-        if not 0 <= self.i <= self.n:
-            raise ValueError("index out of range")
-
-    def h_form(self) -> ratgeom.ConeH:
-        if self.i == 0:
-            return arrangements.cone_C0(self.n)
-        return arrangements.cone_Ci(self.n, self.i)
-
-    def v_form(self) -> ratgeom.ConeV:
-        return ratgeom.h_to_v(self.h_form())
 
 
 @dataclass(frozen=True)
@@ -187,11 +166,9 @@ def _corner_witness(n: int, i: int) -> tuple:
 
 def _projective_full_masks(n: int) -> dict:
     """family mask -> chamber witness θ, over the chambers of 𝒜 in C_0."""
-    a = arrangements.build_A(n)
-    bank = {}
-    for ch in arrangements.chambers_in_cone(a, arrangements.cone_C0(n)):
-        bank[family_mask(ch.witness, n)] = ch.witness
-    return bank
+    thetas = arrangements.chambers_in_cone(arrangements.build_A(n),
+                                           arrangements.cone_C0(n))
+    return {family_mask(theta, n): theta for theta in thetas}
 
 
 def census(n: int) -> Iterator[ResolutionRecord]:

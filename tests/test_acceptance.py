@@ -157,7 +157,7 @@ def test_chamber_complex_consistency(n, m_n):
     a = ar.build_A(n)
     chambers = ar.chambers_in_cone(a, ar.cone_C0(n))
     assert len(chambers) == m_n
-    image = {ar.chamber_to_complex(a, ch) for ch in chambers}
+    image = {ar.chamber_to_complex(a, theta) for theta in chambers}
     assert len(image) == m_n  # injective
     projective = {d for d in cx.enumerate_max_biconnected(n, full_only=True)
                   if bunches.is_projective(bunches.phi_from_complex(d))}

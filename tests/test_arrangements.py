@@ -7,12 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polycrep import arrangements as ar, ratgeom
-from polycrep.arrangements import Arrangement, Hyperplane
+from polycrep.arrangements import Arrangement
 
 
 def test_build_A_counts():
-    assert len(ar.build_A(5).hyperplanes) == 21
-    assert len(ar.build_A(6).hyperplanes) == 38
+    assert len(ar.build_A(5).normals) == 21
+    assert len(ar.build_A(6).normals) == 38
     with pytest.raises(ValueError):
         ar.build_A(3)
 
@@ -26,10 +26,9 @@ def test_build_A_contains_vI_normals():
 
 def test_build_B():
     b = ar.build_B(6, 3)
-    assert b.dim == 5 and len(b.hyperplanes) == 10
-    assert all(sum(h.normal) == 3 and set(h.normal) <= {0, 1}
-               for h in b.hyperplanes)
-    assert len(ar.build_B(8, 4).hyperplanes) == 35
+    assert b.dim == 5 and len(b.normals) == 10
+    assert all(sum(h) == 3 and set(h) <= {0, 1} for h in b.normals)
+    assert len(ar.build_B(8, 4).normals) == 35
     with pytest.raises(ValueError):
         ar.build_B(7, 3)
     with pytest.raises(ValueError):
@@ -37,10 +36,15 @@ def test_build_B():
 
 
 def test_hyperplane_canonical():
-    assert Hyperplane((-1, 1, 0)) == Hyperplane((1, -1, 0))
-    assert Hyperplane((2, -2, 4)).normal == (1, -1, 2)
-    with pytest.raises(ValueError):
-        Hyperplane((0, 0, 0))
+    assert Arrangement(3, ((-1, 1, 0),)) == Arrangement(3, ((1, -1, 0),))
+    assert Arrangement(3, ((2, -2, 4),)).normals == ((1, -1, 2),)
+    with pytest.raises(ValueError, match="zero normal"):
+        Arrangement(3, ((0, 0, 0),))
+    with pytest.raises(ValueError, match="dimension"):
+        Arrangement(3, ((1, 0),))
+    a = Arrangement(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1)))
+    assert ar.delete(a, (-2, 0, 0)) == Arrangement(3, ((0, 1, 0), (1, 1, 1)))
+    assert ar.restrict(a, (-2, 0, 0)) == ar.restrict(a, (1, 0, 0))
 
 
 def test_count_regions_empty():
@@ -101,11 +105,13 @@ def test_regions_in_cone_requires_member_facets():
 
 def test_chambers_carry_valid_witnesses():
     a = ar.build_A(5)
-    for ch in ar.chambers_in_cone(a, ar.cone_C0(5)):
-        assert len(ch.signs) == len(a.hyperplanes)
-        for h, s in zip(a.normals, ch.signs):
-            v = ratgeom.dot(h, ch.witness)
-            assert v != 0 and (v > 0) == (s > 0)
+    c0 = ar.cone_C0(5)
+    points = ar.chambers_in_cone(a, c0)
+    assert len(set(points)) == len(points) == 76
+    for theta in points:
+        assert ratgeom.primitive(theta) == theta
+        assert all(ratgeom.dot(h, theta) != 0 for h in a.normals)
+        assert all(ratgeom.dot(f, theta) > 0 for f in c0.inequalities)
 
 
 def test_count_chambers_at_ray():
@@ -120,7 +126,7 @@ def test_count_chambers_at_ray():
 def test_deletion_restriction():
     a = Arrangement(4, ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 0),
                         (1, -1, 0, 1), (0, 1, 2, -1), (1, 1, 1, 1)))
-    for h in a.hyperplanes:
+    for h in a.normals:
         assert (ar.count_regions(a)
                 == ar.count_regions(ar.delete(a, h))
                 + ar.count_regions(ar.restrict(a, h)))
@@ -148,8 +154,8 @@ def test_chamber_to_complex_central():
     from polycrep.complexes import is_full, is_maximal_biconnected
     a = ar.build_A(5)
     chs = ar.chambers_in_cone(a, ar.cone_C0(5))
-    central = next(ch for ch in chs
-                   if all(x == ch.witness[0] for x in ch.witness))
+    central = next(theta for theta in chs
+                   if all(x == theta[0] for x in theta))
     d = ar.chamber_to_complex(a, central)
     assert is_full(d) and is_maximal_biconnected(d)
     assert all(len(f) == 2 for f in d.maximal_faces)
@@ -210,7 +216,7 @@ def hostile_arrangements(draw):
 @given(hostile_arrangements())
 def test_backends_agree_on_hostile_inputs(case):
     a, k = case
-    h = a.hyperplanes[k % len(a.hyperplanes)]
+    h = a.normals[k % len(a.normals)]
     count = ar.count_regions(a, "enumerate")
     assert count == ar.count_regions(a, "charpoly")
     assert count == (ar.count_regions(ar.delete(a, h))

@@ -71,7 +71,7 @@ def test_is_bunch_matches_pairwise_definition():
     free = [PolygonCone(n, p)
             for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)]
     a = ar.build_A(n)
-    thetas = [ch.witness for ch in ar.chambers_in_cone(a, ar.cone_C0(n))]
+    thetas = ar.chambers_in_cone(a, ar.cone_C0(n))
 
     def closure(cones):
         return {q for q in free
@@ -156,8 +156,7 @@ def test_bunch_from_theta_matches_definition():
     n = 5
     free = [p for p in cx.enumerate_partitions(range(1, n + 1), n,
                                                min_parts=3)]
-    for ch in ar.chambers_in_cone(ar.build_A(n), ar.cone_C0(n)):
-        theta = ch.witness
+    for theta in ar.chambers_in_cone(ar.build_A(n), ar.cone_C0(n)):
         total = sum(theta)
         want = frozenset(PolygonCone(n, p) for p in free
                          if all(2 * sum(theta[i - 1] for i in part) < total

@@ -1,5 +1,6 @@
 """CLI dispatch, formats, exit codes, and golden outputs."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -53,6 +54,28 @@ GOLDEN = [
 def test_golden_outputs(argv, expected, capsys):
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.strip() == expected
+
+
+# sha256 of the whole stdout and its line count, for the streamed outputs
+STREAMED = [
+    (["complexes", "enumerate", "--n", "5"], 81,
+     "e1ee99bab7cf340f2054489e072d941cff2456022d9c81efaa0577fcb984bcbe"),
+    (["complexes", "enumerate", "--n", "6"], 2646,
+     "ba8271913ecb9101f282b068e7a301357b8d6f4ae8e6833859f5188bf65fe5c4"),
+    (["resolutions", "census", "--n", "5", "--records"], 81,
+     "a7f1bbd3ddc228c0116fb55dbfdcdb3e6ed44d9bc545dda46ed3a493f0c329e1"),
+    (["resolutions", "census", "--n", "6", "--records"], 2646,
+     "f8b8f245b1965ac23d1014821704e969d8245d56c5c57b1ea88a009ea92b6e13"),
+]
+
+
+@pytest.mark.parametrize("argv,lines,digest", STREAMED,
+                         ids=[" ".join(g[0]) for g in STREAMED])
+def test_streamed_outputs(argv, lines, digest, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cox_verify(capsys):
@@ -128,6 +151,20 @@ def test_count_beyond_range_fails_fast(capsys):
     assert cli.main(["complexes", "count", "--n", "8"]) == 1
     assert time.monotonic() - t0 < 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chambers", "count", "--arrangement", "A", "--n", "22"],
+    ["chambers", "count", "--arrangement", "A", "--n", "30", "--in-cone",
+     "C0"],
+    ["chambers", "count", "--arrangement", "B", "--n", "22", "--m", "11"]])
+def test_oversized_arrangement_fails_fast(argv, capsys):
+    # A(22) has 2^21 + 22 hyperplanes: refused before any is built
+    t0 = time.monotonic()
+    assert cli.main(argv) == 1
+    assert time.monotonic() - t0 < 1
+    out = capsys.readouterr()
+    assert out.out == "" and "error: dimension bound" in out.err
 
 
 @pytest.mark.parametrize("argv", [["complexes", "enumerate", "--n", "8"],

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -211,11 +212,18 @@ def member_by_definition(faces, face):
     return any(face <= f for f in faces)
 
 
+def biconnected_by_definition(faces, n):
+    """No two faces (a face with itself included) union to [n], pair by
+    pair over frozensets."""
+    ground = frozenset(range(1, n + 1))
+    return all(f | g != ground for f in faces for g in faces)
+
+
 def max_biconnected_by_definition(faces, n):
     """Biconnected, and exactly one of each pair {I, I^c} of nonempty proper
     subsets of [n] a face, over frozensets."""
     ground = frozenset(range(1, n + 1))
-    if any(f | g == ground for f in faces for g in faces):
+    if not biconnected_by_definition(faces, n):
         return False
     return all(member_by_definition(faces, frozenset(I))
                != member_by_definition(faces, ground - frozenset(I))
@@ -258,6 +266,34 @@ def test_is_maximal_biconnected_matches_definition(d):
         d.maximal_faces, d.n)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.frozensets(st.integers(1, n)), max_size=6))))
+@example((1, []))
+@example((1, [frozenset()]))
+@example((6, []))
+@example((6, [frozenset()]))
+@example((6, [frozenset({1, 2, 3}), frozenset({4, 5, 6})]))
+def test_is_biconnected_matches_pairwise_definition(case):
+    n, faces = case
+    d = Complex(n, maximal_sets(faces))
+    assert cx.is_biconnected(d) == biconnected_by_definition(
+        d.maximal_faces, n)
+
+
+def test_family_masks_beyond_enumeration_range():
+    """Closure and maximal faces take n shift-and-mask steps on the family
+    mask, with no per-subset table: at n = 13 each check is quick."""
+    d = Complex(13, (frozenset(range(2, 14)),))
+    t0 = time.monotonic()
+    assert cx.is_maximal_biconnected(d)
+    assert time.monotonic() - t0 < 1
+    t0 = time.monotonic()
+    b = cx.max_biconnected_to_biconnected(d)
+    assert time.monotonic() - t0 < 1
+    assert b == Complex(12, (frozenset(range(2, 13)),))
+
+
 def test_max_to_biconnected_membership_rule():
     """K is in the image exactly when K ∪ {n} is a face of d, K = ∅ too,
     for every maximally-biconnected complex at n = 4, 5, 6."""
@@ -281,8 +317,7 @@ def test_biconnected_to_max_membership_rule(case):
     on [m+1] by the definition, and K ∪ {m+1} is a face of it exactly when
     K ∈ d."""
     m, faces = case
-    ground = frozenset(range(1, m + 1))
-    assume(not any(f | g == ground for f in faces for g in faces))
+    assume(biconnected_by_definition(faces, m))
     d = Complex(m, maximal_sets(faces))
     r = cx.biconnected_to_max_biconnected(d)
     assert r.n == m + 1

@@ -7,7 +7,7 @@ import pytest
 from polycrep import arrangements, hyper_cones as hc, ratgeom
 from polycrep.complexes import (Complex, Partition, _complex_from_mask,
                                 family_mask)
-from polycrep.hyper_cones import CornerCone, HyperCone
+from polycrep.hyper_cones import HyperCone
 from polycrep.ratgeom import ConeV
 
 
@@ -103,15 +103,14 @@ def test_psi_membership_validates_its_arguments():
 
 
 def test_corner_cone_forms():
-    c0 = CornerCone(5, 0)
-    rays = c0.v_form().generators
+    rays = ratgeom.h_to_v(arrangements.cone_C0(5)).generators
     assert len(rays) == 10 and all(sum(r) == 2 for r in rays)
-    c1 = CornerCone(5, 1)
-    rays = set(c1.v_form().generators)
+    rays = set(ratgeom.h_to_v(arrangements.cone_Ci(5, 1)).generators)
     assert (1, 0, 0, 0, 0) in rays
     assert len(rays) == 5
-    with pytest.raises(ValueError):
-        CornerCone(5, 6)
+    for i in (0, 6):
+        with pytest.raises(ValueError):
+            arrangements.cone_Ci(5, i)
 
 
 def test_census_n5():
@@ -154,15 +153,16 @@ def test_chamber_complex_is_census_bank_key():
     chambers = arrangements.chambers_in_cone(a, arrangements.cone_C0(n))
     by_witness = {w: m for m, w in hc._projective_full_masks(n).items()}
     assert len(by_witness) == len(chambers) == 76
-    for ch in chambers:
-        assert (arrangements.chamber_to_complex(a, ch)
-                == _complex_from_mask(by_witness[ch.witness], n))
-    on_wall = arrangements.Chamber((), (1, 1, 1, 1, 2))  # v_{123} = 0
+    for theta in chambers:
+        assert (arrangements.chamber_to_complex(a, theta)
+                == _complex_from_mask(by_witness[theta], n))
     with pytest.raises(ValueError, match="hyperplane"):
-        arrangements.chamber_to_complex(a, on_wall)
+        arrangements.chamber_to_complex(a, (1, 1, 1, 1, 2))  # v_{123} = 0
     with pytest.raises(ValueError, match="orthant"):
-        arrangements.chamber_to_complex(
-            a, arrangements.Chamber((), (0, 1, 1, 1, 1)))
+        arrangements.chamber_to_complex(a, (0, 1, 1, 1, 1))
+    for theta in ((1, 1, 1, 1, 1, 100), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="coordinate"):
+            arrangements.chamber_to_complex(a, theta)
 
 
 def test_census_witnesses_are_generic_and_interior():
