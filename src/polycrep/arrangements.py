@@ -7,7 +7,8 @@ Two independent counting backends:
   (integer vectors) together with cached constraint values; splitting on a
   hyperplane produces the two child ray sets without any LP.  The arrangement
   is first essentialized and space is covered by the 2^r simplicial sign cones
-  of r independent normals.
+  of r independent normals; regions come in ± pairs, so half of the cones
+  are split and the count doubled.
 * ``charpoly`` — the intersection lattice is built by breadth-first closure
   over flats (the covers of a flat are read off the normals' residuals
   modulo its span, by exact integer elimination), the Möbius function is
@@ -26,10 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 from . import ratgeom
-from .complexes import _complex_from_mask, _splits_every_pair, family_mask
+from .complexes import (_complex_from_mask, _splits_every_pair,
+                        _swap_adjacent, family_mask)
 from .polygon_cones import v_I
 from .ratgeom import ConeH, canon_normal, primitive
 
@@ -177,20 +179,23 @@ def _essentialize(a: Arrangement):
 
 
 def _count_enumerate(a: Arrangement) -> int:
-    """Split each of the 2^d simplicial cones {x : s_i b_i·x >= 0} of d
-    independent normals b_i.  Their extreme rays are b's simplicial rays,
-    signed by s_j."""
+    """Split the 2^(d−1) simplicial cones {x : s_i b_i·x >= 0} with s_1 = +1
+    of d independent normals b_i, and double the count.  Their extreme
+    rays are b's simplicial rays, signed by s_j.  The b_i are hyperplanes
+    of the arrangement, so each region lies in one sign cone, and its
+    negative, also a region, lies in the opposite one."""
     normals, d = _essentialize(a)
     if d == 0:
         return 1
     basis = [normals[i] for i in ratgeom.independent_rows(normals, d)]
     rays = ratgeom.simplicial_rays(basis)
     total = 0
-    for signs in itertools.product((1, -1), repeat=d):
+    for rest in itertools.product((1, -1), repeat=d - 1):
+        signs = (1, *rest)
         facets = [tuple(s * x for x in v) for s, v in zip(signs, basis)]
         srays = [tuple(s * x for x in v) for s, v in zip(signs, rays)]
         total += _split_regions(normals, facets, srays, None)
-    return total
+    return 2 * total
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +352,53 @@ def chambers_in_cone(a: Arrangement, cone: ConeH) -> list:
 
     _split_regions(a.normals, cone.inequalities, _cone_rays(cone), collect)
     return out
+
+
+def chamber_orbits(n: int) -> list:
+    """One (θ, orbit size) per S_n-orbit of the chambers of A(n) inside C_0.
+
+    A(n) and C_0 are S_n-invariant.  A chamber's complex is a threshold
+    family, so its interchangeable elements form runs in the weight order,
+    and exactly one chamber of each orbit meets the interior of the sorted
+    cone W: θ_1 ≥ … ≥ θ_n ≥ 0.  Inside W, C_0 is the one inequality
+    θ_1 ≤ Σ_{j>1} θ_j.  The regions of A(n) inside W ∩ C_0 are those
+    chambers' W-pieces, split like count_regions_in_cone although
+    θ_i = θ_{i+1} is no hyperplane of A(n).  θ, the primitive sum of a
+    piece's extreme rays, is strictly decreasing and off every hyperplane.
+    The chamber's stabiliser is the product of the symmetric groups on the
+    runs of adjacent elements whose exchange fixes family_mask(θ); the
+    orbit size is n!/|Stab|.
+    """
+    a = build_A(n)
+    facets = [tuple(1 if j == i else -1 if j == i + 1 else 0
+                    for j in range(n)) for i in range(n - 1)]
+    facets.append(tuple(1 if j == n - 1 else 0 for j in range(n)))
+    facets.append(v_I({1}, n))
+    out = []
+
+    def collect(rays):
+        theta = primitive(tuple(map(sum, zip(*(rv[0] for rv in rays)))))
+        fam = family_mask(theta, n)
+        stab = run = 1
+        for i in range(n - 1):
+            run = run + 1 if _swap_adjacent(fam, n, i) == fam else 1
+            stab *= run
+        out.append((theta, factorial(n) // stab))
+
+    _split_regions(a.normals, facets,
+                   list(ratgeom.h_to_v(ConeH(n, facets)).generators), collect)
+    return out
+
+
+def _chamber_witness(a: Arrangement, theta) -> tuple:
+    """The point chambers_in_cone reports for the pointed region of the
+    arrangement holding θ: the primitive sum of the region's extreme rays,
+    found from its H-description, every normal signed to be positive at
+    θ."""
+    ineqs = tuple(h if ratgeom.dot(h, theta) > 0 else tuple(-x for x in h)
+                  for h in a.normals)
+    rays = ratgeom.h_to_v(ConeH(a.dim, ineqs)).generators
+    return primitive(tuple(map(sum, zip(*rays))))
 
 
 def count_chambers_at_ray(a: Arrangement, theta) -> int:

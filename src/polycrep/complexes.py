@@ -235,6 +235,25 @@ def _lacking(n: int) -> tuple:
                  for i in range(n))
 
 
+@functools.lru_cache(maxsize=None)
+def _swap_tables(n: int) -> tuple:
+    """Per index i < n-1: the family masks of the subsets holding element
+    i+1 but not i+2, and of those holding i+2 but not i+1."""
+    lack = _lacking(n)
+    return tuple((lack[i + 1] & ~lack[i], lack[i] & ~lack[i + 1])
+                 for i in range(n - 1))
+
+
+def _swap_adjacent(fam: int, n: int, i: int) -> int:
+    """The family with elements i+1 and i+2 exchanged: a member holding
+    only the first moves up 2^i bits, one holding only the second moves
+    down as far."""
+    first, second = _swap_tables(n)[i]
+    step = 1 << i
+    return (fam & ~(first | second) | (fam & first) << step
+            | (fam & second) >> step)
+
+
 def _closure(n: int, masks) -> int:
     """The family mask of every subset of the given subset masks.
 
@@ -271,8 +290,23 @@ def _maximal_faces_of_mask(inm: int, n: int):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _face(s: int) -> tuple:
+    """(sorted member tuple, frozenset) of the subset with mask s."""
+    members = tuple(i + 1 for i in range(s.bit_length()) if s >> i & 1)
+    return members, frozenset(members)
+
+
 def _complex_from_mask(inm: int, n: int) -> Complex:
-    return Complex(n, tuple(members_of(s) for s in _maximal_faces_of_mask(inm, n)))
+    """The Complex of a downward-closed family mask on [n], built without
+    Complex's checks: the maximal faces of a downset are an antichain of
+    subsets of [n] by construction.  They are sorted by member tuple, the
+    order Complex.__post_init__ gives them."""
+    d = object.__new__(Complex)
+    object.__setattr__(d, "n", n)
+    object.__setattr__(d, "maximal_faces", tuple(
+        f for _, f in sorted(map(_face, _maximal_faces_of_mask(inm, n)))))
+    return d
 
 
 def enumerate_max_biconnected(n: int, full_only: bool = False) -> Iterator[Complex]:

@@ -6,6 +6,13 @@ criteria, the C_0 slice, the Ψ_Δ membership test, and the census that
 attaches a resolution record (projective or not, with an exact witness
 character when projective) to every maximally-biconnected complex.
 
+The census works by S_n-orbits of GIT chambers: arrangements.chamber_orbits
+splits only the sorted cone θ_1 ≥ … ≥ θ_n inside C_0, one chamber per
+orbit, and the counts add up the orbit sizes, while the records expand each
+representative's witness over its orbit.  The second routes, which the
+tests compare it with, split all of C_0 (count_regions_in_cone,
+chambers_in_cone) and walk every complex.
+
 All closed forms here are cross-validated against the ratgeom oracle in the
 test suite; any disagreement is a test failure, not a warning.
 """
@@ -17,8 +24,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import arrangements, polygon_cones
-from .complexes import (Complex, Partition, _complex_from_mask,
-                        _iter_max_biconnected_masks, _mask_is_full,
+from .complexes import (Complex, Partition, _closure, _complex_from_mask,
+                        _iter_max_biconnected_masks, _swap_adjacent,
                         count_max_biconnected, enumerate_partitions,
                         family_mask, is_full, is_maximal_biconnected)
 from .polygon_cones import PolygonCone, eta
@@ -164,46 +171,63 @@ def _corner_witness(n: int, i: int) -> tuple:
     return tuple(theta)
 
 
-def _projective_full_masks(n: int) -> dict:
-    """family mask -> chamber witness θ, over the chambers of 𝒜 in C_0."""
-    thetas = arrangements.chambers_in_cone(arrangements.build_A(n),
-                                           arrangements.cone_C0(n))
-    return {family_mask(theta, n): theta for theta in thetas}
+def _projective_bank(n: int) -> dict:
+    """family mask -> chamber witness θ, over the chambers of 𝒜 in C_0,
+    from one chamber R per S_n-orbit.
+
+    σR has extreme rays σ·(those of R), so its witness is σ·w_R, w_R the
+    one chambers_in_cone reports for R, and its family mask is σ applied
+    to R's.  Each orbit is walked by exchanges of adjacent elements,
+    applied to mask and witness alike."""
+    a = arrangements.build_A(n)
+    bank = {}
+    for theta, _ in arrangements.chamber_orbits(n):
+        fam = family_mask(theta, n)
+        bank[fam] = arrangements._chamber_witness(a, theta)
+        todo = [fam]
+        while todo:
+            fam = todo.pop()
+            w = bank[fam]
+            for i in range(n - 1):
+                moved = _swap_adjacent(fam, n, i)
+                if moved not in bank:
+                    bank[moved] = (*w[:i], w[i + 1], w[i], *w[i + 2:])
+                    todo.append(moved)
+    return bank
 
 
 def census(n: int) -> Iterator[ResolutionRecord]:
     """One record per maximally-biconnected complex on [n].
 
-    Non-full complexes are always projective (corner chambers); a full
-    complex is projective exactly when some arrangement chamber inside C_0
-    induces it, and that chamber's interior point is the witness.
+    Non-full complexes, ↓([n] minus {i}), are always projective (corner
+    chambers); a full complex is projective exactly when some arrangement
+    chamber inside C_0 induces it, and that chamber's interior point is the
+    witness.
     """
     if not 5 <= n <= 7:
         raise ValueError("supported range is 5 <= n <= 7")
-    bank = _projective_full_masks(n)
+    bank = _projective_bank(n)
+    full = (1 << n) - 1
+    corners = {_closure(n, (full ^ 1 << (i - 1),)): _corner_witness(n, i)
+               for i in range(1, n + 1)}
     for inm in _iter_max_biconnected_masks(n):
         d = _complex_from_mask(inm, n)
-        if _mask_is_full(inm, n):
-            w = bank.get(inm)
-            if w is None:
-                yield ResolutionRecord(d, "non-projective", None)
-            else:
-                yield ResolutionRecord(d, "projective", w)
+        w = bank.get(inm) or corners.get(inm)
+        if w is None:
+            yield ResolutionRecord(d, "non-projective", None)
         else:
-            missing = next(i for i in range(1, n + 1)
-                           if not inm >> (1 << (i - 1)) & 1)
-            yield ResolutionRecord(d, "projective", _corner_witness(n, missing))
+            yield ResolutionRecord(d, "projective", w)
 
 
 def census_counts(n: int) -> dict:
     """{total, projective, nonprojective} by structure, without the census
     walk: λ(n) complexes, of which the n non-full ones and the one full
     complex per chamber of 𝒜 inside C_0 are projective (a chamber lies on
-    no hyperplane v_I = 0, so it is fixed by, and fixes, its complex)."""
+    no hyperplane v_I = 0, so it is fixed by, and fixes, its complex).
+    The chambers are counted by S_n-orbit, as the sum of the orbit sizes."""
     if not 5 <= n <= 7:
         raise ValueError("supported range is 5 <= n <= 7")
     total = count_max_biconnected(n)
-    proj = n + arrangements.count_regions_in_cone(arrangements.build_A(n),
-                                                  arrangements.cone_C0(n))
+    proj = n + sum(size for _, size in arrangements.chamber_orbits(n))
     return {"n": n, "total": total, "projective": proj,
             "nonprojective": total - proj}

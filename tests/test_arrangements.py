@@ -79,6 +79,22 @@ def test_non_essential_arrangement():
     assert ar.count_regions(a, "charpoly") == 6
 
 
+@pytest.mark.parametrize("a,regions", [
+    (Arrangement(1, ((1,),)), 2),
+    (Arrangement(3, ((2, -1, 5),)), 2),
+    (Arrangement(4, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1))), 6),
+    (Arrangement(4, ((1, -1, 0, 0), (0, 1, -1, 0), (1, 0, -1, 0),
+                     (1, 1, -2, 0), (3, -1, -2, 0))), 10),
+    (Arrangement(5, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                     (1, 1, 1, 0, 0), (1, -1, 1, 0, 0), (1, 2, -3, 0, 0))), 30),
+], ids=["line", "rank1", "rank2-3lines", "rank2-5lines", "rank3-in-Q5"])
+def test_enumerate_halves_by_central_symmetry(a, regions):
+    """enumerate splits only the sign cones with s_1 = +1 and doubles; on
+    rank-1 and non-essential arrangements it still equals charpoly."""
+    assert ar.count_regions(a, "enumerate") == regions
+    assert ar.count_regions(a, "charpoly") == regions
+
+
 def test_B63_both_modes():
     b = ar.build_B(6, 3)
     assert ar.count_regions(b, "enumerate") == 332

@@ -125,6 +125,38 @@ def test_bijection_roundtrip():
         assert len(images) == cx.hosten_morris(n)
 
 
+def test_trusted_construction_matches_validated():
+    """_complex_from_mask skips Complex's checks; the validated constructor
+    gives the same fields, maximal faces in the same order, for every
+    maximally-biconnected mask at n = 4, 5, 6 and every downset at n = 3, 4
+    (the empty family and {∅} among them)."""
+    cases = [(m, n) for n in (4, 5, 6)
+             for m in cx._iter_max_biconnected_masks(n)]
+    cases += [(m, n) for n in (3, 4) for m in cx._iter_downset_masks(n)]
+    assert (0, 4) in cases and (1, 4) in cases
+    for m, n in cases:
+        d = cx._complex_from_mask(m, n)
+        checked = Complex(n, tuple(reversed(d.maximal_faces)))
+        assert d == checked and hash(d) == hash(checked)
+        assert (d.n, d.maximal_faces) == (checked.n, checked.maximal_faces)
+        assert cx.complex_family(d) == m
+
+
+def test_swap_adjacent_permutes_family_masks():
+    """Exchanging elements i+1, i+2 of the family mask of θ gives the
+    family mask of θ with those two coordinates exchanged."""
+    rng = random.Random(5)
+    for n in (3, 5, 7):
+        for _ in range(20):
+            theta = [rng.randint(1, 40) for _ in range(n)]
+            fam = cx.family_mask(theta, n)
+            for i in range(n - 1):
+                swapped = theta[:]
+                swapped[i], swapped[i + 1] = theta[i + 1], theta[i]
+                assert (cx._swap_adjacent(fam, n, i)
+                        == cx.family_mask(swapped, n))
+
+
 def test_bijection_of_nonfull_missing_n():
     d = subsets_avoiding(6, 6)
     b = cx.max_biconnected_to_biconnected(d)

@@ -1,6 +1,7 @@
 """Hyper orbit cones, corner criteria, Psi membership, and the census."""
 
 import itertools
+import math
 
 import pytest
 
@@ -151,7 +152,7 @@ def test_chamber_complex_is_census_bank_key():
     n = 5
     a = arrangements.build_A(n)
     chambers = arrangements.chambers_in_cone(a, arrangements.cone_C0(n))
-    by_witness = {w: m for m, w in hc._projective_full_masks(n).items()}
+    by_witness = {w: m for m, w in hc._projective_bank(n).items()}
     assert len(by_witness) == len(chambers) == 76
     for theta in chambers:
         assert (arrangements.chamber_to_complex(a, theta)
@@ -163,6 +164,39 @@ def test_chamber_complex_is_census_bank_key():
     for theta in ((1, 1, 1, 1, 1, 100), (1, 1, 1, 1)):
         with pytest.raises(ValueError, match="coordinate"):
             arrangements.chamber_to_complex(a, theta)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_orbit_sizes_match_brute_force_stabilisers(n):
+    """n!/|Stab| of each orbit representative, with Stab counted over all
+    of S_n as the permutations of θ that keep its family mask."""
+    for theta, size in arrangements.chamber_orbits(n):
+        assert all(x > y for x, y in zip(theta, theta[1:])) and theta[-1] > 0
+        fam = family_mask(theta, n)
+        stab = sum(1 for perm in itertools.permutations(theta)
+                   if family_mask(perm, n) == fam)
+        assert size * stab == math.factorial(n)
+
+
+@pytest.mark.parametrize("n,reps,chambers", [(5, 6, 76), (6, 20, 1678)])
+def test_orbit_bank_equals_full_split(n, reps, chambers):
+    """The bank built from orbit representatives holds the family masks
+    and witnesses that splitting all of C_0 gives."""
+    assert len(arrangements.chamber_orbits(n)) == reps
+    split = arrangements.chambers_in_cone(arrangements.build_A(n),
+                                          arrangements.cone_C0(n))
+    assert len(split) == chambers
+    assert hc._projective_bank(n) == {family_mask(t, n): t for t in split}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_orbit_sum_sign_flip_identity(n):
+    """A(n) is invariant under sign changes of coordinates, so it has 2^n
+    times the regions inside the orthant F: the n corner chambers C_i and
+    the chambers inside C_0."""
+    c0 = sum(size for _, size in arrangements.chamber_orbits(n))
+    assert 2 ** n * (n + c0) == arrangements.count_regions(
+        arrangements.build_A(n), "charpoly")
 
 
 def test_census_witnesses_are_generic_and_interior():
