@@ -1,13 +1,18 @@
 """Bunches of free polygon orbit cones.
 
-A bunch is a nonempty collection of free cones whose relative interiors
-pairwise intersect, closed under passing to larger cones (finer partitions).
-Maximal bunches are in bijection with full maximally-biconnected complexes:
-Φ_Δ = {ω_P free : every part of P is a face of Δ}, and the inverse recovers
-Δ as the downward closure of all member parts.  Projectivity of the quotient
-attached to a maximal bunch amounts to the member cones sharing a common
-interior point, which the extreme rays of their intersection certify; an
-exact rational LP is the second route.
+A bunch is a nonempty collection of free cones ω_P, each named by its
+partition P, whose relative interiors pairwise intersect, closed under
+passing to larger cones (finer partitions).  Maximal bunches are in
+bijection with full maximally-biconnected complexes: Φ_Δ = {ω_P free :
+every part of P is a face of Δ}, and the inverse recovers Δ as the downward
+closure of all member parts.
+
+Projectivity of the quotient attached to Δ amounts to the cones of Φ_Δ
+sharing a common interior point.  Their intersection is cut out by θ ≥ 0
+and v_I ≥ 0 over the maximal faces I of Δ, so `projectivity_witness` reads
+those faces off the complex and certifies the answer by the extreme rays of
+that cone.  The second route builds the bunch, recovers the maximal parts
+from its own members, and solves an exact rational LP.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from .complexes import (Complex, Partition, _closure, _complex_from_mask,
                         _partition_masks, _splits_every_pair, _subsets,
                         complex_family, family_mask, is_full,
                         is_maximal_biconnected, mask_of, members_of)
-from .polygon_cones import PolygonCone, is_free, v_I
+from .polygon_cones import is_free, v_I
 
 
 @dataclass(frozen=True)
 class Bunch:
-    """A set of free polygon orbit cones, canonicalized and deduplicated."""
+    """A set of free polygon orbit cones, each named by its Partition."""
 
     n: int
     cones: frozenset
@@ -42,13 +47,13 @@ def _free_bunch(n: int, family: int) -> Bunch:
     family mask."""
     sets = _subsets(n)
     return Bunch(n, frozenset(
-        PolygonCone(n, Partition(n, tuple(sets[p] for p in parts)))
+        Partition(n, tuple(sets[p] for p in parts))
         for parts in _partition_masks((1 << n) - 1, family, 3)))
 
 
 def _part_masks(phi: Bunch) -> set:
     return {mask_of(part, phi.n)
-            for c in phi.cones for part in c.partition.parts}
+            for c in phi.cones for part in c.parts}
 
 
 def is_bunch(phi: Bunch) -> bool:
@@ -66,8 +71,7 @@ def is_bunch(phi: Bunch) -> bool:
             raise ValueError("bunch members must be free cones")
     n = phi.n
     full = (1 << n) - 1
-    members = {tuple(mask_of(part, n) for part in c.partition.parts)
-               for c in cones}
+    members = {tuple(mask_of(part, n) for part in c.parts) for c in cones}
     parts = {p for m in members for p in m}
     if any(a | b == full for a in parts for b in parts):
         return False
@@ -139,32 +143,28 @@ def bunch_from_theta(theta, n: int) -> Bunch:
     return _free_bunch(n, family)
 
 
-def _intersection_ineqs(phi: Bunch):
-    """H-description of the intersection of all member cones: the orthant
-    plus v_I >= 0 over every part in use (subsets of parts are implied)."""
-    n = phi.n
-    maximal = [members_of(s) for s in
-               _maximal_faces_of_mask(_closure(n, _part_masks(phi)), n)]
-    rows = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        rows.append(tuple(e))
-    for I in sorted(maximal, key=sorted):
-        rows.append(v_I(I, n))
-    return rows
+def _cone_rows(n: int, faces) -> list:
+    """θ_i >= 0 and v_I >= 0 over the faces I: the H-description of the
+    intersection of the free cones whose parts are subsets of the faces."""
+    rows = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return rows + [v_I(I, n) for I in faces]
 
 
-def projectivity_witness(phi: Bunch):
-    """A rational θ interior to every member cone, or None.
+def projectivity_witness(d: Complex):
+    """A rational θ interior to every cone of Φ_Δ, or None.
 
-    The intersection cone is pointed (it sits in the orthant), so its
-    extreme rays certify the answer: their sum lies in its relative
-    interior, which is the interior exactly when no inequality vanishes
-    there.  With no rays the sum is 0 and the answer is None.
+    Δ must be full and maximally biconnected.  Its maximal faces are the
+    maximal parts of Φ_Δ (each has at most n − 2 elements, so it is a part
+    of a free partition next to singletons), and the intersection cone is
+    pointed (it sits in the orthant), so its extreme rays certify the
+    answer: their sum lies in its relative interior, which is the interior
+    exactly when no inequality vanishes there.  With no rays the sum is 0
+    and the answer is None.
     """
-    n = phi.n
-    rows = _intersection_ineqs(phi)
+    if not (is_full(d) and is_maximal_biconnected(d)):
+        raise ValueError("requires a full maximally-biconnected complex")
+    n = d.n
+    rows = _cone_rows(n, d.maximal_faces)
     rays = ratgeom.h_to_v(ratgeom.ConeH(n, tuple(rows))).generators
     theta = tuple(sum(r[i] for r in rays) for i in range(n))
     if any(ratgeom.dot(row, theta) <= 0 for row in rows):
@@ -173,13 +173,15 @@ def projectivity_witness(phi: Bunch):
 
 
 def _projectivity_witness_lp(phi: Bunch):
-    """Independent LP route: θ_i >= 1 and v_I(θ) >= 1 over member parts is
+    """Independent LP route on the bunch itself: with the maximal parts of
+    its members (subsets of parts are implied), θ_i >= 1 and v_I(θ) >= 1 is
     feasible (by scaling) exactly when the common interior is nonempty."""
-    rows = _intersection_ineqs(phi)
+    n = phi.n
+    maximal = _maximal_faces_of_mask(_closure(n, _part_masks(phi)), n)
+    rows = _cone_rows(n, [members_of(s) for s in maximal])
     return ratgeom.solve_ge(rows, [1] * len(rows))
 
 
-def is_projective(phi: Bunch) -> bool:
-    """Whether the member cones share a full-dimensional intersection."""
-    return projectivity_witness(phi) is not None
-
+def is_projective(d: Complex) -> bool:
+    """Whether the cones of Φ_Δ share a full-dimensional intersection."""
+    return projectivity_witness(d) is not None

@@ -87,7 +87,7 @@ def cmd_bunches_classify(args) -> int:
     total = proj = 0
     for d in complexes.enumerate_max_biconnected(args.n, full_only=True):
         total += 1
-        if bunches.is_projective(bunches.phi_from_complex(d)):
+        if bunches.is_projective(d):
             proj += 1
     _emit({"n": args.n, "total": total, "projective": proj,
            "nonprojective": total - proj}, args.format)

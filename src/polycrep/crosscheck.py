@@ -15,7 +15,6 @@ import itertools
 from . import arrangements, bunches, hyper_cones, polygon_cones, ratgeom
 from .complexes import (enumerate_max_biconnected, enumerate_partitions,
                         is_full, is_maximal_biconnected)
-from .polygon_cones import PolygonCone
 from .ratgeom import ConeH, ConeV
 
 
@@ -29,11 +28,8 @@ def _contains_all(h: ConeH, vectors) -> bool:
 
 
 def _free_polygon_cones(n: int):
-    out = []
-    for p in enumerate_partitions(range(1, n + 1), n, min_parts=3):
-        c = PolygonCone(n, p)
-        out.append((c, polygon_cones.generators(c)))
-    return out
+    return [(p, polygon_cones.generators(p))
+            for p in enumerate_partitions(range(1, n + 1), n, min_parts=3)]
 
 
 def polygon_suite(n: int) -> dict:

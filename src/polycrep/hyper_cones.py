@@ -1,6 +1,7 @@
 """Hyperpolygon-side orbit cones ω_{P,K} and the crepant-resolution census.
 
-ω_{P,K} = ω_P + Cone(−e_k | k ∈ K).  The module provides the combinatorial
+ω_{P,K} = ω_P + Cone(−e_k | k ∈ K), with the polygon cone ω_P named by its
+partition P as in polygon_cones.  The module provides the combinatorial
 membership test for orbit data, the corner-cone and orthant containment
 criteria, the C_0 slice, the Ψ_Δ membership test, and the census that
 attaches a resolution record (projective or not, with an exact witness
@@ -28,7 +29,7 @@ from .complexes import (Complex, Partition, _closure, _complex_from_mask,
                         _iter_max_biconnected_masks, _swap_adjacent,
                         count_max_biconnected, enumerate_partitions,
                         family_mask, is_full, is_maximal_biconnected)
-from .polygon_cones import PolygonCone, eta
+from .polygon_cones import eta
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class ResolutionRecord:
 
 def generators_hyper(c: HyperCone) -> list:
     """Polygon generators of ω_P followed by −e_k, k ∈ K."""
-    gens = polygon_cones.generators(PolygonCone(c.n, c.partition))
+    gens = polygon_cones.generators(c.partition)
     for k in sorted(c.K):
         v = [0] * c.n
         v[k - 1] = -1
@@ -103,12 +104,13 @@ def contains_F(c: HyperCone) -> bool:
     return bool(c.K) and not any(c.K <= I for I in c.partition.parts)
 
 
-def meet_C0(c: HyperCone) -> PolygonCone:
-    """ω_{P,K} ∩ C_0: the wall cone η_I for K ⊆ I ∈ P, or ω_P when K = ∅."""
+def meet_C0(c: HyperCone) -> Partition:
+    """ω_{P,K} ∩ C_0, named by its partition: the wall cone η_I for
+    K ⊆ I ∈ P, or ω_P when K = ∅."""
     if contains_F(c):
         raise ValueError("cone contains the orthant; the slice is not a wall")
     if not c.K:
-        return PolygonCone(c.n, c.partition)
+        return c.partition
     I = next(J for J in c.partition.parts if c.K <= J)
     return eta(I, c.n)
 
@@ -123,6 +125,8 @@ def psi_membership(d: Complex, c: HyperCone) -> bool:
     """
     if not is_free(c):
         raise ValueError("requires a free hyper cone")
+    if c.n != d.n:
+        raise ValueError("ground-set mismatch")
     if not is_maximal_biconnected(d):
         raise ValueError("requires a maximally-biconnected complex")
     return _psi_member(d, c)

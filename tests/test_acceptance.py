@@ -190,7 +190,7 @@ def test_chamber_complex_consistency(n, m_n):
     image = {ar.chamber_to_complex(a, theta) for theta in chambers}
     assert len(image) == m_n  # injective
     projective = {d for d in cx.enumerate_max_biconnected(n, full_only=True)
-                  if bunches.is_projective(bunches.phi_from_complex(d))}
+                  if bunches.is_projective(d)}
     assert image == projective
 
 

@@ -10,7 +10,6 @@ from polycrep import (arrangements as ar, bunches, complexes as cx,
                       polygon_cones as pc)
 from polycrep.bunches import Bunch
 from polycrep.complexes import Complex, Partition
-from polycrep.polygon_cones import PolygonCone
 
 
 def size2_complex(n):
@@ -19,8 +18,7 @@ def size2_complex(n):
 
 
 def singletons_cone(n):
-    return PolygonCone(n, Partition(n, tuple(frozenset({i})
-                                             for i in range(1, n + 1))))
+    return Partition(n, tuple(frozenset({i}) for i in range(1, n + 1)))
 
 
 def test_phi_from_complex_size2():
@@ -29,7 +27,7 @@ def test_phi_from_complex_size2():
     assert len(phi.cones) == 26
     assert bunches.is_bunch(phi)
     assert bunches.is_maximal_bunch(phi)
-    assert all(len(c.partition.parts) >= 3 for c in phi.cones)
+    assert all(len(c.parts) >= 3 for c in phi.cones)
 
 
 def test_eta_pair_is_not_a_bunch():
@@ -68,14 +66,13 @@ def test_is_bunch_matches_pairwise_definition():
     subsets, and closures of subsets of a chamber's bunch Φ_θ plus maybe
     one other cone."""
     n = 5
-    free = [PolygonCone(n, p)
-            for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)]
+    free = list(cx.enumerate_partitions(range(1, n + 1), n, min_parts=3))
     a = ar.build_A(n)
     thetas = ar.chambers_in_cone(a, ar.cone_C0(n))
 
     def closure(cones):
         return {q for q in free
-                if any(cx.refines(q.partition, c.partition) for c in cones)}
+                if any(cx.refines(q, c) for c in cones)}
 
     def pairwise(cones):
         cones = list(cones)
@@ -113,7 +110,7 @@ def test_phi_requires_free_partition():
 
 def test_removing_minimal_cone_breaks_maximality():
     phi = bunches.phi_from_complex(size2_complex(5))
-    coarse = next(c for c in phi.cones if len(c.partition.parts) == 3)
+    coarse = next(c for c in phi.cones if len(c.parts) == 3)
     smaller = Bunch(5, phi.cones - {coarse})
     assert bunches.is_bunch(smaller)
     assert not bunches.is_maximal_bunch(smaller)
@@ -139,8 +136,7 @@ def test_phi_from_complex_matches_definition():
     for d in cases:
         n = d.n
         want = frozenset(
-            PolygonCone(n, p)
-            for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)
+            p for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)
             if all(d.member(part) for part in p.parts))
         if not want:
             with pytest.raises(ValueError):
@@ -158,7 +154,7 @@ def test_bunch_from_theta_matches_definition():
                                                min_parts=3)]
     for theta in ar.chambers_in_cone(ar.build_A(n), ar.cone_C0(n)):
         total = sum(theta)
-        want = frozenset(PolygonCone(n, p) for p in free
+        want = frozenset(p for p in free
                          if all(2 * sum(theta[i - 1] for i in part) < total
                                 for part in p.parts))
         assert bunches.bunch_from_theta(theta, n).cones == want
@@ -196,8 +192,7 @@ def test_bunch_from_theta_non_integral():
                for k in range(1, n)
                for I in itertools.combinations(range(1, n + 1), k))
     want = frozenset(
-        PolygonCone(n, p)
-        for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)
+        p for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)
         if all(2 * sum(theta[i - 1] for i in part) < total
                for part in p.parts))
     phi = bunches.bunch_from_theta(theta, n)
@@ -213,14 +208,13 @@ def test_same_chamber_same_bunch():
 
 def test_projectivity_n5_all_true():
     for d in cx.enumerate_max_biconnected(5, full_only=True):
-        phi = bunches.phi_from_complex(d)
-        assert bunches.is_projective(phi)
+        assert bunches.is_projective(d)
 
 
 def test_projectivity_routes_agree_n5():
     for d in cx.enumerate_max_biconnected(5, full_only=True):
         phi = bunches.phi_from_complex(d)
-        dd = bunches.projectivity_witness(phi)
+        dd = bunches.projectivity_witness(d)
         lp = bunches._projectivity_witness_lp(phi)
         assert (dd is None) == (lp is None)
         if dd is not None:
@@ -228,8 +222,37 @@ def test_projectivity_routes_agree_n5():
             assert theta == phi
 
 
+def test_projectivity_routes_agree_n6_sample():
+    """The face route on the complex against the LP route on its bunch, on
+    a seeded sample of the 2640 full complexes at n=6, where over a third
+    are not projective."""
+    full = list(cx.enumerate_max_biconnected(6, full_only=True))
+    nonprojective = 0
+    for d in random.Random(2640).sample(full, 600):
+        phi = bunches.phi_from_complex(d)
+        witness = bunches.projectivity_witness(d)
+        assert (witness is None) == (
+            bunches._projectivity_witness_lp(phi) is None)
+        if witness is None:
+            nonprojective += 1
+        else:
+            assert bunches.bunch_from_theta(witness, 6) == phi
+    assert nonprojective >= 150
+
+
+def test_projectivity_requires_full_maximally_biconnected():
+    nonfull = Complex(5, (frozenset({2, 3, 4, 5}),))  # ↓([5] minus {1})
+    assert cx.is_maximal_biconnected(nonfull)
+    not_maximal = Complex(5, tuple(frozenset({i}) for i in range(1, 6)))
+    assert cx.is_full(not_maximal)
+    for d in (nonfull, not_maximal):
+        with pytest.raises(ValueError):
+            bunches.projectivity_witness(d)
+        with pytest.raises(ValueError):
+            bunches.is_projective(d)
+
+
 def test_projectivity_counts_n6():
-    proj = sum(
-        1 for d in cx.enumerate_max_biconnected(6, full_only=True)
-        if bunches.is_projective(bunches.phi_from_complex(d)))
+    proj = sum(1 for d in cx.enumerate_max_biconnected(6, full_only=True)
+               if bunches.is_projective(d))
     assert proj == 1678

@@ -42,6 +42,8 @@ GOLDEN = [
       "--at-ray", "1,1,1,1,1,1"],
      '{"arrangement": "A", "m": null, "method": "enumerate", "n": 6, '
      '"regions": 332}'),
+    (["bunches", "classify", "--n", "4"],
+     '{"n": 4, "nonprojective": 0, "projective": 8, "total": 8}'),
     (["bunches", "classify", "--n", "5"],
      '{"n": 5, "nonprojective": 0, "projective": 76, "total": 76}'),
     (["--seed", "3", "cox", "verify", "--n", "8", "--samples", "25"],

@@ -7,7 +7,7 @@ import pytest
 
 from polycrep import arrangements, hyper_cones as hc, ratgeom
 from polycrep.complexes import (Complex, Partition, _complex_from_mask,
-                                family_mask)
+                                enumerate_max_biconnected, family_mask)
 from polycrep.hyper_cones import HyperCone
 from polycrep.ratgeom import ConeV
 
@@ -65,9 +65,9 @@ def test_meet_C0():
     p = part(5, {1, 2, 3}, {4}, {5})
     c = HyperCone(5, p, frozenset({1, 2}))
     m = hc.meet_C0(c)
-    assert m.partition == part(5, {1, 2, 3}, {4}, {5})  # eta_{123}
+    assert m == part(5, {1, 2, 3}, {4}, {5})  # eta_{123}
     c = HyperCone(5, p, frozenset())
-    assert hc.meet_C0(c).partition == p
+    assert hc.meet_C0(c) == p
     with pytest.raises(ValueError):
         hc.meet_C0(HyperCone(5, singletons(5), frozenset({1, 2})))
 
@@ -101,6 +101,19 @@ def test_psi_membership_validates_its_arguments():
     with pytest.raises(ValueError):
         hc.psi_membership(full, HyperCone(5, part(5, {1, 2}, {3, 4, 5}),
                                           frozenset()))
+
+
+def test_psi_membership_rejects_mixed_ground_sets():
+    """A complex on [5] and a free cone on [6] (and the other way round)
+    are refused, not answered."""
+    full5 = Complex(5, tuple(frozenset(q) for q in
+                             itertools.combinations(range(1, 6), 2)))
+    cone6 = HyperCone(6, part(6, {4, 5, 6}, {1}, {2}, {3}), frozenset())
+    with pytest.raises(ValueError, match="ground-set mismatch"):
+        hc.psi_membership(full5, cone6)
+    full6 = next(enumerate_max_biconnected(6, full_only=True))
+    with pytest.raises(ValueError, match="ground-set mismatch"):
+        hc.psi_membership(full6, HyperCone(5, singletons(5), frozenset()))
 
 
 def test_corner_cone_forms():
@@ -248,12 +261,10 @@ def test_segre_construction():
 def test_psi_restricted_to_K_empty_recovers_phi():
     """For full complexes, the K=∅ members of Ψ_Δ are exactly Φ_Δ."""
     from polycrep import bunches
-    from polycrep.complexes import enumerate_max_biconnected
-    from polycrep.polygon_cones import PolygonCone
     for d in itertools.islice(
             enumerate_max_biconnected(5, full_only=True), 10):
         phi = bunches.phi_from_complex(d)
         for c in hc.free_orbit_data(5, 0):
             in_psi = hc.psi_membership(d, c)
-            in_phi = PolygonCone(5, c.partition) in phi.cones
+            in_phi = c.partition in phi.cones
             assert in_psi == in_phi

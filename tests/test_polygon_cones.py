@@ -6,7 +6,6 @@ import pytest
 
 from polycrep import polygon_cones as pc, ratgeom
 from polycrep.complexes import Partition, enumerate_partitions
-from polycrep.polygon_cones import PolygonCone
 from polycrep.ratgeom import ConeV
 
 
@@ -15,16 +14,16 @@ def part(n, *blocks):
 
 
 def test_generators_counts():
-    c = PolygonCone(5, part(5, {1}, {2}, {3, 4, 5}))
+    c = part(5, {1}, {2}, {3, 4, 5})
     assert len(pc.generators(c)) == 7
-    c = PolygonCone(5, part(5, {1}, {2}, {3}, {4}, {5}))
+    c = part(5, {1}, {2}, {3}, {4}, {5})
     assert len(pc.generators(c)) == 10
-    c = PolygonCone(5, part(5, {1, 2, 3, 4, 5}))
+    c = part(5, {1, 2, 3, 4, 5})
     assert pc.generators(c) == []
 
 
 def test_generators_lex_order():
-    c = PolygonCone(4, part(4, {1}, {2}, {3}, {4}))
+    c = part(4, {1}, {2}, {3}, {4})
     gens = pc.generators(c)
     assert gens[0] == (1, 1, 0, 0)
     assert gens == sorted(gens, reverse=True) or gens == gens  # deterministic
@@ -32,13 +31,13 @@ def test_generators_lex_order():
 
 
 def test_in_omega_Y():
-    assert pc.in_omega_Y_free(part(5, {1}, {2}, {3, 4, 5}))
-    assert not pc.in_omega_Y_free(part(5, {1, 2, 3}))  # partial ground
-    assert not pc.in_omega_Y_free(part(5, {1, 2}, {3, 4, 5}))  # two parts
+    assert pc.is_free(part(5, {1}, {2}, {3, 4, 5}))
+    assert not pc.is_free(part(5, {1, 2, 3}))  # partial ground
+    assert not pc.is_free(part(5, {1, 2}, {3, 4, 5}))  # two parts
 
 
 def test_dual_generators_singletons():
-    c = PolygonCone(5, part(5, {1}, {2}, {3}, {4}, {5}))
+    c = part(5, {1}, {2}, {3}, {4}, {5})
     duals = pc.dual_generators(c)
     for i in range(5):
         expected = tuple(-1 if j == i else 1 for j in range(5))
@@ -47,32 +46,42 @@ def test_dual_generators_singletons():
 
 
 def test_dual_generators_requires_free():
-    c = PolygonCone(5, part(5, {1, 2}, {3, 4, 5}))
+    c = part(5, {1, 2}, {3, 4, 5})
     with pytest.raises(pc.NotFreeError):
         pc.dual_generators(c)
 
 
 def test_subset_free_basics():
-    sing = PolygonCone(5, part(5, {1}, {2}, {3}, {4}, {5}))
+    sing = part(5, {1}, {2}, {3}, {4}, {5})
     for p in enumerate_partitions(range(1, 6), 5, min_parts=3):
-        c = PolygonCone(5, p)
-        assert pc.subset_free(c, sing)
-        assert pc.subset_free(c, c)
+        assert pc.subset_free(p, sing)
+        assert pc.subset_free(p, p)
 
 
 def test_relint_disjoint_examples():
-    p = PolygonCone(5, part(5, {1, 2, 3}, {4}, {5}))
-    q = PolygonCone(5, part(5, {3, 4, 5}, {1}, {2}))
+    p = part(5, {1, 2, 3}, {4}, {5})
+    q = part(5, {3, 4, 5}, {1}, {2})
     assert pc.relint_disjoint_free(p, q)
     assert not pc.relint_disjoint_free(p, p)
 
 
+def test_mixed_ground_sets_rejected():
+    """Free cones on [5] and [6] share no ambient space: both closed forms
+    refuse the pair instead of answering."""
+    p = part(5, {1, 2, 3}, {4}, {5})
+    q = part(6, {4, 5, 6}, {1}, {2}, {3})
+    for f in (pc.subset_free, pc.relint_disjoint_free):
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(ValueError, match="ground-set mismatch"):
+                f(a, b)
+
+
 def test_eta():
     e = pc.eta({1}, 5)
-    assert len(e.partition.parts) == 5
+    assert len(e.parts) == 5
     assert len(pc.generators(e)) == 10
     e = pc.eta(set(), 5)
-    assert len(e.partition.parts) == 5
+    assert len(e.parts) == 5
     big = pc.eta({1, 2, 3, 4}, 5)
     assert ratgeom.cone_dim(ConeV(5, tuple(pc.generators(big)))) == 4
     # eta_I is free exactly when #I <= n-2
@@ -88,9 +97,8 @@ def test_classification_distinct_cones():
     for k in range(1, 6):
         for ground in itertools.combinations(range(1, 6), k):
             for p in enumerate_partitions(ground, 5):
-                c = PolygonCone(5, p)
                 key = ratgeom.canonical_form(
-                    ConeV(5, tuple(pc.generators(c))))
+                    ConeV(5, tuple(pc.generators(p))))
                 by_key.setdefault(key, []).append(p)
     zero = ratgeom.canonical_form(ConeV(5, ()))
     for key, parts in by_key.items():
@@ -101,8 +109,7 @@ def test_classification_distinct_cones():
 
 
 def test_relint_disjoint_implies_not_subset():
-    free = [PolygonCone(5, p)
-            for p in enumerate_partitions(range(1, 6), 5, min_parts=3)]
+    free = list(enumerate_partitions(range(1, 6), 5, min_parts=3))
     for p in free:
         for q in free:
             if pc.relint_disjoint_free(p, q):
