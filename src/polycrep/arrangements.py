@@ -16,7 +16,7 @@ Two independent counting backends:
   (Zaslavsky).
 
 An arrangement is stored as its hyperplanes' canonical normals, and a
-region is reported as one primitive interior point θ: that is all a GIT
+region is reported as the ray_sum θ of its extreme rays: that is all a GIT
 chamber inside C_0 needs, since its complex is {I : v_I(θ) > 0}
 (``chamber_to_complex``).  Everything is exact Python-int arithmetic,
 whatever the size of the entries.
@@ -33,7 +33,7 @@ from . import ratgeom
 from .complexes import (_complex_from_mask, _splits_every_pair,
                         _swap_adjacent, family_mask)
 from .polygon_cones import v_I
-from .ratgeom import ConeH, canon_normal, primitive
+from .ratgeom import ConeH, canon_normal, ray_sum
 
 MAX_DIM = 8
 MAX_HYPERPLANES = 64
@@ -341,14 +341,14 @@ def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
 
 
 def chambers_in_cone(a: Arrangement, cone: ConeH) -> list:
-    """One interior point per region inside the cone: the (exact) sum of
-    the region's extreme rays, made primitive.  No hyperplane cuts the
-    region, so the point is off every hyperplane."""
+    """One interior point per region inside the cone: the ray_sum of the
+    region's extreme rays.  No hyperplane cuts the region, so the point is
+    off every hyperplane."""
     _require_cone_in_arrangement(a, cone)
     out = []
 
     def collect(rays):
-        out.append(primitive(tuple(map(sum, zip(*(rv[0] for rv in rays))))))
+        out.append(ray_sum(rv[0] for rv in rays))
 
     _split_regions(a.normals, cone.inequalities, _cone_rays(cone), collect)
     return out
@@ -363,8 +363,8 @@ def chamber_orbits(n: int) -> list:
     cone W: θ_1 ≥ … ≥ θ_n ≥ 0.  Inside W, C_0 is the one inequality
     θ_1 ≤ Σ_{j>1} θ_j.  The regions of A(n) inside W ∩ C_0 are those
     chambers' W-pieces, split like count_regions_in_cone although
-    θ_i = θ_{i+1} is no hyperplane of A(n).  θ, the primitive sum of a
-    piece's extreme rays, is strictly decreasing and off every hyperplane.
+    θ_i = θ_{i+1} is no hyperplane of A(n).  θ, the ray_sum of a piece's
+    extreme rays, is strictly decreasing and off every hyperplane.
     The chamber's stabiliser is the product of the symmetric groups on the
     runs of adjacent elements whose exchange fixes family_mask(θ); the
     orbit size is n!/|Stab|.
@@ -377,7 +377,7 @@ def chamber_orbits(n: int) -> list:
     out = []
 
     def collect(rays):
-        theta = primitive(tuple(map(sum, zip(*(rv[0] for rv in rays)))))
+        theta = ray_sum(rv[0] for rv in rays)
         fam = family_mask(theta, n)
         stab = run = 1
         for i in range(n - 1):
@@ -388,17 +388,6 @@ def chamber_orbits(n: int) -> list:
     _split_regions(a.normals, facets,
                    list(ratgeom.h_to_v(ConeH(n, facets)).generators), collect)
     return out
-
-
-def _chamber_witness(a: Arrangement, theta) -> tuple:
-    """The point chambers_in_cone reports for the pointed region of the
-    arrangement holding θ: the primitive sum of the region's extreme rays,
-    found from its H-description, every normal signed to be positive at
-    θ."""
-    ineqs = tuple(h if ratgeom.dot(h, theta) > 0 else tuple(-x for x in h)
-                  for h in a.normals)
-    rays = ratgeom.h_to_v(ConeH(a.dim, ineqs)).generators
-    return primitive(tuple(map(sum, zip(*rays))))
 
 
 def count_chambers_at_ray(a: Arrangement, theta) -> int:

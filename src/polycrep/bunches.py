@@ -11,8 +11,9 @@ Projectivity of the quotient attached to Δ amounts to the cones of Φ_Δ
 sharing a common interior point.  Their intersection is cut out by θ ≥ 0
 and v_I ≥ 0 over the maximal faces I of Δ, so `projectivity_witness` reads
 those faces off the complex and certifies the answer by the extreme rays of
-that cone.  The second route builds the bunch, recovers the maximal parts
-from its own members, and solves an exact rational LP.
+that cone, the closed GIT chamber of Δ when it is projective.  The second
+route builds the bunch, recovers the maximal parts from its own members,
+and solves an exact rational LP.
 """
 
 from __future__ import annotations
@@ -157,19 +158,21 @@ def projectivity_witness(d: Complex):
     maximal parts of Φ_Δ (each has at most n − 2 elements, so it is a part
     of a free partition next to singletons), and the intersection cone is
     pointed (it sits in the orthant), so its extreme rays certify the
-    answer: their sum lies in its relative interior, which is the interior
-    exactly when no inequality vanishes there.  With no rays the sum is 0
-    and the answer is None.
+    answer: their ray_sum lies in its relative interior, which is the
+    interior exactly when there are rays and no inequality vanishes there.
+    On the orthant v_J ≥ v_I for J ⊆ I and v_{I^c} = −v_I, so for a
+    projective Δ the cone is the closure of the chamber of A(n) inducing
+    Δ, and the witness is the point chambers_in_cone reports for it.
     """
     if not (is_full(d) and is_maximal_biconnected(d)):
         raise ValueError("requires a full maximally-biconnected complex")
     n = d.n
     rows = _cone_rows(n, d.maximal_faces)
     rays = ratgeom.h_to_v(ratgeom.ConeH(n, tuple(rows))).generators
-    theta = tuple(sum(r[i] for r in rays) for i in range(n))
-    if any(ratgeom.dot(row, theta) <= 0 for row in rows):
+    theta = ratgeom.ray_sum(rays)
+    if not rays or any(ratgeom.dot(row, theta) <= 0 for row in rows):
         return None
-    return ratgeom.primitive(theta)
+    return theta
 
 
 def _projectivity_witness_lp(phi: Bunch):

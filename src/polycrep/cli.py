@@ -34,9 +34,10 @@ def _emit(obj: dict, fmt: str, out=None):
 
 
 def cmd_complexes_count(args) -> int:
-    count = (complexes.count_full_max_biconnected if args.full_only
-             else complexes.count_max_biconnected)
-    _emit({"n": args.n, "count": count(args.n), "full_only": args.full_only},
+    count = complexes.count_max_biconnected(args.n)
+    if args.full_only:  # less the n non-full ones, ↓([n] minus {i})
+        count -= args.n
+    _emit({"n": args.n, "count": count, "full_only": args.full_only},
           args.format)
     return 0
 
@@ -114,6 +115,12 @@ def cmd_oracle_crosscheck(args) -> int:
     return 0 if bad == 0 else 1
 
 
+def _nonnegative(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text} is below 0")
+    return int(text)
+
+
 def _global_options(top: bool) -> argparse.ArgumentParser:
     """The options every command takes, before or after its name.  Only the
     top-level copy has defaults, so a command-level copy that is not given
@@ -174,13 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("cox").add_subparsers(dest="sub", required=True)
     c = co.add_parser("verify", parents=common)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--samples", type=int, default=100)
+    c.add_argument("--samples", type=_nonnegative, default=100)
     c.set_defaults(func=cmd_cox_verify)
 
     orc = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
     c = orc.add_parser("crosscheck", parents=common)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--max-k", type=int, default=3)
+    c.add_argument("--max-k", type=_nonnegative, default=3)
     c.set_defaults(func=cmd_oracle_crosscheck)
     return p
 

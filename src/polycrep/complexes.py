@@ -65,17 +65,18 @@ class Partition:
 class Complex:
     """Downward-closed family of subsets of [n], stored as its maximal faces.
 
-    maximal_faces is an antichain; the represented family is its downward
-    closure.  The empty frozenset is allowed only as the sole face: it
-    distinguishes the family {∅} from the family with no faces at all, a
-    distinction the [n] <-> [n-1] bijection needs on the biconnected side.
+    maximal_faces is a sorted antichain, repeats dropped; the represented
+    family is its downward closure.  The empty frozenset is allowed only as
+    the sole face: it distinguishes the family {∅} from the family with no
+    faces at all, a distinction the [n] <-> [n-1] bijection needs on the
+    biconnected side.
     """
 
     n: int
     maximal_faces: tuple
 
     def __post_init__(self):
-        faces = tuple(sorted((frozenset(f) for f in self.maximal_faces),
+        faces = tuple(sorted({frozenset(f) for f in self.maximal_faces},
                              key=lambda f: tuple(sorted(f))))
         for f in faces:
             if f and (min(f) < 1 or max(f) > self.n):
@@ -108,7 +109,7 @@ def is_biconnected(d: Complex) -> bool:
 
 
 def is_full(d: Complex) -> bool:
-    return all(d.member({i}) for i in range(1, d.n + 1))
+    return _mask_is_full(complex_family(d), d.n)
 
 
 def is_maximal_biconnected(d: Complex) -> bool:
@@ -207,7 +208,9 @@ def _iter_downset_masks(n: int) -> Iterator[int]:
 
 
 def _mask_is_full(inm: int, n: int) -> bool:
-    return all(inm >> (1 << i) & 1 for i in range(n))
+    """Whether the family mask holds every singleton."""
+    singletons = sum(1 << (1 << i) for i in range(n))
+    return inm & singletons == singletons
 
 
 def family_mask(theta, n: int) -> int:
@@ -362,15 +365,6 @@ def count_max_biconnected(n: int) -> int:
     memo = {}
     return sum(_count_downsets(d0 & ~_complement_image(d0, k), down, up, memo)
                for d0 in _iter_downset_masks(k))
-
-
-def count_full_max_biconnected(n: int) -> int:
-    """Number of full maximally-biconnected complexes on [n], by walking
-    every complex's mask (a route apart from count_max_biconnected)."""
-    _check_count_range(n)
-    singletons = sum(1 << (1 << i) for i in range(n))
-    return sum(1 for inm in _iter_max_biconnected_masks(n)
-               if inm & singletons == singletons)
 
 
 def hosten_morris(n: int) -> int:

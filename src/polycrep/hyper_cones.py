@@ -9,10 +9,10 @@ character when projective) to every maximally-biconnected complex.
 
 The census works by S_n-orbits of GIT chambers: arrangements.chamber_orbits
 splits only the sorted cone θ_1 ≥ … ≥ θ_n inside C_0, one chamber per
-orbit, and the counts add up the orbit sizes, while the records expand each
-representative's witness over its orbit.  The second routes, which the
-tests compare it with, split all of C_0 (count_regions_in_cone,
-chambers_in_cone) and walk every complex.
+orbit.  The counts add up the orbit sizes, and the records expand each
+representative's bunches.projectivity_witness over its orbit.  The second
+routes, which the tests compare it with, split all of C_0
+(count_regions_in_cone, chambers_in_cone) and walk every complex.
 
 All closed forms here are cross-validated against the ratgeom oracle in the
 test suite; any disagreement is a test failure, not a warning.
@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from . import arrangements, polygon_cones
+from . import arrangements, bunches, polygon_cones
 from .complexes import (Complex, Partition, _closure, _complex_from_mask,
                         _iter_max_biconnected_masks, _swap_adjacent,
                         count_max_biconnected, enumerate_partitions,
@@ -179,15 +179,14 @@ def _projective_bank(n: int) -> dict:
     """family mask -> chamber witness θ, over the chambers of 𝒜 in C_0,
     from one chamber R per S_n-orbit.
 
-    σR has extreme rays σ·(those of R), so its witness is σ·w_R, w_R the
-    one chambers_in_cone reports for R, and its family mask is σ applied
-    to R's.  Each orbit is walked by exchanges of adjacent elements,
-    applied to mask and witness alike."""
-    a = arrangements.build_A(n)
+    R's witness w_R is the projectivity witness of its complex.  σR has
+    extreme rays σ·(those of R), so its witness is σ·w_R, and its family
+    mask is σ applied to R's.  Each orbit is walked by exchanges of
+    adjacent elements, applied to mask and witness alike."""
     bank = {}
     for theta, _ in arrangements.chamber_orbits(n):
         fam = family_mask(theta, n)
-        bank[fam] = arrangements._chamber_witness(a, theta)
+        bank[fam] = bunches.projectivity_witness(_complex_from_mask(fam, n))
         todo = [fam]
         while todo:
             fam = todo.pop()

@@ -44,6 +44,12 @@ def primitive(v: Iterable) -> tuple:
     return tuple(w)
 
 
+def ray_sum(rays: Iterable) -> tuple:
+    """The primitive sum of a pointed cone's extreme rays, a point of its
+    relative interior: the one witness rule for chambers and projectivity."""
+    return primitive(map(sum, zip(*rays)))
+
+
 def canon_normal(v: Iterable) -> tuple:
     """Primitive integer vector with first nonzero entry positive."""
     w = primitive(v)

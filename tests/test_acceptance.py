@@ -4,7 +4,6 @@ Expensive artifacts (n=7 enumerations, the dim-7 arrangement lattice) are
 computed once per session via module-scoped fixtures and shared.
 """
 
-import itertools
 import time
 
 import pytest
@@ -26,7 +25,7 @@ def a7_counts():
     a = ar.build_A(7)
     t0 = time.monotonic()
     f = ar.count_regions_in_cone(a, ar.cone_F(7))
-    c0 = ar.count_regions_in_cone(a, ar.cone_C0(7))
+    c0 = ar.chambers_in_cone(a, ar.cone_C0(7))
     return f, c0, time.monotonic() - t0
 
 
@@ -85,8 +84,8 @@ def test_chamber_tables_n5_n6():
 
 def test_chamber_tables_n7(a7_counts):
     f, c0, elapsed = a7_counts
-    assert (f, c0) == (122921, 122914)
-    assert f - c0 == 7
+    assert (f, len(c0)) == (122921, 122914)
+    assert f - len(c0) == 7
     assert elapsed < 1800
 
 
@@ -115,15 +114,12 @@ def test_census_7(census7):
 def test_orbit_census_7_matches_full_split(a7_counts):
     """The 134 S_7-orbit representatives weigh as much as the chambers of
     the full split of C_0, and the records bank holds each chamber once,
-    with a witness that induces its family mask."""
-    _, c0, _ = a7_counts
+    with the witness that the split reports for it."""
+    _, split, _ = a7_counts
     orbits = ar.chamber_orbits(7)
     assert len(orbits) == 134
-    assert sum(size for _, size in orbits) == c0 == 122914
-    bank = hc._projective_bank(7)
-    assert len(bank) == c0
-    for fam, theta in itertools.islice(bank.items(), 0, None, 61):
-        assert cx.family_mask(theta, 7) == fam
+    assert sum(size for _, size in orbits) == len(split) == 122914
+    assert hc._projective_bank(7) == {cx.family_mask(t, 7): t for t in split}
 
 
 def test_orbit_chambers_8_with_time_bound():
@@ -166,8 +162,12 @@ def test_oracle_equivalence_exhaustive():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_complex_bunch_roundtrip(n):
+    seen = set()
     for d in cx.enumerate_max_biconnected(n, full_only=True):
-        assert bunches.complex_from_bunch(bunches.phi_from_complex(d)) == d
+        phi = bunches.phi_from_complex(d)
+        assert bunches.complex_from_bunch(phi) == d
+        seen.add(phi)
+    assert len(seen) == cx.hosten_morris(n) - n  # injective
 
 
 @pytest.mark.parametrize("n", [5, 6])

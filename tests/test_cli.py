@@ -149,10 +149,13 @@ def test_global_options_after_the_command(capsys):
 
 
 def test_count_beyond_range_fails_fast(capsys):
-    t0 = time.monotonic()
-    assert cli.main(["complexes", "count", "--n", "8"]) == 1
-    assert time.monotonic() - t0 < 1
-    assert "error:" in capsys.readouterr().err
+    for argv in (["--n", "8"], ["--n", "8", "--full-only"],
+                 ["--n", "3", "--full-only"]):
+        t0 = time.monotonic()
+        assert cli.main(["complexes", "count"] + argv) == 1
+        assert time.monotonic() - t0 < 1
+        out = capsys.readouterr()
+        assert out.out == "" and "error:" in out.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,6 +205,18 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cox", "verify", "--n", "5", "--samples", "-3"],
+    ["oracle", "crosscheck", "--n", "5", "--max-k", "-1"]])
+def test_negative_counts_are_usage_errors(argv, capsys):
+    # a negative count would check nothing and still exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "below 0" in out.err
 
 
 def test_mutually_exclusive_cone_and_ray(capsys):
