@@ -24,9 +24,9 @@ from fractions import Fraction
 from . import ratgeom
 from .complexes import (Complex, Partition, _closure, _complex_from_mask,
                         _mask_is_full, _maximal_faces_of_mask,
-                        _partition_masks, _splits_every_pair, _subsets,
+                        _partition_masks, _splits_every_pair, _subset_table,
                         complex_family, family_mask, is_full,
-                        is_maximal_biconnected, mask_of, members_of)
+                        is_maximal_biconnected, mask_of)
 from .polygon_cones import is_free, v_I
 
 
@@ -46,9 +46,9 @@ class Bunch:
 def _free_bunch(n: int, family: int) -> Bunch:
     """The free cones ω_P, P a partition of [n] into >= 3 parts each in the
     family mask."""
-    sets = _subsets(n)
+    sets = _subset_table(n)
     return Bunch(n, frozenset(
-        Partition(n, tuple(sets[p] for p in parts))
+        Partition(n, tuple(sets[p][1] for p in parts))
         for parts in _partition_masks((1 << n) - 1, family, 3)))
 
 
@@ -181,7 +181,7 @@ def _projectivity_witness_lp(phi: Bunch):
     feasible (by scaling) exactly when the common interior is nonempty."""
     n = phi.n
     maximal = _maximal_faces_of_mask(_closure(n, _part_masks(phi)), n)
-    rows = _cone_rows(n, [members_of(s) for s in maximal])
+    rows = _cone_rows(n, [_subset_table(n)[s][0] for s in maximal])
     return ratgeom.solve_ge(rows, [1] * len(rows))
 
 

@@ -10,27 +10,21 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
 from . import arrangements, bunches, complexes, coxrelations, crosscheck, hyper_cones
 
 
-def _emit(obj: dict, fmt: str, out=None):
-    out = out or sys.stdout
+def _emit(obj: dict, fmt: str):
     if fmt == "json":
-        print(json.dumps(obj, sort_keys=True), file=out)
+        print(json.dumps(obj, sort_keys=True))
     elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
         keys = sorted(obj)
-        w.writerow(keys)
-        w.writerow([obj[k] for k in keys])
-        out.write(buf.getvalue())
+        csv.writer(sys.stdout).writerows([keys, [obj[k] for k in keys]])
     else:
         for k in sorted(obj):
-            print(f"{k}={obj[k]}", file=out)
+            print(f"{k}={obj[k]}")
 
 
 def cmd_complexes_count(args) -> int:
@@ -42,17 +36,34 @@ def cmd_complexes_count(args) -> int:
     return 0
 
 
+def _write_ndjson(n: int, rows, records: bool):
+    """One line per (family mask, witness) row, as json.dumps(obj,
+    sort_keys=True) writes it: the complex's maximal faces in member-tuple
+    order and, for records, its kind and witness."""
+    order = [members for members, _ in complexes._subset_table(n)]
+    text = [str(list(members)) for members in order]
+    for fam, witness in rows:
+        faces = sorted(complexes._maximal_faces_of_mask(fam, n),
+                       key=order.__getitem__)
+        line = ('{"maximal_faces": [%s], "n": %d}'
+                % (", ".join([text[s] for s in faces]), n))
+        if records:
+            line = '{"complex": %s, "kind": %s}' % (line, (
+                '"non-projective", "witness": null' if witness is None else
+                '"projective", "witness": ["%s"]'
+                % '", "'.join(map(str, witness))))
+        print(line)
+
+
 def cmd_complexes_enumerate(args) -> int:
-    for d in complexes.enumerate_max_biconnected(args.n,
-                                                 full_only=args.full_only):
-        print(json.dumps(d.to_json_obj(), sort_keys=True))
+    masks = complexes.max_biconnected_masks(args.n, args.full_only)
+    _write_ndjson(args.n, ((m, None) for m in masks), records=False)
     return 0
 
 
 def cmd_resolutions_census(args) -> int:
     if args.records:
-        for rec in hyper_cones.census(args.n):
-            print(json.dumps(rec.to_json_obj(), sort_keys=True))
+        _write_ndjson(args.n, hyper_cones.census(args.n), records=True)
         return 0
     _emit(hyper_cones.census_counts(args.n), args.format)
     return 0
@@ -60,6 +71,8 @@ def cmd_resolutions_census(args) -> int:
 
 def cmd_chambers_count(args) -> int:
     if args.arrangement == "A":
+        if args.m is not None:
+            raise ValueError("--m applies only to arrangement B")
         a = arrangements.build_A(args.n)
     else:
         if args.m is None:

@@ -32,10 +32,6 @@ def mask_of(members, n: int) -> int:
     return m
 
 
-def members_of(mask: int) -> frozenset:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Set partition of a ground subset of [n], parts sorted by minimum."""
@@ -94,10 +90,6 @@ class Complex:
         if not face:
             return bool(self.maximal_faces)
         return any(face <= f for f in self.maximal_faces)
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n,
-                "maximal_faces": [sorted(f) for f in self.maximal_faces]}
 
 
 def is_biconnected(d: Complex) -> bool:
@@ -191,13 +183,26 @@ def _mask_dfs(items, first, second) -> Iterator[int]:
             stack.append((idx + 1, nin, nout))
 
 
-def _iter_max_biconnected_masks(n: int) -> Iterator[int]:
+def _check_range(n: int):
+    if not 4 <= n <= MAX_N:
+        raise ValueError(
+            f"n={n} outside supported range 4..{MAX_N} (at n=8 there are "
+            "229 809 982 112 complexes, and counting them by the sum over "
+            "downsets, 7 828 354 terms, needs a symmetry reduction)")
+
+
+def max_biconnected_masks(n: int, full_only: bool = False) -> Iterator[int]:
     """Each maximally-biconnected complex on [n] as a family bitmask (bit s
-    set <=> subset-mask s is a face, ∅ always), deterministic order.  A
+    set <=> subset-mask s is a face, ∅ always), deterministic order; with
+    full_only, the full ones.  n is checked before the walk starts.  A
     representative in puts its ↓ in and the complements of its ↓ out; out
     puts its ↑ out and their complements in.  'In' is explored first."""
+    _check_range(n)
     down, up, compdown, compup = _tables(n)
-    return _mask_dfs(_pair_reps(n), (down, compdown), (compup, up))
+    masks = _mask_dfs(_pair_reps(n), (down, compdown), (compup, up))
+    if full_only:
+        return (m for m in masks if _mask_is_full(m, n))
+    return masks
 
 
 def _iter_downset_masks(n: int) -> Iterator[int]:
@@ -294,10 +299,11 @@ def _maximal_faces_of_mask(inm: int, n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _face(s: int) -> tuple:
-    """(sorted member tuple, frozenset) of the subset with mask s."""
-    members = tuple(i + 1 for i in range(s.bit_length()) if s >> i & 1)
-    return members, frozenset(members)
+def _subset_table(n: int) -> tuple:
+    """Per subset mask s of [n], at index s: the sorted member tuple and the
+    frozenset of that subset.  The tuples order faces as Complex does."""
+    return tuple((t, frozenset(t)) for t in (
+        tuple(i + 1 for i in range(n) if s >> i & 1) for s in range(1 << n)))
 
 
 def _complex_from_mask(inm: int, n: int) -> Complex:
@@ -308,28 +314,16 @@ def _complex_from_mask(inm: int, n: int) -> Complex:
     d = object.__new__(Complex)
     object.__setattr__(d, "n", n)
     object.__setattr__(d, "maximal_faces", tuple(
-        f for _, f in sorted(map(_face, _maximal_faces_of_mask(inm, n)))))
+        f for _, f in sorted(map(_subset_table(n).__getitem__,
+                                 _maximal_faces_of_mask(inm, n)))))
     return d
 
 
 def enumerate_max_biconnected(n: int, full_only: bool = False) -> Iterator[Complex]:
-    """All maximally-biconnected complexes on [n], deterministic order."""
-    if not 4 <= n <= MAX_N:
-        raise ValueError(
-            f"n={n} outside supported range 4..{MAX_N} for enumeration "
-            "(there are 229 809 982 112 complexes at n=8)")
-    for inm in _iter_max_biconnected_masks(n):
-        if full_only and not _mask_is_full(inm, n):
-            continue
+    """All maximally-biconnected complexes on [n], in the order of
+    max_biconnected_masks."""
+    for inm in max_biconnected_masks(n, full_only):
         yield _complex_from_mask(inm, n)
-
-
-def _check_count_range(n: int):
-    if not 4 <= n <= MAX_N:
-        raise ValueError(
-            f"n={n} outside supported range 4..{MAX_N} for counting "
-            "(beyond it the sum over downsets, 7 828 354 terms at n=8, "
-            "needs a symmetry reduction)")
 
 
 def _count_downsets(p: int, down, up, memo: dict) -> int:
@@ -359,7 +353,7 @@ def count_max_biconnected(n: int) -> int:
     T(D₀) = {B ∈ D₀ : [k] minus B ∉ D₀}, so λ(n) is the sum over D₀ of
     #downsets(T(D₀)).
     """
-    _check_count_range(n)
+    _check_range(n)
     k = n - 2
     down, up, _, _ = _tables(k)
     memo = {}
@@ -371,7 +365,7 @@ def hosten_morris(n: int) -> int:
     """λ(n), computed two independent ways (cross-checked): by structure,
     and by walking every maximally-biconnected complex on [n]."""
     a = count_max_biconnected(n)
-    b = sum(1 for _ in _iter_max_biconnected_masks(n))
+    b = sum(1 for _ in max_biconnected_masks(n))
     if a != b:
         raise AssertionError(
             f"Hosten-Morris self-check failed for n={n}: {a} != {b}")
@@ -423,12 +417,6 @@ def refines(q: Partition, p: Partition) -> bool:
     return all(any(a <= b for b in p.parts) for a in q.parts)
 
 
-@functools.lru_cache(maxsize=None)
-def _subsets(n: int) -> tuple:
-    """The subset of [n] with mask s, at index s."""
-    return tuple(members_of(s) for s in range(1 << n))
-
-
 def _partition_masks(ground: int, family: int, min_parts: int) -> list:
     """Every partition of the subset mask ground into >= min_parts parts,
     each part in the family mask, as a tuple of part masks ordered by
@@ -466,4 +454,4 @@ def enumerate_partitions(ground, n: int, min_parts: int = 1) -> Iterator[Partiti
         raise ValueError("ground must be nonempty")
     # -1 has every bit set: the family of all subsets, whatever n is
     for parts in _partition_masks(g, -1, min_parts):
-        yield Partition(n, tuple(members_of(p) for p in parts))
+        yield Partition(n, tuple(_subset_table(n)[p][1] for p in parts))

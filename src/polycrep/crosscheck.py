@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 
 from . import arrangements, bunches, hyper_cones, polygon_cones, ratgeom
-from .complexes import (enumerate_max_biconnected, enumerate_partitions,
-                        is_full, is_maximal_biconnected)
+from .complexes import (_check_range, enumerate_max_biconnected,
+                        enumerate_partitions, is_full, is_maximal_biconnected)
 from .ratgeom import ConeH, ConeV
 
 
@@ -158,6 +158,7 @@ def orbit_membership_suite(n: int, max_k: int = 3) -> dict:
 
 
 def run_all(n: int, max_k: int = 3) -> list:
+    _check_range(n)  # psi_suite walks every complex: fail before any suite
     return [polygon_suite(n),
             hyper_suite(n, max_k),
             psi_suite(n, max_k),

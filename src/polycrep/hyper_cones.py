@@ -4,12 +4,12 @@
 partition P as in polygon_cones.  The module provides the combinatorial
 membership test for orbit data, the corner-cone and orthant containment
 criteria, the C_0 slice, the Ψ_Δ membership test, and the census that
-attaches a resolution record (projective or not, with an exact witness
-character when projective) to every maximally-biconnected complex.
+pairs every maximally-biconnected complex, as its family mask, with an
+exact witness character when it is projective and None when it is not.
 
 The census works by S_n-orbits of GIT chambers: arrangements.chamber_orbits
 splits only the sorted cone θ_1 ≥ … ≥ θ_n inside C_0, one chamber per
-orbit.  The counts add up the orbit sizes, and the records expand each
+orbit.  The counts add up the orbit sizes, and the census expands each
 representative's bunches.projectivity_witness over its orbit.  The second
 routes, which the tests compare it with, split all of C_0
 (count_regions_in_cone, chambers_in_cone) and walk every complex.
@@ -26,9 +26,9 @@ from typing import Iterator, Optional
 
 from . import arrangements, bunches, polygon_cones
 from .complexes import (Complex, Partition, _closure, _complex_from_mask,
-                        _iter_max_biconnected_masks, _swap_adjacent,
-                        count_max_biconnected, enumerate_partitions,
-                        family_mask, is_full, is_maximal_biconnected)
+                        _swap_adjacent, count_max_biconnected,
+                        enumerate_partitions, family_mask, is_full,
+                        is_maximal_biconnected, max_biconnected_masks)
 from .polygon_cones import eta
 
 
@@ -46,19 +46,6 @@ class HyperCone:
             raise ValueError("partition range mismatch")
         if self.K and (min(self.K) < 1 or max(self.K) > self.n):
             raise ValueError("K outside [n]")
-
-
-@dataclass(frozen=True)
-class ResolutionRecord:
-    complex: Complex
-    kind: str  # "projective" | "non-projective"
-    witness: Optional[tuple]
-
-    def to_json_obj(self) -> dict:
-        return {"complex": self.complex.to_json_obj(),
-                "kind": self.kind,
-                "witness": None if self.witness is None
-                else [str(w) for w in self.witness]}
 
 
 def generators_hyper(c: HyperCone) -> list:
@@ -165,13 +152,8 @@ def free_orbit_data(n: int, max_k: Optional[int] = None) -> Iterator[HyperCone]:
 def _corner_witness(n: int, i: int) -> tuple:
     """A deterministic generic point of C_i°: distinct powers of 3 off i,
     and θ_i one more than their sum (odd total, so no wall vanishes)."""
-    theta = [0] * n
-    s = 0
-    for j in range(1, n + 1):
-        if j != i:
-            theta[j - 1] = 3 ** j
-            s += 3 ** j
-    theta[i - 1] = s + 1
+    theta = [3 ** j for j in range(1, n + 1)]
+    theta[i - 1] = sum(theta) - theta[i - 1] + 1
     return tuple(theta)
 
 
@@ -199,27 +181,23 @@ def _projective_bank(n: int) -> dict:
     return bank
 
 
-def census(n: int) -> Iterator[ResolutionRecord]:
-    """One record per maximally-biconnected complex on [n].
+def census(n: int) -> Iterator[tuple]:
+    """(family mask, witness) for each maximally-biconnected complex on
+    [n], in the order of max_biconnected_masks; the witness is None
+    exactly when the complex is not projective.
 
     Non-full complexes, ↓([n] minus {i}), are always projective (corner
-    chambers); a full complex is projective exactly when some arrangement
-    chamber inside C_0 induces it, and that chamber's interior point is the
-    witness.
+    chambers, witness _corner_witness); a full complex is projective exactly
+    when some arrangement chamber inside C_0 induces it, and that chamber's
+    interior point is the witness.
     """
     if not 5 <= n <= 7:
         raise ValueError("supported range is 5 <= n <= 7")
     bank = _projective_bank(n)
-    full = (1 << n) - 1
-    corners = {_closure(n, (full ^ 1 << (i - 1),)): _corner_witness(n, i)
-               for i in range(1, n + 1)}
-    for inm in _iter_max_biconnected_masks(n):
-        d = _complex_from_mask(inm, n)
-        w = bank.get(inm) or corners.get(inm)
-        if w is None:
-            yield ResolutionRecord(d, "non-projective", None)
-        else:
-            yield ResolutionRecord(d, "projective", w)
+    bank.update((_closure(n, ((1 << n) - 1 ^ 1 << (i - 1),)),
+                 _corner_witness(n, i)) for i in range(1, n + 1))
+    for inm in max_biconnected_masks(n):
+        yield inm, bank.get(inm)
 
 
 def census_counts(n: int) -> dict:

@@ -10,7 +10,7 @@ import pytest
 
 from polycrep import arrangements as ar, bunches, complexes as cx, \
     coxrelations, crosscheck, hyper_cones as hc
-from polycrep.complexes import _iter_max_biconnected_masks, _mask_is_full
+from polycrep.complexes import _mask_is_full, max_biconnected_masks
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ def test_structural_count_7():
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_nonfull_counts(n):
-    nonfull = sum(1 for m in _iter_max_biconnected_masks(n)
+    nonfull = sum(1 for m in max_biconnected_masks(n)
                   if not _mask_is_full(m, n))
     assert nonfull == n
 

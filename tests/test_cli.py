@@ -68,6 +68,8 @@ STREAMED = [
      "a7f1bbd3ddc228c0116fb55dbfdcdb3e6ed44d9bc545dda46ed3a493f0c329e1"),
     (["resolutions", "census", "--n", "6", "--records"], 2646,
      "f8b8f245b1965ac23d1014821704e969d8245d56c5c57b1ea88a009ea92b6e13"),
+    (["complexes", "enumerate", "--n", "6", "--full-only"], 2640,
+     "e8ee5dacd683b0a1e94eb8dcebfe1e382ccac14b000a3e99aef3a36465825368"),
 ]
 
 
@@ -172,8 +174,20 @@ def test_oversized_arrangement_fails_fast(argv, capsys):
     assert out.out == "" and "error: dimension bound" in out.err
 
 
+@pytest.mark.parametrize("cone", ["C0", "F"])
+def test_cone_split_beyond_bound_fails_fast(cone, capsys):
+    # A(8) has 136 hyperplanes and 33 207 248 chambers in C0
+    t0 = time.monotonic()
+    assert cli.main(["chambers", "count", "--arrangement", "A", "--n", "8",
+                     "--in-cone", cone]) == 1
+    assert time.monotonic() - t0 < 1
+    out = capsys.readouterr()
+    assert out.out == "" and "error: hyperplane bound" in out.err
+
+
 @pytest.mark.parametrize("argv", [["complexes", "enumerate", "--n", "8"],
-                                  ["bunches", "classify", "--n", "8"]])
+                                  ["bunches", "classify", "--n", "8"],
+                                  ["oracle", "crosscheck", "--n", "8"]])
 def test_enumeration_beyond_range_fails_fast(argv, capsys):
     # λ(8) = 229 809 982 112 complexes: the walk is refused before it starts
     t0 = time.monotonic()
@@ -222,6 +236,14 @@ def test_negative_counts_are_usage_errors(argv, capsys):
 def test_mutually_exclusive_cone_and_ray(capsys):
     assert cli.main(["chambers", "count", "--arrangement", "A", "--n", "5",
                      "--in-cone", "F", "--at-ray", "1,1,1,1,1"]) == 1
+
+
+def test_m_with_arrangement_A_is_refused(capsys):
+    # A(n) takes no m: the answer must not print one it ignored
+    assert cli.main(["chambers", "count", "--arrangement", "A", "--n", "5",
+                     "--m", "3", "--in-cone", "C0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "error: --m" in out.err
 
 
 def test_oracle_crosscheck_cli(capsys):

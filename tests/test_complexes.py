@@ -1,6 +1,7 @@
 """Complex/partition combinatorics and the enumeration counts."""
 
 import itertools
+import json
 import random
 import time
 
@@ -50,7 +51,7 @@ def test_complex_duplicate_faces_collapse():
     twice = Complex(5, ({1, 2}, {2, 1}))
     assert twice == once and hash(twice) == hash(once)
     assert twice.maximal_faces == (frozenset({1, 2}),)
-    assert twice.to_json_obj() == {"n": 5, "maximal_faces": [[1, 2]]}
+    assert cx.complex_family(twice) == cx.complex_family(once)
 
 
 def test_enumeration_counts():
@@ -129,7 +130,7 @@ def test_trusted_construction_matches_validated():
     maximally-biconnected mask at n = 4, 5, 6 and every downset at n = 3, 4
     (the empty family and {∅} among them)."""
     cases = [(m, n) for n in (4, 5, 6)
-             for m in cx._iter_max_biconnected_masks(n)]
+             for m in cx.max_biconnected_masks(n)]
     cases += [(m, n) for n in (3, 4) for m in cx._iter_downset_masks(n)]
     assert (0, 4) in cases and (1, 4) in cases
     for m, n in cases:
@@ -182,7 +183,7 @@ def test_downset_counter_matches_brute_force():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_structural_count_matches_mask_dfs(n):
-    walked = sum(1 for _ in cx._iter_max_biconnected_masks(n))
+    walked = sum(1 for _ in cx.max_biconnected_masks(n))
     assert cx.count_max_biconnected(n) == walked == {4: 12, 5: 81, 6: 2646}[n]
 
 
@@ -223,12 +224,32 @@ def test_partition_canonical_form():
         Partition(5, (frozenset(),))
 
 
-def test_json_encoding():
-    d = subsets_leq(4, 2)
-    obj = d.to_json_obj()
-    assert obj["n"] == 4
-    assert obj["maximal_faces"][0] == [1, 2]
-    assert all(f == sorted(f) for f in obj["maximal_faces"])
+def test_json_encoding(capsys):
+    """The NDJSON writer gives json.dumps(..., sort_keys=True) of the
+    complex's maximal faces, sorted, and of the record around it."""
+    from polycrep import cli
+    cases = [subsets_leq(4, 2), subsets_avoiding(4, 1), Complex(4, ((),)),
+             Complex(4, ())]
+    rows = [(cx.complex_family(d), w) for d in cases
+            for w in (None, (3, 9, 27, 40))]
+    cli._write_ndjson(4, rows, records=False)
+    cli._write_ndjson(4, rows, records=True)
+    lines = capsys.readouterr().out.splitlines()
+    want = []
+    for records in (False, True):
+        for d in cases:
+            for w in (None, (3, 9, 27, 40)):
+                obj = {"n": 4,
+                       "maximal_faces": [sorted(f) for f in d.maximal_faces]}
+                if records:
+                    obj = {"complex": obj,
+                           "kind": "non-projective" if w is None
+                           else "projective",
+                           "witness": w and [str(x) for x in w]}
+                want.append(json.dumps(obj, sort_keys=True))
+    assert lines == want
+    assert lines[0] == ('{"maximal_faces": [[1, 2], [1, 3], [1, 4], [2, 3], '
+                        '[2, 4], [3, 4]], "n": 4}')
 
 
 def maximal_sets(faces):
@@ -330,7 +351,7 @@ def test_max_to_biconnected_membership_rule():
             b = cx.max_biconnected_to_biconnected(d)
             assert b.n == n - 1
             for kmask in range(1 << (n - 1)):
-                k = cx.members_of(kmask)
+                k = cx._subset_table(n - 1)[kmask][1]
                 assert b.member(k) == d.member(k | {n})
 
 
@@ -351,7 +372,7 @@ def test_biconnected_to_max_membership_rule(case):
     assert r.n == m + 1
     assert max_biconnected_by_definition(r.maximal_faces, m + 1)
     for kmask in range(1 << m):
-        k = cx.members_of(kmask)
+        k = cx._subset_table(m)[kmask][1]
         assert member_by_definition(r.maximal_faces, k | {m + 1}) == d.member(k)
 
 
@@ -382,7 +403,7 @@ def test_enumerate_partitions_matches_restricted_growth():
     bell = [1, 1, 2, 5, 15, 52, 203]
     n = 6
     for gmask in range(1, 1 << n):
-        ground = sorted(cx.members_of(gmask))
+        ground = list(cx._subset_table(n)[gmask][0])
         reference = partitions_by_restricted_growth(ground)
         assert len(reference) == bell[len(ground)]
         for min_parts in range(1, len(ground) + 2):

@@ -7,7 +7,9 @@ import pytest
 
 from polycrep import arrangements, hyper_cones as hc, ratgeom
 from polycrep.complexes import (Complex, Partition, _complex_from_mask,
-                                enumerate_max_biconnected, family_mask)
+                                _mask_is_full, _splits_every_pair,
+                                enumerate_max_biconnected, family_mask,
+                                max_biconnected_masks)
 from polycrep.hyper_cones import HyperCone
 from polycrep.ratgeom import ConeV
 
@@ -130,8 +132,8 @@ def test_corner_cone_forms():
 def test_census_n5():
     recs = list(hc.census(5))
     assert len(recs) == 81
-    assert all(r.kind == "projective" for r in recs)
-    assert sum(1 for r in recs if r.witness is not None) == 81
+    assert [m for m, _ in recs] == list(max_biconnected_masks(5))
+    assert all(w is not None for _, w in recs)
     assert hc.census_counts(5) == {
         "n": 5, "total": 81, "projective": 81, "nonprojective": 0}
 
@@ -145,11 +147,12 @@ def test_census_n6_counts():
 def test_census_counts_tally_the_records(n):
     """The structural counts equal the tally of the census records' kinds,
     which come from the chamber bank and the walk over every complex."""
-    kinds = [r.kind for r in hc.census(n)]
+    witnesses = [w for _, w in hc.census(n)]
+    nonprojective = witnesses.count(None)
     assert hc.census_counts(n) == {
-        "n": n, "total": len(kinds),
-        "projective": kinds.count("projective"),
-        "nonprojective": kinds.count("non-projective")}
+        "n": n, "total": len(witnesses),
+        "projective": len(witnesses) - nonprojective,
+        "nonprojective": nonprojective}
 
 
 def test_census_range():
@@ -213,29 +216,28 @@ def test_orbit_sum_sign_flip_identity(n):
 
 
 def test_census_witnesses_are_generic_and_interior():
-    for rec in itertools.islice(hc.census(6), 300):
-        if rec.witness is None:
-            continue
-        theta = rec.witness
-        n = 6
-        total = sum(theta)
-        # off every wall
-        for bits in range(1, 1 << n):
-            assert 2 * sum(theta[i] for i in range(n) if bits >> i & 1) != total
-        # witness complex matches the record for full complexes
-        from polycrep.complexes import is_full
-        if is_full(rec.complex):
-            fam = family_mask(theta, n)
-            got = set()
-            for bits in range(1, 1 << n):
-                if fam >> bits & 1:
-                    got.add(frozenset(i + 1 for i in range(n)
-                                      if bits >> i & 1))
-            members = {frozenset(I)
-                       for k in range(1, n)
-                       for I in itertools.combinations(range(1, n + 1), k)
-                       if rec.complex.member(I)}
-            assert got == members
+    """Every record at n = 5, 6: each witness lies in the open orthant, off
+    every wall, and induces the record's complex; a non-full complex
+    ↓([n] minus {i}) carries the corner witness of C_i; the kinds tally to
+    census_counts."""
+    for n in (5, 6):
+        total = nonprojective = 0
+        for mask, w in hc.census(n):
+            total += 1
+            if w is None:
+                assert _mask_is_full(mask, n)
+                nonprojective += 1
+                continue
+            fam = family_mask(w, n)
+            assert all(x > 0 for x in w)
+            assert fam == mask and _splits_every_pair(fam, n)
+            if not _mask_is_full(mask, n):
+                i = next(i for i in range(1, n + 1)
+                         if not mask >> (1 << (i - 1)) & 1)
+                assert w == hc._corner_witness(n, i)
+        assert hc.census_counts(n) == {
+            "n": n, "total": total, "projective": total - nonprojective,
+            "nonprojective": nonprojective}
 
 
 def test_segre_construction():
