@@ -38,7 +38,7 @@ from .ratgeom import ConeH, canon_normal, ray_sum
 MAX_DIM = 8
 MAX_HYPERPLANES = 64
 # Splitting a cone visits every region inside it: A(7)'s 71 hyperplanes
-# leave 122 907 chambers in C_0 (seconds), A(8)'s 136 leave 33 207 248.
+# leave 122 914 chambers in C_0 (seconds), A(8)'s 136 leave 33 207 248.
 MAX_CONE_HYPERPLANES = 71
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -39,10 +40,16 @@ def cmd_complexes_count(args) -> int:
 def _write_ndjson(n: int, rows, records: bool):
     """One line per (family mask, witness) row, as json.dumps(obj,
     sort_keys=True) writes it: the complex's maximal faces in member-tuple
-    order and, for records, its kind and witness."""
+    order and, for records, its kind and witness.  The 2^n-entry subset
+    table is built after the first row, so a generator's own range check
+    on n runs first."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
     order = [members for members, _ in complexes._subset_table(n)]
     text = [str(list(members)) for members in order]
-    for fam, witness in rows:
+    for fam, witness in itertools.chain((first,), rows):
         faces = sorted(complexes._maximal_faces_of_mask(fam, n),
                        key=order.__getitem__)
         line = ('{"maximal_faces": [%s], "n": %d}'

@@ -187,7 +187,11 @@ def test_cone_split_beyond_bound_fails_fast(cone, capsys):
 
 @pytest.mark.parametrize("argv", [["complexes", "enumerate", "--n", "8"],
                                   ["bunches", "classify", "--n", "8"],
-                                  ["oracle", "crosscheck", "--n", "8"]])
+                                  ["oracle", "crosscheck", "--n", "8"],
+                                  ["resolutions", "census", "--n", "30",
+                                   "--records"],
+                                  ["resolutions", "census", "--n", "-1",
+                                   "--records"]])
 def test_enumeration_beyond_range_fails_fast(argv, capsys):
     # λ(8) = 229 809 982 112 complexes: the walk is refused before it starts
     t0 = time.monotonic()
@@ -195,6 +199,7 @@ def test_enumeration_beyond_range_fails_fast(argv, capsys):
     assert time.monotonic() - t0 < 3
     out = capsys.readouterr()
     assert out.out == "" and "error:" in out.err
+    assert "supported range" in out.err
 
 
 def test_cli_import_does_not_load_numpy():
