@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from . import ratgeom
-from .complexes import (_complex_from_mask, _splits_every_pair,
-                        _swap_adjacent, family_mask)
+from .complexes import (Complex, _splits_every_pair, _swap_adjacent,
+                        family_mask)
 from .polygon_cones import v_I
 from .ratgeom import ConeH, canon_normal, ray_sum
 
@@ -441,4 +441,4 @@ def chamber_to_complex(a: Arrangement, theta):
     # v_I(θ) = 0 exactly when neither I nor its complement is a face
     if not _splits_every_pair(fam, n):
         raise ValueError("witness lies on an arrangement hyperplane")
-    return _complex_from_mask(fam, n)
+    return Complex(n, fam)

@@ -22,12 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratgeom
-from .complexes import (Complex, Partition, _closure, _complex_from_mask,
-                        _mask_is_full, _maximal_faces_of_mask,
-                        _partition_masks, _splits_every_pair, _subset_table,
-                        complex_family, family_mask, is_full,
-                        is_maximal_biconnected, mask_of)
-from .polygon_cones import is_free, v_I
+from .complexes import (Complex, Partition, _closure, _mask_is_full,
+                        _maximal_faces_of_mask, _partition_masks,
+                        _splits_every_pair, _subset_table, family_mask,
+                        is_full, is_maximal_biconnected, mask_of)
+from .polygon_cones import is_free
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,6 @@ def _free_bunch(n: int, family: int) -> Bunch:
     return Bunch(n, frozenset(
         Partition(n, tuple(sets[p][1] for p in parts))
         for parts in _partition_masks((1 << n) - 1, family, 3)))
-
-
-def _part_masks(phi: Bunch) -> set:
-    return {mask_of(part, phi.n)
-            for c in phi.cones for part in c.parts}
 
 
 def is_bunch(phi: Bunch) -> bool:
@@ -94,7 +88,7 @@ def is_bunch(phi: Bunch) -> bool:
 
 def phi_from_complex(d: Complex) -> Bunch:
     """Φ_Δ: all free partitions of [n] whose parts are faces of Δ."""
-    phi = _free_bunch(d.n, complex_family(d))
+    phi = _free_bunch(d.n, d.family)
     if not phi.cones:
         raise ValueError("complex admits no free partition")
     return phi
@@ -104,7 +98,8 @@ def complex_from_bunch(phi: Bunch) -> Complex:
     """Downward closure of all member parts; inverse of phi_from_complex."""
     if not is_bunch(phi):
         raise ValueError("not a bunch")
-    d = _complex_from_mask(_closure(phi.n, _part_masks(phi)), phi.n)
+    parts = (mask_of(part, phi.n) for c in phi.cones for part in c.parts)
+    d = Complex(phi.n, _closure(phi.n, parts))
     if not (is_full(d) and is_maximal_biconnected(d)):
         raise ValueError("not a maximal bunch")
     if phi_from_complex(d) != phi:
@@ -145,10 +140,11 @@ def bunch_from_theta(theta, n: int) -> Bunch:
 
 
 def _cone_rows(n: int, faces) -> list:
-    """θ_i >= 0 and v_I >= 0 over the faces I: the H-description of the
-    intersection of the free cones whose parts are subsets of the faces."""
+    """θ_i >= 0 and v_I >= 0 (-1 on I, 1 off it) over the face masks I: the
+    H-description of the intersection of the free cones with parts in faces."""
     rows = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    return rows + [v_I(I, n) for I in faces]
+    return rows + [tuple(-1 if s >> j & 1 else 1 for j in range(n))
+                   for s in faces]
 
 
 def projectivity_witness(d: Complex):
@@ -167,7 +163,7 @@ def projectivity_witness(d: Complex):
     if not (is_full(d) and is_maximal_biconnected(d)):
         raise ValueError("requires a full maximally-biconnected complex")
     n = d.n
-    rows = _cone_rows(n, d.maximal_faces)
+    rows = _cone_rows(n, _maximal_faces_of_mask(d.family, n))
     rays = ratgeom.h_to_v(ratgeom.ConeH(n, tuple(rows))).generators
     theta = ratgeom.ray_sum(rays)
     if not rays or any(ratgeom.dot(row, theta) <= 0 for row in rows):
@@ -180,8 +176,8 @@ def _projectivity_witness_lp(phi: Bunch):
     its members (subsets of parts are implied), θ_i >= 1 and v_I(θ) >= 1 is
     feasible (by scaling) exactly when the common interior is nonempty."""
     n = phi.n
-    maximal = _maximal_faces_of_mask(_closure(n, _part_masks(phi)), n)
-    rows = _cone_rows(n, [_subset_table(n)[s][0] for s in maximal])
+    parts = (mask_of(part, n) for c in phi.cones for part in c.parts)
+    rows = _cone_rows(n, _maximal_faces_of_mask(_closure(n, parts), n))
     return ratgeom.solve_ge(rows, [1] * len(rows))
 
 

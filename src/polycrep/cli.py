@@ -93,8 +93,7 @@ def cmd_chambers_count(args) -> int:
         regions = arrangements.count_regions_in_cone(a, cone)
         method = "enumerate"
     elif args.at_ray:
-        theta = [int(v) for v in args.at_ray.split(",")]
-        regions = arrangements.count_chambers_at_ray(a, theta)
+        regions = arrangements.count_chambers_at_ray(a, args.at_ray)
         method = "enumerate"
     else:
         regions = arrangements.count_regions(a, args.method)
@@ -139,6 +138,14 @@ def _nonnegative(text: str) -> int:
     if int(text) < 0:
         raise argparse.ArgumentTypeError(f"{text} is below 0")
     return int(text)
+
+
+def _integers(text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
 
 
 def _global_options(top: bool) -> argparse.ArgumentParser:
@@ -188,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--m", type=int)
     c.add_argument("--in-cone", choices=("F", "C0"))
-    c.add_argument("--at-ray", help="comma-separated integer coordinates")
+    c.add_argument("--at-ray", type=_integers,
+                   help="comma-separated integer coordinates")
     c.add_argument("--method", choices=("enumerate", "charpoly"),
                    default="enumerate")
     c.set_defaults(func=cmd_chambers_count)

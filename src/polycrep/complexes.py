@@ -1,6 +1,6 @@
 """Set-system combinatorics on [n].
 
-Partitions, downward-closed complexes stored by their maximal faces,
+Partitions, downward-closed complexes stored by their family masks,
 biconnectedness, enumeration of maximally-biconnected complexes, the
 Hosten-Morris counts (by structure, and by walking every complex), and the
 bijection between maximally-biconnected complexes on [n] and biconnected
@@ -18,9 +18,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 MAX_N = 7
+# a family mask on [n] has 2^n bits: its kernel takes ms at n = 16, s at 20
+MAX_FAMILY_N = 16
+
+
+def _check_family_n(n: int):
+    if not 0 <= n <= MAX_FAMILY_N:
+        raise ValueError(f"n={n} outside 0..{MAX_FAMILY_N}: a family mask "
+                         f"on [n] has 2^n bits")
 
 
 def mask_of(members, n: int) -> int:
@@ -59,49 +67,56 @@ class Partition:
 
 @dataclass(frozen=True)
 class Complex:
-    """Downward-closed family of subsets of [n], stored as its maximal faces.
+    """Downward-closed family of subsets of [n], stored as its family mask.
 
-    maximal_faces is a sorted antichain, repeats dropped; the represented
-    family is its downward closure.  The empty frozenset is allowed only as
-    the sole face: it distinguishes the family {∅} from the family with no
-    faces at all, a distinction the [n] <-> [n-1] bijection needs on the
-    biconnected side.
+    Bit s of family is set when the subset with mask s is a face.  0 is the
+    family with no faces and 1 is {∅}: the [n] <-> [n-1] bijection needs
+    both on the biconnected side.
     """
 
     n: int
-    maximal_faces: tuple
+    family: int
 
     def __post_init__(self):
-        faces = tuple(sorted({frozenset(f) for f in self.maximal_faces},
-                             key=lambda f: tuple(sorted(f))))
-        for f in faces:
-            if f and (min(f) < 1 or max(f) > self.n):
-                raise ValueError("face outside [n]")
-        for f in faces:
-            for g in faces:
-                if f < g:
-                    raise ValueError("maximal_faces is not an antichain")
-        if any(not f for f in faces) and len(faces) > 1:
-            raise ValueError("empty face must be the sole face")
-        object.__setattr__(self, "maximal_faces", faces)
+        _check_family_n(self.n)
+        fam = self.family
+        if fam < 0 or fam >> (1 << self.n):
+            raise ValueError("family mask outside the subsets of [n]")
+        for i, lacking in enumerate(_lacking(self.n)):
+            if fam >> (1 << i) & lacking & ~fam:
+                raise ValueError("family mask is not downward closed")
+
+    @classmethod
+    def from_faces(cls, n: int, faces) -> Complex:
+        """The complex with the given maximal faces, each a set of elements
+        of [n]; repeats collapse, and a face inside another is refused."""
+        _check_family_n(n)
+        masks = {mask_of(f, n) for f in faces}
+        fam = _closure(n, masks)
+        if set(_maximal_faces_of_mask(fam, n)) != masks:
+            raise ValueError("maximal faces are not an antichain")
+        return cls(n, fam)
+
+    @property
+    def maximal_faces(self) -> tuple:
+        """The maximal faces as frozensets, sorted by member tuple."""
+        faces = (tuple(i + 1 for i in range(self.n) if s >> i & 1)
+                 for s in _maximal_faces_of_mask(self.family, self.n))
+        return tuple(map(frozenset, sorted(faces)))
 
     def member(self, face) -> bool:
-        face = frozenset(face)
-        if not face:
-            return bool(self.maximal_faces)
-        return any(face <= f for f in self.maximal_faces)
+        return bool(self.family >> mask_of(face, self.n) & 1)
 
 
 def is_biconnected(d: Complex) -> bool:
     """No two faces (a face with itself included) union to [n].  Faces f, g
     of a downset with f ∪ g = [n] put [n] minus f in it next to f, so this
     holds exactly when the family meets its complement image nowhere."""
-    fam = complex_family(d)
-    return not fam & _complement_image(fam, d.n)
+    return not d.family & _complement_image(d.family, d.n)
 
 
 def is_full(d: Complex) -> bool:
-    return _mask_is_full(complex_family(d), d.n)
+    return _mask_is_full(d.family, d.n)
 
 
 def is_maximal_biconnected(d: Complex) -> bool:
@@ -114,7 +129,7 @@ def is_maximal_biconnected(d: Complex) -> bool:
     biconnected: faces f, g with f ∪ g = [n] would put [n] minus f in the
     family next to f.
     """
-    return _splits_every_pair(complex_family(d), d.n)
+    return _splits_every_pair(d.family, d.n)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +237,7 @@ def family_mask(theta, n: int) -> int:
     """The family {I : v_I(θ) > 0}, i.e. 2·Σ_{i∈I} θ_i < Σθ, as a bitmask
     with the empty face's bit 0 set (subset sums by DP).  At a generic θ in
     the open orthant this is a maximally-biconnected complex."""
+    _check_family_n(n)
     sums = [0] * (1 << n)
     for bits in range(1, 1 << n):
         low = bits & -bits
@@ -276,12 +292,6 @@ def _closure(n: int, masks) -> int:
     return fam
 
 
-def complex_family(d: Complex) -> int:
-    """The family mask of a complex: every subset of a maximal face, so the
-    empty face's bit 0 is set whenever d has a face."""
-    return _closure(d.n, (mask_of(f, d.n) for f in d.maximal_faces))
-
-
 def _maximal_faces_of_mask(inm: int, n: int):
     """Maximal faces of a downward-closed family bitmask, as subset masks:
     the members s with no member s ∪ {i}, i ∉ s, found by the _closure
@@ -306,24 +316,11 @@ def _subset_table(n: int) -> tuple:
         tuple(i + 1 for i in range(n) if s >> i & 1) for s in range(1 << n)))
 
 
-def _complex_from_mask(inm: int, n: int) -> Complex:
-    """The Complex of a downward-closed family mask on [n], built without
-    Complex's checks: the maximal faces of a downset are an antichain of
-    subsets of [n] by construction.  They are sorted by member tuple, the
-    order Complex.__post_init__ gives them."""
-    d = object.__new__(Complex)
-    object.__setattr__(d, "n", n)
-    object.__setattr__(d, "maximal_faces", tuple(
-        f for _, f in sorted(map(_subset_table(n).__getitem__,
-                                 _maximal_faces_of_mask(inm, n)))))
-    return d
-
-
 def enumerate_max_biconnected(n: int, full_only: bool = False) -> Iterator[Complex]:
     """All maximally-biconnected complexes on [n], in the order of
     max_biconnected_masks."""
     for inm in max_biconnected_masks(n, full_only):
-        yield _complex_from_mask(inm, n)
+        yield Complex(n, inm)
 
 
 def _count_downsets(p: int, down, up, memo: dict) -> int:
@@ -386,25 +383,20 @@ def max_biconnected_to_biconnected(d: Complex) -> Complex:
     if not is_maximal_biconnected(d):
         raise ValueError("input is not maximally biconnected")
     n = d.n
-    return _complex_from_mask(complex_family(d) >> (1 << (n - 1)), n - 1)
+    return Complex(n - 1, d.family >> (1 << (n - 1)))
 
 
-def biconnected_to_max_biconnected(d: Complex, n: Optional[int] = None) -> Complex:
-    """Inverse of max_biconnected_to_biconnected; d lives on [n-1].
+def biconnected_to_max_biconnected(d: Complex) -> Complex:
+    """Inverse of max_biconnected_to_biconnected: d lives on [n-1].
 
     K ∪ {n} is a face exactly when K ∈ d, and K is one exactly when
     [n-1] minus K ∉ d."""
-    if n is None:
-        n = d.n + 1
-    m = n - 1
-    if d.n != m:
-        raise ValueError("ground-set mismatch")
     if not is_biconnected(d):
         raise ValueError("input is not biconnected")
-    fam = complex_family(d)
+    m = d.n
     every = (1 << (1 << m)) - 1
-    return _complex_from_mask(
-        fam << (1 << m) | ~_complement_image(fam, m) & every, n)
+    return Complex(m + 1, d.family << (1 << m)
+                   | ~_complement_image(d.family, m) & every)
 
 
 # ---------------------------------------------------------------------------

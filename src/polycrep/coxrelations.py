@@ -24,6 +24,8 @@ from fractions import Fraction
 
 from . import ratgeom
 
+SAMPLE_RETRIES = 32
+
 
 class InhomogeneousError(ValueError):
     def __init__(self, mono_a, mono_b):
@@ -233,12 +235,12 @@ class XPoint:
         object.__setattr__(self, "c", c)
 
 
-def sample_X_point(n: int, seed: int, max_retries: int = 32) -> XPoint:
+def sample_X_point(n: int, seed: int) -> XPoint:
     """Seeded exact point: integer (x, y) with pairwise independent pairs,
     c a nonzero integer vector in the kernel of the three quadric rows."""
     if n < 5:
         raise ValueError("n >= 5 required")
-    for attempt in range(max_retries):
+    for attempt in range(SAMPLE_RETRIES):
         rng = random.Random(seed * 0x9E3779B1 + attempt)
         x = [rng.randint(-9, 9) for _ in range(n)]
         y = [rng.randint(-9, 9) for _ in range(n)]

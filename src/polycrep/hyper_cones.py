@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import arrangements, bunches, polygon_cones
-from .complexes import (Complex, Partition, _closure, _complex_from_mask,
-                        _swap_adjacent, count_max_biconnected,
-                        enumerate_partitions, family_mask, is_full,
-                        is_maximal_biconnected, max_biconnected_masks)
+from .complexes import (Complex, Partition, _closure, _swap_adjacent,
+                        count_max_biconnected, enumerate_partitions,
+                        family_mask, is_full, is_maximal_biconnected,
+                        max_biconnected_masks)
 from .polygon_cones import eta
 
 
@@ -168,7 +168,7 @@ def _projective_bank(n: int) -> dict:
     bank = {}
     for theta, _ in arrangements.chamber_orbits(n):
         fam = family_mask(theta, n)
-        bank[fam] = bunches.projectivity_witness(_complex_from_mask(fam, n))
+        bank[fam] = bunches.projectivity_witness(Complex(n, fam))
         todo = [fam]
         while todo:
             fam = todo.pop()

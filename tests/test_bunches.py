@@ -13,8 +13,8 @@ from polycrep.complexes import Complex, Partition
 
 
 def size2_complex(n):
-    return Complex(n, tuple(frozenset(p) for p in
-                            itertools.combinations(range(1, n + 1), 2)))
+    return Complex.from_faces(n, tuple(
+        frozenset(p) for p in itertools.combinations(range(1, n + 1), 2)))
 
 
 def singletons_cone(n):
@@ -95,7 +95,8 @@ def test_is_bunch_matches_pairwise_definition():
 def test_phi_requires_free_partition():
     with pytest.raises(ValueError):
         # non-full complex: no partition of [n] into faces exists
-        bunches.phi_from_complex(Complex(5, (frozenset({2, 3, 4, 5}),)))
+        bunches.phi_from_complex(
+            Complex.from_faces(5, (frozenset({2, 3, 4, 5}),)))
 
 
 def test_removing_minimal_cone_breaks_maximality():
@@ -121,8 +122,7 @@ def test_phi_from_complex_matches_definition():
     cases += random.Random(11).sample(list(cx.enumerate_max_biconnected(6)),
                                       200)
     cases += [size2_complex(4),
-              Complex(6, tuple(frozenset(f) for f in
-                               itertools.combinations(range(1, 7), 3)))]
+              Complex.from_faces(6, itertools.combinations(range(1, 7), 3))]
     for d in cases:
         n = d.n
         want = frozenset(
@@ -231,9 +231,11 @@ def test_projectivity_routes_agree_n6_sample():
 
 
 def test_projectivity_requires_full_maximally_biconnected():
-    nonfull = Complex(5, (frozenset({2, 3, 4, 5}),))  # ↓([5] minus {1})
+    # ↓([5] minus {1})
+    nonfull = Complex.from_faces(5, (frozenset({2, 3, 4, 5}),))
     assert cx.is_maximal_biconnected(nonfull)
-    not_maximal = Complex(5, tuple(frozenset({i}) for i in range(1, 6)))
+    not_maximal = Complex.from_faces(
+        5, tuple(frozenset({i}) for i in range(1, 6)))
     assert cx.is_full(not_maximal)
     for d in (nonfull, not_maximal):
         with pytest.raises(ValueError):

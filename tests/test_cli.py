@@ -238,6 +238,16 @@ def test_negative_counts_are_usage_errors(argv, capsys):
     assert out.out == "" and "below 0" in out.err
 
 
+@pytest.mark.parametrize("ray", ["1,x", "1,,1", ""])
+def test_malformed_ray_is_usage_error(ray, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chambers", "count", "--arrangement", "A", "--n", "5",
+                  "--at-ray", ray])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "comma-separated list of integers" in out.err
+
+
 def test_mutually_exclusive_cone_and_ray(capsys):
     assert cli.main(["chambers", "count", "--arrangement", "A", "--n", "5",
                      "--in-cone", "F", "--at-ray", "1,1,1,1,1"]) == 1

@@ -14,16 +14,16 @@ from polycrep.complexes import Complex, Partition
 
 def subsets_leq(n, k):
     faces = [frozenset(c) for c in itertools.combinations(range(1, n + 1), k)]
-    return Complex(n, tuple(faces))
+    return Complex.from_faces(n, tuple(faces))
 
 
 def subsets_avoiding(n, i):
-    return Complex(n, (frozenset(range(1, n + 1)) - {i},))
+    return Complex.from_faces(n, (frozenset(range(1, n + 1)) - {i},))
 
 
 def test_is_biconnected():
     assert not cx.is_biconnected(
-        Complex(5, (frozenset({1, 2}), frozenset({3, 4, 5}))))
+        Complex.from_faces(5, (frozenset({1, 2}), frozenset({3, 4, 5}))))
     assert cx.is_biconnected(subsets_avoiding(5, 1))
     assert cx.is_biconnected(subsets_leq(5, 1))
 
@@ -43,15 +43,15 @@ def test_is_full():
 
 def test_complex_antichain_enforced():
     with pytest.raises(ValueError):
-        Complex(4, (frozenset({1}), frozenset({1, 2})))
+        Complex.from_faces(4, (frozenset({1}), frozenset({1, 2})))
 
 
 def test_complex_duplicate_faces_collapse():
-    once = Complex(5, ({1, 2},))
-    twice = Complex(5, ({1, 2}, {2, 1}))
+    once = Complex.from_faces(5, ({1, 2},))
+    twice = Complex.from_faces(5, ({1, 2}, {2, 1}))
     assert twice == once and hash(twice) == hash(once)
     assert twice.maximal_faces == (frozenset({1, 2}),)
-    assert cx.complex_family(twice) == cx.complex_family(once)
+    assert twice.family == once.family
 
 
 def test_enumeration_counts():
@@ -109,7 +109,7 @@ def test_maximality_by_probing_oracle():
             for I in itertools.combinations(full, k):
                 if d.member(I):
                     continue
-                bigger = Complex(n, tuple(
+                bigger = Complex.from_faces(n, tuple(
                     {frozenset(I)} | {f for f in d.maximal_faces
                                       if not f <= frozenset(I)}))
                 assert not cx.is_biconnected(bigger)
@@ -124,9 +124,9 @@ def test_nonfull_count_is_n():
             frozenset(set(range(1, n + 1)) - {i}) for i in range(1, n + 1)}
 
 
-def test_trusted_construction_matches_validated():
-    """_complex_from_mask skips Complex's checks; the validated constructor
-    gives the same fields, maximal faces in the same order, for every
+def test_from_faces_round_trip():
+    """Complex.from_faces of a complex's maximal faces, given in reverse, is
+    that complex, maximal faces sorted by member tuple, for every
     maximally-biconnected mask at n = 4, 5, 6 and every downset at n = 3, 4
     (the empty family and {∅} among them)."""
     cases = [(m, n) for n in (4, 5, 6)
@@ -134,11 +134,42 @@ def test_trusted_construction_matches_validated():
     cases += [(m, n) for n in (3, 4) for m in cx._iter_downset_masks(n)]
     assert (0, 4) in cases and (1, 4) in cases
     for m, n in cases:
-        d = cx._complex_from_mask(m, n)
-        checked = Complex(n, tuple(reversed(d.maximal_faces)))
-        assert d == checked and hash(d) == hash(checked)
-        assert (d.n, d.maximal_faces) == (checked.n, checked.maximal_faces)
-        assert cx.complex_family(d) == m
+        d = Complex(n, m)
+        again = Complex.from_faces(n, reversed(d.maximal_faces))
+        assert again == d and hash(again) == hash(d) and again.family == m
+        assert again.maximal_faces == d.maximal_faces
+        tuples = [tuple(sorted(f)) for f in d.maximal_faces]
+        assert tuples == sorted(tuples)
+
+
+def test_complex_rejects_bad_masks():
+    """A family mask is a downset of the subsets of [n]; member takes
+    subsets of [n] only."""
+    assert Complex(2, 0b1111).maximal_faces == (frozenset({1, 2}),)
+    for n, fam in ((2, 0b1010),        # {1} and {1, 2} without ∅
+                   (3, 1 | 1 << 7),    # ∅ and [3] only
+                   (2, -1), (2, 1 << 4)):
+        with pytest.raises(ValueError):
+            Complex(n, fam)
+    d = Complex(2, 0b0111)
+    assert d.member({1}) and not d.member({1, 2})
+    for outside in ({3}, {0}):
+        with pytest.raises(ValueError):
+            d.member(outside)
+
+
+def test_family_masks_refuse_large_n():
+    """n above MAX_FAMILY_N is refused before a 2^n-bit mask is built."""
+    from polycrep import bunches
+    for build in (lambda: Complex(30, 1),
+                  lambda: Complex.from_faces(30, [{1}]),
+                  lambda: Complex(-1, 0),
+                  lambda: cx.family_mask((1,) * 30, 30),
+                  lambda: bunches.bunch_from_theta((1,) * 30, 30)):
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="outside 0..16"):
+            build()
+        assert time.monotonic() - t0 < 1
 
 
 def test_swap_adjacent_permutes_family_masks():
@@ -228,9 +259,9 @@ def test_json_encoding(capsys):
     """The NDJSON writer gives json.dumps(..., sort_keys=True) of the
     complex's maximal faces, sorted, and of the record around it."""
     from polycrep import cli
-    cases = [subsets_leq(4, 2), subsets_avoiding(4, 1), Complex(4, ((),)),
-             Complex(4, ())]
-    rows = [(cx.complex_family(d), w) for d in cases
+    cases = [subsets_leq(4, 2), subsets_avoiding(4, 1), Complex(4, 1),
+             Complex(4, 0)]
+    rows = [(d.family, w) for d in cases
             for w in (None, (3, 9, 27, 40))]
     cli._write_ndjson(4, rows, records=False)
     cli._write_ndjson(4, rows, records=True)
@@ -299,15 +330,15 @@ def downward_closed(draw):
             faces.pop(draw(st.integers(0, len(faces) - 1)))
         elif kind == "added":
             faces.append(draw(subset))
-    return Complex(n, maximal_sets(faces))
+    return Complex.from_faces(n, maximal_sets(faces))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(downward_closed())
-@example(Complex(5, ()))
-@example(Complex(5, (frozenset(),)))
-@example(Complex(4, (frozenset(range(1, 5)),)))
-@example(Complex(6, (frozenset({1, 2, 3}), frozenset({4, 5, 6}))))
+@example(Complex.from_faces(5, ()))
+@example(Complex.from_faces(5, (frozenset(),)))
+@example(Complex.from_faces(4, (frozenset(range(1, 5)),)))
+@example(Complex.from_faces(6, (frozenset({1, 2, 3}), frozenset({4, 5, 6}))))
 @example(subsets_leq(6, 3))
 @example(subsets_avoiding(6, 2))
 def test_is_maximal_biconnected_matches_definition(d):
@@ -325,7 +356,7 @@ def test_is_maximal_biconnected_matches_definition(d):
 @example((6, [frozenset({1, 2, 3}), frozenset({4, 5, 6})]))
 def test_is_biconnected_matches_pairwise_definition(case):
     n, faces = case
-    d = Complex(n, maximal_sets(faces))
+    d = Complex.from_faces(n, maximal_sets(faces))
     assert cx.is_biconnected(d) == biconnected_by_definition(
         d.maximal_faces, n)
 
@@ -333,14 +364,15 @@ def test_is_biconnected_matches_pairwise_definition(case):
 def test_family_masks_beyond_enumeration_range():
     """Closure and maximal faces take n shift-and-mask steps on the family
     mask, with no per-subset table: at n = 13 each check is quick."""
-    d = Complex(13, (frozenset(range(2, 14)),))
+    d = Complex.from_faces(13, (frozenset(range(2, 14)),))
+    assert d == Complex(13, cx._lacking(13)[0])
     t0 = time.monotonic()
     assert cx.is_maximal_biconnected(d)
     assert time.monotonic() - t0 < 1
     t0 = time.monotonic()
     b = cx.max_biconnected_to_biconnected(d)
     assert time.monotonic() - t0 < 1
-    assert b == Complex(12, (frozenset(range(2, 13)),))
+    assert b == Complex.from_faces(12, (frozenset(range(2, 13)),))
 
 
 def test_max_to_biconnected_membership_rule():
@@ -367,7 +399,7 @@ def test_biconnected_to_max_membership_rule(case):
     K ∈ d."""
     m, faces = case
     assume(biconnected_by_definition(faces, m))
-    d = Complex(m, maximal_sets(faces))
+    d = Complex.from_faces(m, maximal_sets(faces))
     r = cx.biconnected_to_max_biconnected(d)
     assert r.n == m + 1
     assert max_biconnected_by_definition(r.maximal_faces, m + 1)

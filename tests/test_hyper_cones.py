@@ -6,10 +6,9 @@ import math
 import pytest
 
 from polycrep import arrangements, hyper_cones as hc, ratgeom
-from polycrep.complexes import (Complex, Partition, _complex_from_mask,
-                                _mask_is_full, _splits_every_pair,
-                                enumerate_max_biconnected, family_mask,
-                                max_biconnected_masks)
+from polycrep.complexes import (Complex, Partition, _mask_is_full,
+                                _splits_every_pair, enumerate_max_biconnected,
+                                family_mask, max_biconnected_masks)
 from polycrep.hyper_cones import HyperCone
 from polycrep.ratgeom import ConeV
 
@@ -75,8 +74,8 @@ def test_meet_C0():
 
 
 def test_psi_membership_basics():
-    full = Complex(5, tuple(frozenset(q) for q in
-                            itertools.combinations(range(1, 6), 2)))
+    full = Complex.from_faces(5, tuple(
+        frozenset(q) for q in itertools.combinations(range(1, 6), 2)))
     # containing F is always enough
     c = HyperCone(5, part(5, {1, 2}, {3, 4}, {5}), frozenset({1, 2, 3, 4}))
     assert hc.contains_F(c)
@@ -87,19 +86,20 @@ def test_psi_membership_basics():
     c = HyperCone(5, part(5, {1, 2, 3}, {4}, {5}), frozenset())
     assert not hc.psi_membership(full, c)  # {1,2,3} is not a face
     # non-full complex: corner containment
-    nonfull = Complex(5, (frozenset({2, 3, 4, 5}),))
+    nonfull = Complex.from_faces(5, (frozenset({2, 3, 4, 5}),))
     c = HyperCone(5, part(5, {1}, {2, 3}, {4, 5}), frozenset({2, 3}))
     assert hc.contains_corner(c, 1)
     assert hc.psi_membership(nonfull, c)
-    assert not hc.psi_membership(Complex(5, (frozenset({1, 3, 4, 5}),)), c)
+    assert not hc.psi_membership(
+        Complex.from_faces(5, (frozenset({1, 3, 4, 5}),)), c)
 
 
 def test_psi_membership_validates_its_arguments():
-    full = Complex(5, tuple(frozenset(q) for q in
-                            itertools.combinations(range(1, 6), 2)))
+    full = Complex.from_faces(5, tuple(
+        frozenset(q) for q in itertools.combinations(range(1, 6), 2)))
     free = HyperCone(5, singletons(5), frozenset())
     with pytest.raises(ValueError):
-        hc.psi_membership(Complex(5, (frozenset({1, 2}),)), free)
+        hc.psi_membership(Complex.from_faces(5, (frozenset({1, 2}),)), free)
     with pytest.raises(ValueError):
         hc.psi_membership(full, HyperCone(5, part(5, {1, 2}, {3, 4, 5}),
                                           frozenset()))
@@ -108,8 +108,8 @@ def test_psi_membership_validates_its_arguments():
 def test_psi_membership_rejects_mixed_ground_sets():
     """A complex on [5] and a free cone on [6] (and the other way round)
     are refused, not answered."""
-    full5 = Complex(5, tuple(frozenset(q) for q in
-                             itertools.combinations(range(1, 6), 2)))
+    full5 = Complex.from_faces(5, tuple(
+        frozenset(q) for q in itertools.combinations(range(1, 6), 2)))
     cone6 = HyperCone(6, part(6, {4, 5, 6}, {1}, {2}, {3}), frozenset())
     with pytest.raises(ValueError, match="ground-set mismatch"):
         hc.psi_membership(full5, cone6)
@@ -172,7 +172,7 @@ def test_chamber_complex_is_census_bank_key():
     assert len(by_witness) == len(chambers) == 76
     for theta in chambers:
         assert (arrangements.chamber_to_complex(a, theta)
-                == _complex_from_mask(by_witness[theta], n))
+                == Complex(n, by_witness[theta]))
     with pytest.raises(ValueError, match="hyperplane"):
         arrangements.chamber_to_complex(a, (1, 1, 1, 1, 2))  # v_{123} = 0
     with pytest.raises(ValueError, match="orthant"):
@@ -254,7 +254,7 @@ def test_segre_construction():
     for choice in itertools.product(*splits):
         chosen = set(choice)
         loose = [q for q in pairs if not any(q <= t for t in chosen)]
-        d = Complex(6, tuple(chosen) + tuple(loose))
+        d = Complex.from_faces(6, tuple(chosen) + tuple(loose))
         assert is_full(d) and is_maximal_biconnected(d)
         seen.add(d)
     assert len(seen) == 1024
