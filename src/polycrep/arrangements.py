@@ -9,11 +9,13 @@ Two independent counting backends:
   is first essentialized and space is covered by the 2^r simplicial sign cones
   of r independent normals; regions come in ± pairs, so half of the cones
   are split and the count doubled.
-* ``charpoly`` — the intersection lattice is built by breadth-first closure
-  over flats (the covers of a flat are read off the normals' residuals
-  modulo its span, by exact integer elimination), the Möbius function is
-  computed rank by rank, and the region count is (−1)^d · χ(−1)
-  (Zaslavsky).
+* ``charpoly`` — one rank-by-rank pass over the intersection lattice finds
+  the flats and the Möbius function together.  Each frontier flat carries
+  its quotient lines (the normals' residual directions modulo its span);
+  a cover's lines come from its parent's by one exact integer elimination
+  step, and μ follows Weisner's theorem (Stanley, Enumerative
+  Combinatorics I, §3.9), one step per cover pair.  The region count is
+  (−1)^d · χ(−1) (Zaslavsky).
 
 An arrangement is stored as its hyperplanes' canonical normals, and a
 region is reported as the ray_sum θ of its extreme rays: that is all a GIT
@@ -36,7 +38,11 @@ from .polygon_cones import v_I
 from .ratgeom import ConeH, canon_normal, ray_sum
 
 MAX_DIM = 8
+# One hyperplane bound per route.  Enumerate visits every region, and
+# A(7)'s 71 hyperplanes make 15 733 888.  Charpoly walks every flat: A(7)
+# has 835 026 (under a minute), A(8), with 136 hyperplanes, far more.
 MAX_HYPERPLANES = 64
+MAX_CHARPOLY_HYPERPLANES = 71
 # Splitting a cone visits every region inside it: A(7)'s 71 hyperplanes
 # leave 122 914 chambers in C_0 (seconds), A(8)'s 136 leave 33 207 248.
 MAX_CONE_HYPERPLANES = 71
@@ -204,112 +210,88 @@ def _count_enumerate(a: Arrangement) -> int:
 # ---------------------------------------------------------------------------
 # charpoly backend: intersection lattice and Möbius function
 
-def _flats(normals):
-    """All flats of the intersection lattice as {hyperplane bitmask: rank},
-    by breadth-first rank-increasing closure.
+def _quotient(lines: dict, key: tuple) -> dict:
+    """The quotient lines of the cover X ∨ L from those of X, L = lines[key].
 
-    A flat is keyed by its mask, the hyperplanes containing it.  The flats
-    covering a flat X are the lines of the quotient of the normals' span by
-    X's span: reduce every normal outside X against a basis of X, and the
-    normals whose residuals are parallel make one cover together with X.
-    The basis is kept in reduced form, (pivot, primitive row) pairs each
-    zero at the pivots before it, so a residual is unique up to scale.
+    Each residual r loses its component along key by one elimination step
+    at key's pivot p, its first nonzero entry, and is made primitive with
+    its first nonzero entry positive; residuals that become parallel merge.
+    Every residual of X is zero at the pivots of X's earlier steps, and
+    stays so, which makes it unique up to scale.
     """
-    n = len(normals)
-    flats = {0: 0}
-    frontier = {0: ()}
-    rk = 0
-    while frontier:
-        rk += 1
-        new = {}
-        for mask, basis in frontier.items():
-            lines = {}
-            for g in range(n):
-                if mask >> g & 1:
-                    continue
-                v = normals[g]
-                for p, row in basis:
-                    if v[p]:
-                        a, b = row[p], v[p]
-                        v = [a * x - b * y for x, y in zip(v, row)]
-                for x in v:
-                    if x:
-                        break
-                d = gcd(*v)
-                key = tuple(y // d for y in v) if x > 0 else tuple(
-                    -y // d for y in v)
-                lines[key] = lines.get(key, mask) | 1 << g
-            for key, cover in lines.items():
-                if cover not in new:
-                    p = next(i for i, x in enumerate(key) if x)
-                    new[cover] = basis + ((p, key),)
-        for cover in new:
-            flats[cover] = rk
-        frontier = new
-    return flats
+    p = next(i for i, x in enumerate(key) if x)
+    kp = key[p]
+    out = {}
+    for r, hs in lines.items():
+        c = r[p]
+        if c:
+            if r == key:
+                continue
+            v = [kp * x - c * y for x, y in zip(r, key)]
+            for x in v:
+                if x:
+                    break
+            g = gcd(*v) if x > 0 else -gcd(*v)
+            r = tuple([y // g for y in v])
+        out[r] = out.get(r, 0) | hs
+    return out
 
 
 def char_poly(a: Arrangement) -> dict:
-    """Characteristic polynomial χ(t) as {power: coefficient}.
+    """Characteristic polynomial χ(t) = Σ_X μ(0̂, X) t^{dim X} as
+    {power: coefficient}.
 
-    μ(0̂, X) = −Σ_{Y < X} μ(0̂, Y), taken rank by rank: a flat below X has
-    lower rank and its hyperplanes are a subset of X's.  Lower flats are
-    bucketed by their first hyperplane, so X looks only at the buckets of
-    its own hyperplanes.
+    The flats are built rank by rank.  A frontier flat X, keyed by its
+    mask (the hyperplanes containing it), carries its quotient lines: each
+    residual direction of the normals modulo span(X), mapped to the mask
+    of the normals on it.  Every line L gives a cover X ∨ L of mask
+    X | lines[L], whose own lines _quotient derives from X's.
+
+    μ follows Weisner's theorem for geometric lattices (Stanley,
+    Enumerative Combinatorics I, §3.9): for a hyperplane H ≤ X,
+    μ(0̂, X) = −Σ μ(0̂, Y) over the lower covers Y ⋖ X with H ≰ Y.  With H
+    the lowest bit of X's mask, each cover pair Y ⋖ X is seen once, when
+    the closure reaches X from Y, so μ costs one step per cover pair.
     """
-    by_rank = {}
-    for mask, r in _flats(a.normals).items():
-        by_rank.setdefault(r, []).append(mask)
-    buckets = [[] for _ in a.normals]
+    _check_dim(a.dim)
+    if len(a.normals) > MAX_CHARPOLY_HYPERPLANES:
+        raise ValueError(f"hyperplane bound exceeded (<= "
+                         f"{MAX_CHARPOLY_HYPERPLANES} for charpoly)")
     coeffs = {a.dim: 1}
-    for r in range(1, max(by_rank) + 1):
-        level = []
-        for x in by_rank[r]:
-            mu = -1
-            rest = x
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                for y, m in buckets[low.bit_length() - 1]:
-                    if y & x == y:
-                        mu -= m
-            level.append((x, mu))
-        for x, mu in level:
-            buckets[(x & -x).bit_length() - 1].append((x, mu))
-        coeffs[a.dim - r] = sum(mu for _, mu in level)
+    frontier = {0: [1, {v: 1 << g for g, v in enumerate(a.normals)}]}
+    rank = 0
+    while frontier:
+        rank += 1
+        covers = {}
+        # popping frees each flat's lines as soon as its covers have theirs
+        while frontier:
+            y, (mu, lines) = frontier.popitem()
+            for key, hs in lines.items():
+                x = y | hs
+                cover = covers.get(x)
+                if cover is None:
+                    cover = covers[x] = [0, _quotient(lines, key)]
+                if not y & x & -x:
+                    cover[0] -= mu
+        coeffs[a.dim - rank] = sum(mu for mu, _ in covers.values())
+        frontier = covers
     return {p: c for p, c in sorted(coeffs.items(), reverse=True) if c}
 
 
-def _count_charpoly(a: Arrangement) -> int:
-    coeffs = char_poly(a)
-    return abs(sum(c * (-1) ** p for p, c in coeffs.items()))
-
-
-def count_points_mod_p(a: Arrangement, q: int) -> int:
-    """Points of F_q^dim avoiding every hyperplane, by direct scan.
-
-    For primes q larger than every minor of the normal matrix this equals
-    χ(q); kept as an independent cross-check for small arrangements.
-    """
-    normals = [tuple(c % q for c in h) for h in a.normals]
-    return sum(
-        all(sum(c * x for c, x in zip(h, pt)) % q for h in normals)
-        for pt in itertools.product(range(q), repeat=a.dim))
-
-
 def count_regions(a: Arrangement, mode: str = "enumerate") -> int:
-    """Number of open regions of the arrangement."""
+    """Number of open regions of the arrangement: (−1)^dim χ(−1) for
+    charpoly (Zaslavsky), one certified split per region for enumerate."""
+    if mode == "charpoly":
+        return abs(sum(c * (-1) ** p for p, c in char_poly(a).items()))
+    if mode != "enumerate":
+        raise ValueError("mode must be 'enumerate' or 'charpoly'")
     _check_dim(a.dim)
     if len(a.normals) > MAX_HYPERPLANES:
         raise ValueError(
             f"hyperplane bound exceeded (<= {MAX_HYPERPLANES} hyperplanes)")
     if not a.normals:
         return 1
-    if mode == "enumerate":
-        return _count_enumerate(a)
-    if mode == "charpoly":
-        return _count_charpoly(a)
-    raise ValueError("mode must be 'enumerate' or 'charpoly'")
+    return _count_enumerate(a)
 
 
 # ---------------------------------------------------------------------------

@@ -87,19 +87,19 @@ def cmd_chambers_count(args) -> int:
         a = arrangements.build_B(args.n, args.m)
     if args.in_cone and args.at_ray:
         raise ValueError("--in-cone and --at-ray are mutually exclusive")
+    if args.method == "charpoly" and (args.in_cone or args.at_ray):
+        raise ValueError("--method charpoly counts every region; "
+                         "--in-cone and --at-ray split by enumerate")
     if args.in_cone:
         cone = (arrangements.cone_F(a.dim) if args.in_cone == "F"
                 else arrangements.cone_C0(a.dim))
         regions = arrangements.count_regions_in_cone(a, cone)
-        method = "enumerate"
     elif args.at_ray:
         regions = arrangements.count_chambers_at_ray(a, args.at_ray)
-        method = "enumerate"
     else:
         regions = arrangements.count_regions(a, args.method)
-        method = args.method
     _emit({"arrangement": args.arrangement, "n": args.n, "m": args.m,
-           "regions": regions, "method": method}, args.format)
+           "regions": regions, "method": args.method}, args.format)
     return 0
 
 

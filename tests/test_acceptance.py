@@ -149,6 +149,7 @@ def test_B84_charpoly():
     assert ar.count_regions(ar.build_B(8, 4), "charpoly") == 495504
     elapsed = time.monotonic() - t0
     print(f"\nB(8,4) charpoly regions in {elapsed:.1f}s")
+    assert elapsed < 10
 
 
 # -- criterion 7: oracle equivalence, exhaustive at n=5 -----------------------

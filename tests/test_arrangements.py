@@ -10,6 +10,26 @@ from polycrep import arrangements as ar, ratgeom
 from polycrep.arrangements import Arrangement
 
 
+def whitney_char_poly(a: Arrangement) -> dict:
+    """χ(t) = Σ_{S ⊆ A} (−1)^|S| t^(dim − rank S), Whitney's formula: a
+    route to χ through ratgeom.rank alone, for a handful of normals."""
+    coeffs = {}
+    for k in range(len(a.normals) + 1):
+        for s in itertools.combinations(a.normals, k):
+            p = a.dim - (ratgeom.rank(s) if s else 0)
+            coeffs[p] = coeffs.get(p, 0) + (-1) ** k
+    return {p: c for p, c in sorted(coeffs.items(), reverse=True) if c}
+
+
+def count_points_mod_p(a: Arrangement, q: int) -> int:
+    """Points of F_q^dim avoiding every hyperplane, by direct scan.  For
+    primes q larger than every minor of the normal matrix this is χ(q)."""
+    normals = [tuple(c % q for c in h) for h in a.normals]
+    return sum(
+        all(sum(c * x for c, x in zip(h, pt)) % q for h in normals)
+        for pt in itertools.product(range(q), repeat=a.dim))
+
+
 def test_build_A_counts():
     assert len(ar.build_A(5).normals) == 21
     assert len(ar.build_A(6).normals) == 38
@@ -93,6 +113,7 @@ def test_enumerate_halves_by_central_symmetry(a, regions):
     rank-1 and non-essential arrangements it still equals charpoly."""
     assert ar.count_regions(a, "enumerate") == regions
     assert ar.count_regions(a, "charpoly") == regions
+    assert ar.char_poly(a) == whitney_char_poly(a)
 
 
 def test_B63_both_modes():
@@ -102,9 +123,16 @@ def test_B63_both_modes():
 
 
 def test_char_poly_B63():
-    cp = ar.char_poly(ar.build_B(6, 3))
+    b = ar.build_B(6, 3)
+    cp = ar.char_poly(b)
     assert sum(cp.values()) == 0  # chi(1) = 0 for any nonempty arrangement
     assert cp[5] == 1 and cp[4] == -10
+    assert cp == whitney_char_poly(b)
+
+
+def test_char_poly_A4_matches_whitney():
+    a = ar.build_A(4)
+    assert ar.char_poly(a) == whitney_char_poly(a)
 
 
 def test_regions_in_cone_n5():
@@ -153,7 +181,7 @@ def test_finite_field_crosscheck():
                         (0, 1, 2)))
     cp = ar.char_poly(a)
     for q in (53, 59, 61):
-        assert ar.count_points_mod_p(a, q) == sum(
+        assert count_points_mod_p(a, q) == sum(
             c * q ** p for p, c in cp.items())
 
 
@@ -235,5 +263,6 @@ def test_backends_agree_on_hostile_inputs(case):
     h = a.normals[k % len(a.normals)]
     count = ar.count_regions(a, "enumerate")
     assert count == ar.count_regions(a, "charpoly")
+    assert ar.char_poly(a) == whitney_char_poly(a)
     assert count == (ar.count_regions(ar.delete(a, h))
                      + ar.count_regions(ar.restrict(a, h)))

@@ -185,6 +185,16 @@ def test_cone_split_beyond_bound_fails_fast(cone, capsys):
     assert out.out == "" and "error: hyperplane bound" in out.err
 
 
+def test_charpoly_beyond_bound_fails_fast(capsys):
+    # A(8)'s 136 hyperplanes are beyond charpoly's bound; A(7)'s 71 are not
+    t0 = time.monotonic()
+    assert cli.main(["chambers", "count", "--arrangement", "A", "--n", "8",
+                     "--method", "charpoly"]) == 1
+    assert time.monotonic() - t0 < 1
+    out = capsys.readouterr()
+    assert out.out == "" and "error: hyperplane bound" in out.err
+
+
 @pytest.mark.parametrize("argv", [["complexes", "enumerate", "--n", "8"],
                                   ["bunches", "classify", "--n", "8"],
                                   ["oracle", "crosscheck", "--n", "8"],
@@ -251,6 +261,18 @@ def test_malformed_ray_is_usage_error(ray, capsys):
 def test_mutually_exclusive_cone_and_ray(capsys):
     assert cli.main(["chambers", "count", "--arrangement", "A", "--n", "5",
                      "--in-cone", "F", "--at-ray", "1,1,1,1,1"]) == 1
+
+
+@pytest.mark.parametrize("where", [["--in-cone", "F"],
+                                   ["--at-ray", "1,1,1,1,1"]],
+                         ids=["in-cone", "at-ray"])
+def test_charpoly_in_cone_or_at_ray_is_refused(where, capsys):
+    # both are counted by enumerate, which a charpoly request must not
+    # silently run instead
+    assert cli.main(["chambers", "count", "--arrangement", "A", "--n", "5",
+                     "--method", "charpoly"] + where) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "error: --method charpoly" in out.err
 
 
 def test_m_with_arrangement_A_is_refused(capsys):
