@@ -11,7 +11,8 @@ Modules:
     arrangements  hyperplane arrangements and exact region counting
     coxrelations  Cox-ring relation generators and exact point checks
     crosscheck    exhaustive closed-form vs polyhedral-oracle validation
-    cli           batch command surface (`polycrep`)
+    cli           batch command surface (`polycrep`, `python -m polycrep`)
+    values        the base of the immutable value classes
 """
 
 __version__ = "0.1.0"
@@ -26,4 +27,5 @@ __all__ = [
     "coxrelations",
     "crosscheck",
     "cli",
+    "values",
 ]

@@ -27,7 +27,6 @@ whatever the size of the entries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -36,6 +35,7 @@ from .complexes import (Complex, _splits_every_pair, _swap_adjacent,
                         family_mask)
 from .polygon_cones import v_I
 from .ratgeom import ConeH, canon_normal, ray_sum
+from .values import Value
 
 MAX_DIM = 8
 # One hyperplane bound per route.  Enumerate visits every region, and
@@ -64,17 +64,16 @@ def _check_dim(dim: int):
         raise ValueError(f"dimension bound exceeded (dim <= {MAX_DIM})")
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Value):
     """A central arrangement in Q^dim, stored as its hyperplanes' canonical
     normals, deduplicated and sorted."""
 
-    dim: int
-    normals: tuple
+    __slots__ = ("dim", "normals")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, normals: tuple):
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "normals", tuple(sorted(
-            {_normal(v, self.dim) for v in self.normals})))
+            {_normal(v, dim) for v in normals})))
 
 
 def build_A(n: int) -> Arrangement:

@@ -18,7 +18,6 @@ and solves an exact rational LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratgeom
@@ -27,19 +26,20 @@ from .complexes import (Complex, Partition, _closure, _mask_is_full,
                         _splits_every_pair, _subset_table, family_mask,
                         is_full, is_maximal_biconnected, mask_of)
 from .polygon_cones import is_free
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Bunch:
+class Bunch(Value):
     """A set of free polygon orbit cones, each named by its Partition."""
 
-    n: int
-    cones: frozenset
+    __slots__ = ("n", "cones")
 
-    def __post_init__(self):
-        for c in self.cones:
-            if c.n != self.n:
+    def __init__(self, n: int, cones: frozenset):
+        for c in cones:
+            if c.n != n:
                 raise ValueError("ambient rank mismatch")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cones", cones)
 
 
 def _free_bunch(n: int, family: int) -> Bunch:

@@ -37,6 +37,13 @@ def cmd_complexes_count(args) -> int:
     return 0
 
 
+def _check_ndjson(args):
+    """A stream has one encoding: refuse a --format it would ignore."""
+    if args.format != "json":
+        raise ValueError(f"--format {args.format} does not apply: this "
+                         f"command streams NDJSON, one JSON record a line")
+
+
 def _write_ndjson(n: int, rows, records: bool):
     """One line per (family mask, witness) row, as json.dumps(obj,
     sort_keys=True) writes it: the complex's maximal faces in member-tuple
@@ -63,6 +70,7 @@ def _write_ndjson(n: int, rows, records: bool):
 
 
 def cmd_complexes_enumerate(args) -> int:
+    _check_ndjson(args)
     masks = complexes.max_biconnected_masks(args.n, args.full_only)
     _write_ndjson(args.n, ((m, None) for m in masks), records=False)
     return 0
@@ -70,6 +78,7 @@ def cmd_complexes_enumerate(args) -> int:
 
 def cmd_resolutions_census(args) -> int:
     if args.records:
+        _check_ndjson(args)
         _write_ndjson(args.n, hyper_cones.census(args.n), records=True)
         return 0
     _emit(hyper_cones.census_counts(args.n), args.format)

@@ -17,8 +17,9 @@ the mask DFS below fast: each branch decision propagates in O(1) big-int ops.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator
+
+from .values import Value
 
 MAX_N = 7
 # a family mask on [n] has 2^n bits: its kernel takes ms at n = 16, s at 20
@@ -40,15 +41,13 @@ def mask_of(members, n: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Set partition of a ground subset of [n], parts sorted by minimum."""
 
-    n: int
-    parts: tuple
+    __slots__ = ("n", "parts")
 
-    def __post_init__(self):
-        parts = tuple(sorted((frozenset(p) for p in self.parts), key=min))
+    def __init__(self, n: int, parts: tuple):
+        parts = tuple(sorted((frozenset(p) for p in parts), key=min))
         seen = set()
         for p in parts:
             if not p:
@@ -56,8 +55,9 @@ class Partition:
             if p & seen:
                 raise ValueError("parts not disjoint")
             seen |= p
-        if seen and (min(seen) < 1 or max(seen) > self.n):
+        if seen and (min(seen) < 1 or max(seen) > n):
             raise ValueError("part outside ground range")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -65,8 +65,7 @@ class Partition:
         return frozenset().union(*self.parts) if self.parts else frozenset()
 
 
-@dataclass(frozen=True)
-class Complex:
+class Complex(Value):
     """Downward-closed family of subsets of [n], stored as its family mask.
 
     Bit s of family is set when the subset with mask s is a face.  0 is the
@@ -74,17 +73,17 @@ class Complex:
     both on the biconnected side.
     """
 
-    n: int
-    family: int
+    __slots__ = ("n", "family")
 
-    def __post_init__(self):
-        _check_family_n(self.n)
-        fam = self.family
-        if fam < 0 or fam >> (1 << self.n):
+    def __init__(self, n: int, family: int):
+        _check_family_n(n)
+        if family < 0 or family >> (1 << n):
             raise ValueError("family mask outside the subsets of [n]")
-        for i, lacking in enumerate(_lacking(self.n)):
-            if fam >> (1 << i) & lacking & ~fam:
+        for i, lacking in enumerate(_lacking(n)):
+            if family >> (1 << i) & lacking & ~family:
                 raise ValueError("family mask is not downward closed")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "family", family)
 
     @classmethod
     def from_faces(cls, n: int, faces) -> Complex:

@@ -19,12 +19,18 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratgeom
+from .values import Value
 
-SAMPLE_RETRIES = 32
+# The relations, ι and the sampler all take n >= MIN_N.
+MIN_N = 4
+
+
+def _check_n(n: int):
+    if n < MIN_N:
+        raise ValueError(f"n >= {MIN_N} required")
 
 
 class InhomogeneousError(ValueError):
@@ -127,8 +133,7 @@ def degree_of(p: dict, n: int) -> tuple:
 
 def plucker_relations(n: int) -> list:
     """φ_{ij}φ_{kl} − φ_{ik}φ_{jl} + φ_{il}φ_{jk} over i<j<k<l."""
-    if n < 4:
-        raise ValueError("n >= 4 required")
+    _check_n(n)
     out = []
     for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
         out.append(p_add(p_sub(p_mul(phi(i, j), phi(k, l)),
@@ -139,8 +144,7 @@ def plucker_relations(n: int) -> list:
 
 def sigma_relations(n: int) -> list:
     """σ_{i,j} = Σ_k φ_{i,k} φ_{j,k} c_k over 1 <= i <= j <= n."""
-    if n < 4:
-        raise ValueError("n >= 4 required")
+    _check_n(n)
     out = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -184,8 +188,7 @@ def j_generators(n: int) -> list:
 
 def iota_substitution_identities(n: int) -> bool:
     """Exact expansion of ι on the six moment-map generator families."""
-    if n < 4:
-        raise ValueError("n >= 4 required")
+    _check_n(n)
     jxx, jxy, jyy = j_generators(n)
 
     def s(a, b):
@@ -215,21 +218,17 @@ def iota_substitution_identities(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # exact sample points
 
-@dataclass(frozen=True)
-class XPoint:
-    n: int
-    x: tuple
-    y: tuple
-    c: tuple
+class XPoint(Value):
+    __slots__ = ("n", "x", "y", "c")
 
-    def __post_init__(self):
-        x, y, c = (tuple(Fraction(v) for v in t)
-                   for t in (self.x, self.y, self.c))
-        if not len(x) == len(y) == len(c) == self.n:
+    def __init__(self, n: int, x: tuple, y: tuple, c: tuple):
+        x, y, c = (tuple(Fraction(v) for v in t) for t in (x, y, c))
+        if not len(x) == len(y) == len(c) == n:
             raise ValueError("length mismatch")
         for a, b in ((x, x), (x, y), (y, y)):
             if sum(ci * ai * bi for ci, ai, bi in zip(c, a, b)) != 0:
                 raise ValueError("point does not satisfy the quadrics")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "c", c)
@@ -237,30 +236,33 @@ class XPoint:
 
 def sample_X_point(n: int, seed: int) -> XPoint:
     """Seeded exact point: integer (x, y) with pairwise independent pairs,
-    c a nonzero integer vector in the kernel of the three quadric rows."""
-    if n < 5:
-        raise ValueError("n >= 5 required")
-    for attempt in range(SAMPLE_RETRIES):
-        rng = random.Random(seed * 0x9E3779B1 + attempt)
-        x = [rng.randint(-9, 9) for _ in range(n)]
-        y = [rng.randint(-9, 9) for _ in range(n)]
-        if any(x[i] == y[i] == 0 for i in range(n)):
-            continue
-        if any(x[i] * y[j] - x[j] * y[i] == 0
-               for i in range(n) for j in range(i + 1, n)):
-            continue
-        rows = [[x[i] * x[i] for i in range(n)],
-                [x[i] * y[i] for i in range(n)],
-                [y[i] * y[i] for i in range(n)]]
-        kb = ratgeom.kernel_basis(rows, n)
-        if len(kb) != n - 3:
-            continue
+    c a nonzero integer vector in the kernel of the three quadric rows.
+
+    The pairs are drawn one at a time from [−r, r]², r = max(9, n), and a
+    pair that is zero or parallel to an earlier one is drawn again; the
+    directions (0, 1) and (1, k), |k| <= r, are more than n, so the draws
+    end.  A binary quadratic form vanishing at three pairwise independent
+    pairs is zero, so the three rows are independent, the kernel has
+    dimension n − 3 and any nonzero weights on its basis give a nonzero c.
+    """
+    _check_n(n)
+    rng = random.Random(seed * 0x9E3779B1)
+    r = max(9, n)
+    x, y = [], []
+    while len(x) < n:
+        a, b = rng.randint(-r, r), rng.randint(-r, r)
+        if (a or b) and all(a * yj != b * xj for xj, yj in zip(x, y)):
+            x.append(a)
+            y.append(b)
+    rows = [[xi * xi for xi in x],
+            [xi * yi for xi, yi in zip(x, y)],
+            [yi * yi for yi in y]]
+    kb = ratgeom.kernel_basis(rows, n)
+    weights = [0]
+    while not any(weights):
         weights = [rng.randint(-9, 9) for _ in kb]
-        c = tuple(sum(w * b[i] for w, b in zip(weights, kb)) for i in range(n))
-        if not any(c):
-            continue
-        return XPoint(n, tuple(x), tuple(y), c)
-    raise ValueError("no suitable sample found within retry budget")
+    c = tuple(sum(w * b[i] for w, b in zip(weights, kb)) for i in range(n))
+    return XPoint(n, tuple(x), tuple(y), c)
 
 
 def _point_values(pt: XPoint) -> dict:

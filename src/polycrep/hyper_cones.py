@@ -21,7 +21,6 @@ test suite; any disagreement is a test failure, not a warning.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import arrangements, bunches, polygon_cones
@@ -30,22 +29,23 @@ from .complexes import (Complex, Partition, _closure, _swap_adjacent,
                         family_mask, is_full, is_maximal_biconnected,
                         max_biconnected_masks)
 from .polygon_cones import eta
+from .values import Value
 
 
-@dataclass(frozen=True)
-class HyperCone:
+class HyperCone(Value):
     """ω_{P,K} for orbit data (P, K)."""
 
-    n: int
-    partition: Partition
-    K: frozenset
+    __slots__ = ("n", "partition", "K")
 
-    def __post_init__(self):
-        object.__setattr__(self, "K", frozenset(self.K))
-        if self.partition.n != self.n:
+    def __init__(self, n: int, partition: Partition, K: frozenset):
+        K = frozenset(K)
+        if partition.n != n:
             raise ValueError("partition range mismatch")
-        if self.K and (min(self.K) < 1 or max(self.K) > self.n):
+        if K and (min(K) < 1 or max(K) > n):
             raise ValueError("K outside [n]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "K", K)
 
 
 def generators_hyper(c: HyperCone) -> list:

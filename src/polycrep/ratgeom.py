@@ -16,10 +16,11 @@ values by a linear update, so the DD path builds no Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
+
+from .values import Value
 
 
 Vec = tuple  # tuple of int/Fraction, length = ambient dimension
@@ -65,39 +66,37 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class ConeV:
+class ConeV(Value):
     """Cone given by generators; canonical form has primitive sorted rays."""
 
-    ambient_dim: int
-    generators: tuple
+    __slots__ = ("ambient_dim", "generators")
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int, generators: tuple):
         gens = []
-        for g in self.generators:
-            if len(g) != self.ambient_dim:
+        for g in generators:
+            if len(g) != ambient_dim:
                 raise ValueError("generator has wrong dimension")
             p = primitive(g)
             if any(p):
                 gens.append(p)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "generators", tuple(sorted(set(gens))))
 
 
-@dataclass(frozen=True)
-class ConeH:
+class ConeH(Value):
     """Cone given by inequalities L·x >= 0."""
 
-    ambient_dim: int
-    inequalities: tuple
+    __slots__ = ("ambient_dim", "inequalities")
 
-    def __post_init__(self):
+    def __init__(self, ambient_dim: int, inequalities: tuple):
         ineqs = []
-        for a in self.inequalities:
-            if len(a) != self.ambient_dim:
+        for a in inequalities:
+            if len(a) != ambient_dim:
                 raise ValueError("inequality has wrong dimension")
             p = primitive(a)
             if any(p):
                 ineqs.append(p)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "inequalities", tuple(sorted(set(ineqs))))
 
 

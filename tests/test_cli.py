@@ -221,6 +221,58 @@ def test_cli_import_does_not_load_numpy():
     assert res.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("module", ["polycrep.cli", "polycrep.arrangements"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # every CLI call pays its imports: dataclasses and the inspect chain it
+    # pulls in cost about 16 ms of a start-up of about 85 ms
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = (f"import sys, {module}; "
+             f"print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True)
+    assert res.stdout.strip() == "[]"
+
+
+def test_python_dash_m_polycrep():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-m", "polycrep", "complexes",
+                          "count", "--n", "5"], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0
+    assert res.stdout.strip() == GOLDEN[0][1]
+    res = subprocess.run([sys.executable, "-m", "polycrep", "complexes",
+                          "count", "--n", "99"], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 1 and "error:" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "csv", "complexes", "enumerate", "--n", "5"],
+    ["complexes", "enumerate", "--n", "5", "--format", "plain"],
+    ["resolutions", "census", "--n", "5", "--records", "--format", "csv"]],
+    ids=["enumerate-csv", "enumerate-plain", "census-records-csv"])
+def test_streams_refuse_other_formats(argv, capsys):
+    # the NDJSON streams have one encoding: a --format they would ignore is
+    # refused, not silently answered in JSON
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "error: --format" in out.err
+
+
+def test_cox_verify_minimum_and_large_n(capsys):
+    # the sampler and the relations share one minimum n, and the sampler
+    # finds n pairwise independent pairs however large n is
+    assert cli.main(["cox", "verify", "--n", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
+    assert cli.main(["cox", "verify", "--n", "3", "--samples", "0"]) == 1
+    assert "error: n >= 4" in capsys.readouterr().err
+    assert cli.main(["cox", "verify", "--n", "20", "--samples", "3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 20, "samples": 3, "failures": 0, "identities": "ok"}
+
+
 def test_computation_error_exit_1(capsys):
     assert cli.main(["chambers", "count", "--arrangement", "B",
                      "--n", "7", "--m", "3"]) == 1

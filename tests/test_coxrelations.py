@@ -79,6 +79,22 @@ def test_sample_points_and_vanishing():
             assert cx.verify_relations_vanish(pt)
 
 
+@pytest.mark.parametrize("n", [4, 20, 40])
+def test_sampler_at_any_n(n):
+    # every seed gives n pairwise independent pairs and a nonzero c; the
+    # quadrics are checked by XPoint itself
+    for seed in range(5):
+        pt = cx.sample_X_point(n, seed)
+        assert len(pt.x) == len(pt.c) == n and any(pt.c)
+        pairs = list(zip(pt.x, pt.y))
+        assert all(a * d != b * c for i, (a, b) in enumerate(pairs)
+                   for c, d in pairs[:i])
+        again = cx.sample_X_point(n, seed)
+        assert (again.x, again.y, again.c) == (pt.x, pt.y, pt.c)
+    with pytest.raises(ValueError):
+        cx.sample_X_point(3, 0)
+
+
 def test_kernel_dimension():
     from polycrep import ratgeom
     for n in (5, 6, 7, 8):
