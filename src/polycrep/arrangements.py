@@ -8,14 +8,16 @@ Two independent counting backends:
   hyperplane produces the two child ray sets without any LP.  The arrangement
   is first essentialized and space is covered by the 2^r simplicial sign cones
   of r independent normals; regions come in ± pairs, so half of the cones
-  are split and the count doubled.
+  are split and the count doubled.  The cones' start records are sign flips
+  of one set, and a count builds no rays for a cut that leaves no other
+  hyperplane cutting its region.
 * ``charpoly`` — one rank-by-rank pass over the intersection lattice finds
   the flats and the Möbius function together.  Each frontier flat carries
-  its quotient lines (the normals' residual directions modulo its span);
-  a cover's lines come from its parent's by one exact integer elimination
-  step, and μ follows Weisner's theorem (Stanley, Enumerative
-  Combinatorics I, §3.9), one step per cover pair.  The region count is
-  (−1)^d · χ(−1) (Zaslavsky).
+  its quotient lines (the normals' residual directions modulo its span,
+  with one coordinate per rank cut off); a cover's lines come from its
+  parent's by one exact integer elimination step, and μ follows Weisner's
+  theorem (Stanley, Enumerative Combinatorics I, §3.9), one step per cover
+  pair.  The region count is (−1)^d · χ(−1) (Zaslavsky).
 
 An arrangement is stored as its hyperplanes' canonical normals, and a
 region is reported as the ray_sum θ of its extreme rays: that is all a GIT
@@ -133,22 +135,23 @@ def cone_Ci(n: int, i: int) -> ConeH:
 # ---------------------------------------------------------------------------
 # enumerate backend: DD region splitting
 
-def _split_regions(normals, cone_facets, cone_rays, collect):
-    """Count (and optionally report) regions of the arrangement inside the
-    cone given by facets/extreme rays.  Exact, LP-free: a region is split by
-    one ratgeom.dd_cut into the ray sets of its two children.
+def _split_regions(rays0, nf, collect):
+    """Count (and optionally report) regions of the arrangement inside a
+    cone, from the start ray records of its extreme rays over the cone's
+    nf facets followed by the normals.  Exact, LP-free: a region is split
+    by one ratgeom.dd_cut into the ray sets of its two children.
 
-    Constraint values are evaluated once, for the start rays; dd_cut
-    carries them to new rays on the hyperplanes that still cut their
-    region.  collect(rays) receives each region's ray records (ray first).
+    dd_cut carries the start values to new rays on the hyperplanes that
+    still cut their region.  collect(rays) receives each region's ray
+    records (ray first).  Without collect, a cut that leaves no other
+    hyperplane cutting counts its two children and builds no rays: the
+    cut is in pos & neg, so each side keeps a ray off it.
     """
-    nf = len(cone_facets)
-    rays0 = ratgeom.ray_records(cone_rays, (*cone_facets, *normals))
     facets = (1 << nf) - 1
     count = 0
     # (rays, hyperplanes still to test, decided constraints), as masks over
     # constraint indices: the cone's facets first, then the normals
-    stack = [(rays0, ((1 << (nf + len(normals))) - 1) ^ facets, facets)]
+    stack = [(rays0, ((1 << len(rays0[0][1])) - 1) ^ facets, facets)]
     while stack:
         rays, remaining, decided = stack.pop()
         pos = neg = 0
@@ -164,6 +167,9 @@ def _split_regions(normals, cone_facets, cone_rays, collect):
             continue
         bit = cutting & -cutting
         keep = cutting ^ bit
+        if not keep and collect is None:
+            count += 2
+            continue
         plus, minus, zero, new = ratgeom.dd_cut(
             rays, bit.bit_length() - 1, decided, keep)
         decided |= bit
@@ -188,37 +194,53 @@ def _essentialize(a: Arrangement):
 
 def _count_enumerate(a: Arrangement) -> int:
     """Split the 2^(d−1) simplicial cones {x : s_i b_i·x >= 0} with s_1 = +1
-    of d independent normals b_i, and double the count.  Their extreme
-    rays are b's simplicial rays, signed by s_j.  The b_i are hyperplanes
-    of the arrangement, so each region lies in one sign cone, and its
-    negative, also a region, lies in the opposite one."""
+    of d independent normals b_i, and double the count.  The b_i are
+    hyperplanes of the arrangement, so each region lies in one sign cone,
+    and its negative, also a region, lies in the opposite one.
+
+    One ray_records call over (b, normals) gives the records of b's
+    simplicial rays r_j, with b_i·r_j = p_j δ_ij, p_j > 0.  The sign cone's
+    rays are s_j r_j and its facets s_i b_i, so for s_j = −1 ray j's record
+    negates the ray and its normal values and swaps pos/neg on the normal
+    bits, and keeps its facet values s_i s_j p_j δ_ij."""
     normals, d = _essentialize(a)
     if d == 0:
         return 1
     basis = [normals[i] for i in ratgeom.independent_rows(normals, d)]
-    rays = ratgeom.simplicial_rays(basis)
+    recs = ratgeom.ray_records(ratgeom.simplicial_rays(basis),
+                               (*basis, *normals))
+    facets = (1 << d) - 1
+    flips = [(tuple(-x for x in r), vals[:d] + [-v for v in vals[d:]],
+              pos & facets | neg & ~facets, pos & ~facets, tight)
+             for r, vals, pos, neg, tight in recs]
     total = 0
-    for rest in itertools.product((1, -1), repeat=d - 1):
-        signs = (1, *rest)
-        facets = [tuple(s * x for x in v) for s, v in zip(signs, basis)]
-        srays = [tuple(s * x for x in v) for s, v in zip(signs, rays)]
-        total += _split_regions(normals, facets, srays, None)
+    for rest in itertools.product((False, True), repeat=d - 1):
+        start = [f if s else rv
+                 for s, rv, f in zip((False, *rest), recs, flips)]
+        total += _split_regions(start, d, None)
     return 2 * total
 
 
 # ---------------------------------------------------------------------------
 # charpoly backend: intersection lattice and Möbius function
 
-def _quotient(lines: dict, key: tuple) -> dict:
+def _quotient(lines: dict, key: tuple, drops: dict) -> dict:
     """The quotient lines of the cover X ∨ L from those of X, L = lines[key].
 
     Each residual r loses its component along key by one elimination step
     at key's pivot p, its first nonzero entry, and is made primitive with
     its first nonzero entry positive; residuals that become parallel merge.
-    Every residual of X is zero at the pivots of X's earlier steps, and
-    stays so, which makes it unique up to scale.
+    Every residual is then zero at p, so coordinate p is dropped, and a
+    line of a rank-k flat has dim − k coordinates.  Dropping a coordinate
+    that is zero on every residual is a bijection that keeps primitivity
+    and the sign rule, so each residual stays unique up to scale.  drops
+    caches, per pivot, X's residuals already zero there with p cut out, so
+    that X's covers share those tuples.
     """
     p = next(i for i, x in enumerate(key) if x)
+    drop = drops.get(p)
+    if drop is None:
+        drop = drops[p] = {r: r[:p] + r[p + 1:] for r in lines if not r[p]}
     kp = key[p]
     out = {}
     for r, hs in lines.items():
@@ -227,11 +249,14 @@ def _quotient(lines: dict, key: tuple) -> dict:
             if r == key:
                 continue
             v = [kp * x - c * y for x, y in zip(r, key)]
+            del v[p]
             for x in v:
                 if x:
                     break
             g = gcd(*v) if x > 0 else -gcd(*v)
             r = tuple([y // g for y in v])
+        else:
+            r = drop[r]
         out[r] = out.get(r, 0) | hs
     return out
 
@@ -265,11 +290,12 @@ def char_poly(a: Arrangement) -> dict:
         # popping frees each flat's lines as soon as its covers have theirs
         while frontier:
             y, (mu, lines) = frontier.popitem()
+            drops = {}
             for key, hs in lines.items():
                 x = y | hs
                 cover = covers.get(x)
                 if cover is None:
-                    cover = covers[x] = [0, _quotient(lines, key)]
+                    cover = covers[x] = [0, _quotient(lines, key, drops)]
                 if not y & x & -x:
                     cover[0] -= mu
         coeffs[a.dim - rank] = sum(mu for mu, _ in covers.values())
@@ -296,7 +322,10 @@ def count_regions(a: Arrangement, mode: str = "enumerate") -> int:
 # ---------------------------------------------------------------------------
 # regions relative to cones and rays
 
-def _require_cone_in_arrangement(a: Arrangement, cone: ConeH):
+def _cone_records(a: Arrangement, cone: ConeH) -> list:
+    """Start records of the split of a pointed cone whose facets are
+    arrangement hyperplanes, so that every region is inside it or disjoint:
+    its extreme rays over its facets followed by the normals."""
     if cone.ambient_dim != a.dim:
         raise ValueError("cone/arrangement dimension mismatch")
     if len(a.normals) > MAX_CONE_HYPERPLANES:
@@ -306,38 +335,31 @@ def _require_cone_in_arrangement(a: Arrangement, cone: ConeH):
     for ineq in cone.inequalities:
         if canon_normal(ineq) not in have:
             raise ValueError("cone facet is not an arrangement hyperplane")
-
-
-def _cone_rays(cone: ConeH):
     if ratgeom.rank(cone.inequalities) < cone.ambient_dim:
         raise ValueError("cone must be pointed")
-    rays = list(ratgeom.h_to_v(cone).generators)
+    rays = ratgeom.h_to_v(cone).generators
     if not rays:
         raise ValueError("zero cone")
-    return rays
+    return ratgeom.ray_records(rays, (*cone.inequalities, *a.normals))
 
 
 def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
-    """Regions of the arrangement wholly inside the given cone.
-
-    The cone's facets must themselves be arrangement hyperplanes, so every
-    region is either inside or disjoint.
-    """
-    _require_cone_in_arrangement(a, cone)
-    return _split_regions(a.normals, cone.inequalities, _cone_rays(cone), None)
+    """Regions of the arrangement wholly inside the given cone, whose
+    facets must themselves be arrangement hyperplanes."""
+    return _split_regions(_cone_records(a, cone), len(cone.inequalities),
+                          None)
 
 
 def chambers_in_cone(a: Arrangement, cone: ConeH) -> list:
     """One interior point per region inside the cone: the ray_sum of the
     region's extreme rays.  No hyperplane cuts the region, so the point is
     off every hyperplane."""
-    _require_cone_in_arrangement(a, cone)
     out = []
 
     def collect(rays):
         out.append(ray_sum(rv[0] for rv in rays))
 
-    _split_regions(a.normals, cone.inequalities, _cone_rays(cone), collect)
+    _split_regions(_cone_records(a, cone), len(cone.inequalities), collect)
     return out
 
 
@@ -372,8 +394,9 @@ def chamber_orbits(n: int) -> list:
             stab *= run
         out.append((theta, factorial(n) // stab))
 
-    _split_regions(a.normals, facets,
-                   list(ratgeom.h_to_v(ConeH(n, facets)).generators), collect)
+    rays = ratgeom.h_to_v(ConeH(n, facets)).generators
+    _split_regions(ratgeom.ray_records(rays, (*facets, *a.normals)),
+                   len(facets), collect)
     return out
 
 
@@ -387,27 +410,6 @@ def count_chambers_at_ray(a: Arrangement, theta) -> int:
     if not local:
         return 1
     return count_regions(Arrangement(a.dim, tuple(local)))
-
-
-def delete(a: Arrangement, h) -> Arrangement:
-    """The arrangement without the hyperplane of normal h."""
-    h = _normal(h, a.dim)
-    return Arrangement(a.dim, tuple(g for g in a.normals if g != h))
-
-
-def restrict(a: Arrangement, h) -> Arrangement:
-    """The arrangement induced on the hyperplane of normal h (coordinates =
-    a kernel basis of h)."""
-    h = _normal(h, a.dim)
-    basis = ratgeom.kernel_basis([h], a.dim)
-    normals = set()
-    for g in a.normals:
-        if g == h:
-            continue
-        v = tuple(ratgeom.dot(g, b) for b in basis)
-        if any(v):
-            normals.add(canon_normal(v))
-    return Arrangement(a.dim - 1, tuple(normals))
 
 
 def chamber_to_complex(a: Arrangement, theta):

@@ -17,7 +17,7 @@ the mask DFS below fast: each branch decision propagates in O(1) big-int ops.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from collections.abc import Iterator
 
 from .values import Value
 

@@ -21,7 +21,7 @@ test suite; any disagreement is a test failure, not a warning.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from . import arrangements, bunches, polygon_cones
 from .complexes import (Complex, Partition, _closure, _swap_adjacent,
@@ -136,7 +136,7 @@ def _psi_member(d: Complex, c: HyperCone) -> bool:
     return len(I) <= n - 2 and d.member(I)
 
 
-def free_orbit_data(n: int, max_k: Optional[int] = None) -> Iterator[HyperCone]:
+def free_orbit_data(n: int, max_k: int | None = None) -> Iterator[HyperCone]:
     """All free hyper cones on [n], optionally with #K bounded."""
     elems = list(range(1, n + 1))
     for p in enumerate_partitions(elems, n, min_parts=2):

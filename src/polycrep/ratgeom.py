@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .values import Value
 
@@ -389,7 +389,7 @@ def _integer_row(row) -> list:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def solve_eq_nonneg(A, b) -> Optional[list]:
+def solve_eq_nonneg(A, b) -> list | None:
     """A feasible point of {y >= 0 : A y = b}, or None.
 
     A: list of rows (length-n rationals), b: list of rationals.  Phase-1
@@ -467,7 +467,7 @@ def _pivot_row(row, prow, e, pv, D) -> list:
     return [(x * pv - f * y) // D for x, y in zip(row, prow)]
 
 
-def solve_ge(A, rhs) -> Optional[tuple]:
+def solve_ge(A, rhs) -> tuple | None:
     """A point x (free sign) with A x >= rhs, or None."""
     m = len(A)
     n = len(A[0]) if m else 0
@@ -485,19 +485,6 @@ def solve_ge(A, rhs) -> Optional[tuple]:
 
 # ---------------------------------------------------------------------------
 # cone predicates
-
-def contains_point(cone: ConeV, x) -> bool:
-    """Exact LP: is x a nonnegative combination of the generators?"""
-    if len(x) != cone.ambient_dim:
-        raise ValueError("dimension mismatch")
-    if not any(Fraction(v) for v in x):
-        return True
-    if not cone.generators:
-        return False
-    gens = cone.generators
-    A = [[g[i] for g in gens] for i in range(cone.ambient_dim)]
-    return solve_eq_nonneg(A, list(x)) is not None
-
 
 def relint_intersects(a: ConeV, b: ConeV) -> bool:
     """Exact LP: do the relative interiors meet?

@@ -21,6 +21,27 @@ def whitney_char_poly(a: Arrangement) -> dict:
     return {p: c for p, c in sorted(coeffs.items(), reverse=True) if c}
 
 
+def delete(a: Arrangement, h) -> Arrangement:
+    """The arrangement without the hyperplane of normal h."""
+    (h,) = Arrangement(a.dim, (h,)).normals
+    return Arrangement(a.dim, tuple(g for g in a.normals if g != h))
+
+
+def restrict(a: Arrangement, h) -> Arrangement:
+    """The arrangement induced on the hyperplane of normal h (coordinates =
+    a kernel basis of h)."""
+    (h,) = Arrangement(a.dim, (h,)).normals
+    basis = ratgeom.kernel_basis([h], a.dim)
+    normals = set()
+    for g in a.normals:
+        if g == h:
+            continue
+        v = tuple(ratgeom.dot(g, b) for b in basis)
+        if any(v):
+            normals.add(ratgeom.canon_normal(v))
+    return Arrangement(a.dim - 1, tuple(normals))
+
+
 def count_points_mod_p(a: Arrangement, q: int) -> int:
     """Points of F_q^dim avoiding every hyperplane, by direct scan.  For
     primes q larger than every minor of the normal matrix this is χ(q)."""
@@ -63,8 +84,8 @@ def test_hyperplane_canonical():
     with pytest.raises(ValueError, match="dimension"):
         Arrangement(3, ((1, 0),))
     a = Arrangement(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1)))
-    assert ar.delete(a, (-2, 0, 0)) == Arrangement(3, ((0, 1, 0), (1, 1, 1)))
-    assert ar.restrict(a, (-2, 0, 0)) == ar.restrict(a, (1, 0, 0))
+    assert delete(a, (-2, 0, 0)) == Arrangement(3, ((0, 1, 0), (1, 1, 1)))
+    assert restrict(a, (-2, 0, 0)) == restrict(a, (1, 0, 0))
 
 
 def test_count_regions_empty():
@@ -172,8 +193,8 @@ def test_deletion_restriction():
                         (1, -1, 0, 1), (0, 1, 2, -1), (1, 1, 1, 1)))
     for h in a.normals:
         assert (ar.count_regions(a)
-                == ar.count_regions(ar.delete(a, h))
-                + ar.count_regions(ar.restrict(a, h)))
+                == ar.count_regions(delete(a, h))
+                + ar.count_regions(restrict(a, h)))
 
 
 def test_finite_field_crosscheck():
@@ -264,5 +285,35 @@ def test_backends_agree_on_hostile_inputs(case):
     count = ar.count_regions(a, "enumerate")
     assert count == ar.count_regions(a, "charpoly")
     assert ar.char_poly(a) == whitney_char_poly(a)
-    assert count == (ar.count_regions(ar.delete(a, h))
-                     + ar.count_regions(ar.restrict(a, h)))
+    assert count == (ar.count_regions(delete(a, h))
+                     + ar.count_regions(restrict(a, h)))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("cone", [ar.cone_F, ar.cone_C0], ids=["F", "C0"])
+def test_count_and_collect_agree(n, cone):
+    """Counting skips the rays of a last cut; collecting builds them."""
+    a, c = ar.build_A(n), cone(n)
+    assert ar.count_regions_in_cone(a, c) == len(ar.chambers_in_cone(a, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hostile_arrangements())
+def test_sign_cones_partition_the_regions(case):
+    """On the essential form of the arrangement, each of the 2^d sign cones
+    of d independent normals, split from its own h_to_v rays, counts the
+    same in count and collect mode, and the counts sum to enumerate's,
+    whose sign cones start from flipped records of one simplicial set."""
+    a, _ = case
+    _, pivs = ratgeom.row_reduce(a.normals)
+    a = Arrangement(len(pivs), tuple(tuple(h[c] for c in pivs)
+                                     for h in a.normals))
+    basis = [a.normals[i] for i in ratgeom.independent_rows(a.normals, a.dim)]
+    total = 0
+    for signs in itertools.product((1, -1), repeat=a.dim):
+        cone = ratgeom.ConeH(a.dim, tuple(tuple(s * x for x in b)
+                                          for s, b in zip(signs, basis)))
+        count = ar.count_regions_in_cone(a, cone)
+        assert count == len(ar.chambers_in_cone(a, cone))
+        total += count
+    assert total == ar.count_regions(a, "enumerate")

@@ -234,6 +234,17 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     assert res.stdout.strip() == "[]"
 
 
+def test_import_leaves_typing_out():
+    # annotations are strings, so no module needs typing at run time; -S
+    # keeps site's path hooks, which may import typing themselves, away
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, polycrep.cli; print('typing' in sys.modules)"
+    res = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert res.stdout.strip() == "False"
+
+
 def test_python_dash_m_polycrep():
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
