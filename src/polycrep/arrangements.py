@@ -22,7 +22,7 @@ Two independent counting backends:
 An arrangement is stored as its hyperplanes' canonical normals, and a
 region is reported as the ray_sum θ of its extreme rays: that is all a GIT
 chamber inside C_0 needs, since its complex is {I : v_I(θ) > 0}
-(``chamber_to_complex``).  Everything is exact Python-int arithmetic,
+(``complexes.family_mask``).  Everything is exact Python-int arithmetic,
 whatever the size of the entries.
 """
 
@@ -33,8 +33,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from . import ratgeom
-from .complexes import (Complex, _splits_every_pair, _swap_adjacent,
-                        family_mask)
+from .complexes import _swap_adjacent, family_mask
 from .polygon_cones import v_I
 from .ratgeom import ConeH, canon_normal, ray_sum
 from .values import Value
@@ -350,19 +349,6 @@ def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
                           None)
 
 
-def chambers_in_cone(a: Arrangement, cone: ConeH) -> list:
-    """One interior point per region inside the cone: the ray_sum of the
-    region's extreme rays.  No hyperplane cuts the region, so the point is
-    off every hyperplane."""
-    out = []
-
-    def collect(rays):
-        out.append(ray_sum(rv[0] for rv in rays))
-
-    _split_regions(_cone_records(a, cone), len(cone.inequalities), collect)
-    return out
-
-
 def chamber_orbits(n: int) -> list:
     """One (θ, orbit size) per S_n-orbit of the chambers of A(n) inside C_0.
 
@@ -411,17 +397,3 @@ def count_chambers_at_ray(a: Arrangement, theta) -> int:
         return 1
     return count_regions(Arrangement(a.dim, tuple(local)))
 
-
-def chamber_to_complex(a: Arrangement, theta):
-    """The maximally-biconnected complex of the chamber inside C_0 ∩ F
-    with interior point theta: the subsets I with v_I(θ) > 0."""
-    n = a.dim
-    if len(theta) != n:
-        raise ValueError("theta must have one entry per coordinate")
-    if any(t <= 0 for t in theta):
-        raise ValueError("chamber not inside the open orthant")
-    fam = family_mask(theta, n)
-    # v_I(θ) = 0 exactly when neither I nor its complement is a face
-    if not _splits_every_pair(fam, n):
-        raise ValueError("witness lies on an arrangement hyperplane")
-    return Complex(n, fam)

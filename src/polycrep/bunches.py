@@ -12,20 +12,17 @@ sharing a common interior point.  Their intersection is cut out by θ ≥ 0
 and v_I ≥ 0 over the maximal faces I of Δ, so `projectivity_witness` reads
 those faces off the complex and certifies the answer by the extreme rays of
 that cone, the closed GIT chamber of Δ when it is projective.  The second
-route builds the bunch, recovers the maximal parts from its own members,
-and solves an exact rational LP.
+route, in tests/routes.py, builds the bunch, recovers the maximal parts
+from its own members and solves an exact rational LP; the inverse map and
+the bunch axioms live there too.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import ratgeom
-from .complexes import (Complex, Partition, _closure, _mask_is_full,
-                        _maximal_faces_of_mask, _partition_masks,
-                        _splits_every_pair, _subset_table, family_mask,
-                        is_full, is_maximal_biconnected, mask_of)
-from .polygon_cones import is_free
+from .complexes import (Complex, Partition, _maximal_faces_of_mask,
+                        _partition_masks, _subset_table, is_full,
+                        is_maximal_biconnected)
 from .values import Value
 
 
@@ -51,92 +48,12 @@ def _free_bunch(n: int, family: int) -> Bunch:
         for parts in _partition_masks((1 << n) - 1, family, 3)))
 
 
-def is_bunch(phi: Bunch) -> bool:
-    """Pairwise-meeting interiors plus upward closure under refinement.
-
-    Two free cones have disjoint relative interiors exactly when a part of
-    one and a part of the other cover [n], and two parts of one free
-    partition never do, so the interiors meet pairwise exactly when no two
-    member parts cover [n]."""
-    cones = list(phi.cones)
-    if not cones:
-        return False
-    for c in cones:
-        if not is_free(c):
-            raise ValueError("bunch members must be free cones")
-    n = phi.n
-    full = (1 << n) - 1
-    members = {tuple(mask_of(part, n) for part in c.parts) for c in cones}
-    parts = {p for m in members for p in m}
-    if any(a | b == full for a in parts for b in parts):
-        return False
-    # Upward closure under refinement.  Every refinement of a member is
-    # reached by splitting one part in two at a time, and each step is still
-    # free, so it is enough that every such split of a member is a member.
-    for m in members:
-        for i, part in enumerate(m):
-            low = part & -part
-            rest = part ^ low
-            sub = rest
-            while sub:
-                sub = (sub - 1) & rest
-                q = m[:i] + m[i + 1:] + (low | sub, rest ^ sub)
-                if tuple(sorted(q, key=lambda s: s & -s)) not in members:
-                    return False
-    return True
-
-
 def phi_from_complex(d: Complex) -> Bunch:
     """Φ_Δ: all free partitions of [n] whose parts are faces of Δ."""
     phi = _free_bunch(d.n, d.family)
     if not phi.cones:
         raise ValueError("complex admits no free partition")
     return phi
-
-
-def complex_from_bunch(phi: Bunch) -> Complex:
-    """Downward closure of all member parts; inverse of phi_from_complex."""
-    if not is_bunch(phi):
-        raise ValueError("not a bunch")
-    parts = (mask_of(part, phi.n) for c in phi.cones for part in c.parts)
-    d = Complex(phi.n, _closure(phi.n, parts))
-    if not (is_full(d) and is_maximal_biconnected(d)):
-        raise ValueError("not a maximal bunch")
-    if phi_from_complex(d) != phi:
-        raise ValueError("not a maximal bunch")
-    return d
-
-
-def is_maximal_bunch(phi: Bunch) -> bool:
-    if not is_bunch(phi):
-        raise ValueError("not a bunch")
-    try:
-        complex_from_bunch(phi)
-    except ValueError:
-        return False
-    return True
-
-
-def bunch_from_theta(theta, n: int) -> Bunch:
-    """Φ_θ: all free P with θ strictly interior to ω_P.
-
-    Requires θ componentwise positive, strictly inside C_0, and off every
-    wall v_I = 0 (so strict membership is decided by signs alone).  The
-    family of the I with v_I(θ) > 0 decides the last two: θ is inside C_0
-    when it holds every singleton, and on a wall when it holds neither I
-    nor its complement.
-    """
-    theta = tuple(Fraction(t) for t in theta)
-    if len(theta) != n:
-        raise ValueError("dimension mismatch")
-    if any(t <= 0 for t in theta):
-        raise ValueError("theta must lie in the open orthant")
-    family = family_mask(theta, n)
-    if not _mask_is_full(family, n):
-        raise ValueError("theta must lie in the interior of C_0")
-    if not _splits_every_pair(family, n):
-        raise ValueError("theta lies on a wall of the arrangement")
-    return _free_bunch(n, family)
 
 
 def _cone_rows(n: int, faces) -> list:
@@ -158,7 +75,7 @@ def projectivity_witness(d: Complex):
     interior exactly when there are rays and no inequality vanishes there.
     On the orthant v_J ≥ v_I for J ⊆ I and v_{I^c} = −v_I, so for a
     projective Δ the cone is the closure of the chamber of A(n) inducing
-    Δ, and the witness is the point chambers_in_cone reports for it.
+    Δ, and the witness is the ray_sum of that chamber's extreme rays.
     """
     if not (is_full(d) and is_maximal_biconnected(d)):
         raise ValueError("requires a full maximally-biconnected complex")
@@ -169,16 +86,6 @@ def projectivity_witness(d: Complex):
     if not rays or any(ratgeom.dot(row, theta) <= 0 for row in rows):
         return None
     return theta
-
-
-def _projectivity_witness_lp(phi: Bunch):
-    """Independent LP route on the bunch itself: with the maximal parts of
-    its members (subsets of parts are implied), θ_i >= 1 and v_I(θ) >= 1 is
-    feasible (by scaling) exactly when the common interior is nonempty."""
-    n = phi.n
-    parts = (mask_of(part, n) for c in phi.cones for part in c.parts)
-    rows = _cone_rows(n, _maximal_faces_of_mask(_closure(n, parts), n))
-    return ratgeom.solve_ge(rows, [1] * len(rows))
 
 
 def is_projective(d: Complex) -> bool:

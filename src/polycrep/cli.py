@@ -3,7 +3,7 @@
 Subcommands are thin shells over the library; every numeric answer is the
 exact library result.  Output formats: json (default), csv, plain.  Long
 enumerations stream NDJSON, one record per line.  Exit codes: 0 success,
-1 computation error, 2 usage error.
+1 computation error or a reader that closed the pipe, 2 usage error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 
 from . import arrangements, bunches, complexes, coxrelations, crosscheck, hyper_cones
@@ -233,7 +234,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone (`| head`).  Point stdout at devnull so the
+        # flush at exit writes nowhere instead of failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,10 @@
 """Set-system combinatorics on [n].
 
 Partitions, downward-closed complexes stored by their family masks,
-biconnectedness, enumeration of maximally-biconnected complexes, the
-Hosten-Morris counts (by structure, and by walking every complex), and the
-bijection between maximally-biconnected complexes on [n] and biconnected
-complexes on [n-1].
+enumeration of maximally-biconnected complexes, and their count λ(n) by
+structure, through the bijection with biconnected complexes on [n-1].  The
+tests check that count against the walk, and keep biconnectedness and the
+bijection's two maps as second routes in tests/routes.py.
 
 Ground sets are {1..n}; internally subsets are bitmasks (bit i-1 for
 element i) and a whole family of subsets is a single big int with bit s set
@@ -107,13 +107,6 @@ class Complex(Value):
         return bool(self.family >> mask_of(face, self.n) & 1)
 
 
-def is_biconnected(d: Complex) -> bool:
-    """No two faces (a face with itself included) union to [n].  Faces f, g
-    of a downset with f ∪ g = [n] put [n] minus f in it next to f, so this
-    holds exactly when the family meets its complement image nowhere."""
-    return not d.family & _complement_image(d.family, d.n)
-
-
 def is_full(d: Complex) -> bool:
     return _mask_is_full(d.family, d.n)
 
@@ -199,10 +192,10 @@ def _mask_dfs(items, first, second) -> Iterator[int]:
 
 def _check_range(n: int):
     if not 4 <= n <= MAX_N:
-        raise ValueError(
-            f"n={n} outside supported range 4..{MAX_N} (at n=8 there are "
-            "229 809 982 112 complexes, and counting them by the sum over "
-            "downsets, 7 828 354 terms, needs a symmetry reduction)")
+        why = (" (at n=8 there are 229 809 982 112 complexes, and counting "
+               "them by the sum over downsets, 7 828 354 terms, needs a "
+               "symmetry reduction)" if n > MAX_N else "")
+        raise ValueError(f"n={n} outside supported range 4..{MAX_N}{why}")
 
 
 def max_biconnected_masks(n: int, full_only: bool = False) -> Iterator[int]:
@@ -355,47 +348,6 @@ def count_max_biconnected(n: int) -> int:
     memo = {}
     return sum(_count_downsets(d0 & ~_complement_image(d0, k), down, up, memo)
                for d0 in _iter_downset_masks(k))
-
-
-def hosten_morris(n: int) -> int:
-    """λ(n), computed two independent ways (cross-checked): by structure,
-    and by walking every maximally-biconnected complex on [n]."""
-    a = count_max_biconnected(n)
-    b = sum(1 for _ in max_biconnected_masks(n))
-    if a != b:
-        raise AssertionError(
-            f"Hosten-Morris self-check failed for n={n}: {a} != {b}")
-    return a
-
-
-# ---------------------------------------------------------------------------
-# the [n] <-> [n-1] bijection
-
-def max_biconnected_to_biconnected(d: Complex) -> Complex:
-    """Image of a maximally-biconnected complex on [n] under the bijection
-    with biconnected complexes on [n-1].
-
-    Membership rule: K ∈ image <=> K ∪ {n} ∈ d, including K = ∅ (which is in
-    the image exactly when {n} ∈ d, encoded by the sole-empty-face family).
-    The subsets containing n are the top half of d's family mask.
-    """
-    if not is_maximal_biconnected(d):
-        raise ValueError("input is not maximally biconnected")
-    n = d.n
-    return Complex(n - 1, d.family >> (1 << (n - 1)))
-
-
-def biconnected_to_max_biconnected(d: Complex) -> Complex:
-    """Inverse of max_biconnected_to_biconnected: d lives on [n-1].
-
-    K ∪ {n} is a face exactly when K ∈ d, and K is one exactly when
-    [n-1] minus K ∉ d."""
-    if not is_biconnected(d):
-        raise ValueError("input is not biconnected")
-    m = d.n
-    every = (1 << (1 << m)) - 1
-    return Complex(m + 1, d.family << (1 << m)
-                   | ~_complement_image(d.family, m) & every)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ coefficient works too.  Tokens:
 ("phi", i, j) with i < j (antisymmetry is normalized at construction),
 ("c", k), ("x", i), ("y", i), ("z", i), ("w", i).
 
-The module generates the Plücker and σ relations, tracks the Z^n-grading,
-verifies the substitution identities of the map ι (z_i ↦ c_i y_i,
-w_i ↦ −c_i x_i) by exact expansion, and tests vanishing of every relation
-on exact rational sample points of the variety cut out by the three
-quadric equations Σc_i x_i² = Σc_i x_i y_i = Σc_i y_i² = 0.
+The module generates the Plücker and σ relations, verifies the
+substitution identities of the map ι (z_i ↦ c_i y_i, w_i ↦ −c_i x_i) by
+exact expansion, and tests vanishing of every relation on exact rational
+sample points of the variety cut out by the three quadric equations
+Σc_i x_i² = Σc_i x_i y_i = Σc_i y_i² = 0.  The Z^n-grading of the
+variables is checked in the tests (tests/routes.py).
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ MIN_N = 4
 def _check_n(n: int):
     if n < MIN_N:
         raise ValueError(f"n >= {MIN_N} required")
-
-
-class InhomogeneousError(ValueError):
-    def __init__(self, mono_a, mono_b):
-        super().__init__(f"inhomogeneous: {mono_a} vs {mono_b}")
-        self.monomials = (mono_a, mono_b)
 
 
 # ---------------------------------------------------------------------------
@@ -94,38 +89,6 @@ def phi(i: int, j: int) -> dict:
 
 def var(name: str, *idx) -> dict:
     return poly((1, ((name, *idx),)))
-
-
-def var_degree(token, n: int) -> tuple:
-    name = token[0]
-    deg = [0] * n
-    if name == "phi":
-        deg[token[1] - 1] += 1
-        deg[token[2] - 1] += 1
-    elif name == "c":
-        deg[token[1] - 1] -= 2
-    elif name in ("x", "y"):
-        deg[token[1] - 1] += 1
-    elif name in ("z", "w"):
-        deg[token[1] - 1] -= 1
-    else:
-        raise ValueError(f"unknown variable {token}")
-    return tuple(deg)
-
-
-def degree_of(p: dict, n: int) -> tuple:
-    """Common Z^n-degree of all monomials; InhomogeneousError otherwise."""
-    if not p:
-        raise ValueError("zero polynomial has no degree")
-    degs = {}
-    for mono in p:
-        d = tuple(sum(col) for col in
-                  zip(*(var_degree(t, n) for t in mono))) if mono else (0,) * n
-        degs[d] = mono
-        if len(degs) > 1:
-            a, b = (degs[k] for k in degs)
-            raise InhomogeneousError(a, b)
-    return next(iter(degs))
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +251,6 @@ def _evaluate(p: dict, vals: dict):
                 raise ValueError(f"cannot evaluate variable {t}") from None
         total += v
     return total
-
-
-def evaluate(p: dict, pt: XPoint):
-    """Evaluate a polynomial in φ, c at a point, via φ_ij = x_i y_j − x_j y_i.
-
-    Exact: an int at an integral point with integer coefficients, a
-    Fraction otherwise."""
-    return _evaluate(p, _point_values(pt))
 
 
 @functools.lru_cache(maxsize=8)

@@ -12,7 +12,8 @@ splits only the sorted cone θ_1 ≥ … ≥ θ_n inside C_0, one chamber per
 orbit.  The counts add up the orbit sizes, and the census expands each
 representative's bunches.projectivity_witness over its orbit.  The second
 routes, which the tests compare it with, split all of C_0
-(count_regions_in_cone, chambers_in_cone) and walk every complex.
+(arrangements.count_regions_in_cone, and chambers_in_cone in tests/routes.py)
+and walk every complex.
 
 All closed forms here are cross-validated against the ratgeom oracle in the
 test suite; any disagreement is a test failure, not a warning.
@@ -24,10 +25,10 @@ import itertools
 from collections.abc import Iterator
 
 from . import arrangements, bunches, polygon_cones
-from .complexes import (Complex, Partition, _closure, _swap_adjacent,
-                        count_max_biconnected, enumerate_partitions,
-                        family_mask, is_full, is_maximal_biconnected,
-                        max_biconnected_masks)
+from .complexes import (Complex, Partition, _check_range, _closure,
+                        _swap_adjacent, count_max_biconnected,
+                        enumerate_partitions, family_mask, is_full,
+                        is_maximal_biconnected, max_biconnected_masks)
 from .polygon_cones import eta
 from .values import Value
 
@@ -191,8 +192,7 @@ def census(n: int) -> Iterator[tuple]:
     when some arrangement chamber inside C_0 induces it, and that chamber's
     interior point is the witness.
     """
-    if not 5 <= n <= 7:
-        raise ValueError("supported range is 5 <= n <= 7")
+    _check_range(n)
     bank = _projective_bank(n)
     bank.update((_closure(n, ((1 << n) - 1 ^ 1 << (i - 1),)),
                  _corner_witness(n, i)) for i in range(1, n + 1))
@@ -206,8 +206,7 @@ def census_counts(n: int) -> dict:
     complex per chamber of 𝒜 inside C_0 are projective (a chamber lies on
     no hyperplane v_I = 0, so it is fixed by, and fixes, its complex).
     The chambers are counted by S_n-orbit, as the sum of the orbit sizes."""
-    if not 5 <= n <= 7:
-        raise ValueError("supported range is 5 <= n <= 7")
+    _check_range(n)
     total = count_max_biconnected(n)
     proj = n + sum(size for _, size in arrangements.chamber_orbits(n))
     return {"n": n, "total": total, "projective": proj,

@@ -467,22 +467,6 @@ def _pivot_row(row, prow, e, pv, D) -> list:
     return [(x * pv - f * y) // D for x, y in zip(row, prow)]
 
 
-def solve_ge(A, rhs) -> tuple | None:
-    """A point x (free sign) with A x >= rhs, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    rows = []
-    for i in range(m):
-        a = list(A[i])
-        s = [0] * m
-        s[i] = -1
-        rows.append(a + [-x for x in a] + s)
-    y = solve_eq_nonneg(rows, list(rhs))
-    if y is None:
-        return None
-    return tuple(y[j] - y[n + j] for j in range(n))
-
-
 # ---------------------------------------------------------------------------
 # cone predicates
 

@@ -1,0 +1,264 @@
+"""Second routes: the reference computations the tests compare the library
+with.
+
+Nothing in polycrep calls these.  Each one reaches an answer the library
+reaches too, by another way, so a test that checks the two against each
+other fails when either is wrong:
+
+* arrangements: split all of C_0 and report a point per chamber
+  (chambers_in_cone), and read a chamber's complex off that point
+  (chamber_to_complex), where the census splits one cone per S_n-orbit;
+* bunches: the bunch axioms (is_bunch), the inverse of phi_from_complex
+  (complex_from_bunch), Φ_θ from a character (bunch_from_theta), and an
+  exact LP on the bunch itself for projectivity
+  (projectivity_witness_lp), where the library reads the complex's faces;
+* complexes: biconnectedness and the [n] <-> [n-1] bijection behind the
+  structural count of λ(n);
+* coxrelations: the Z^n-grading of a polynomial and its value at a point;
+* ratgeom: A x >= rhs over free-sign x by the phase-1 simplex.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from polycrep import ratgeom
+from polycrep.arrangements import (Arrangement, _cone_records,
+                                   _split_regions)
+from polycrep.bunches import Bunch, _cone_rows, _free_bunch, phi_from_complex
+from polycrep.complexes import (Complex, _closure, _complement_image,
+                                _mask_is_full, _maximal_faces_of_mask,
+                                _splits_every_pair, family_mask, is_full,
+                                is_maximal_biconnected, mask_of)
+from polycrep.coxrelations import XPoint, _evaluate, _point_values
+from polycrep.polygon_cones import is_free
+from polycrep.ratgeom import ConeH, ray_sum
+
+
+# ---------------------------------------------------------------------------
+# arrangements
+
+def chambers_in_cone(a: Arrangement, cone: ConeH) -> list:
+    """One interior point per region inside the cone: the ray_sum of the
+    region's extreme rays.  No hyperplane cuts the region, so the point is
+    off every hyperplane."""
+    out = []
+
+    def collect(rays):
+        out.append(ray_sum(rv[0] for rv in rays))
+
+    _split_regions(_cone_records(a, cone), len(cone.inequalities), collect)
+    return out
+
+
+def chamber_to_complex(a: Arrangement, theta):
+    """The maximally-biconnected complex of the chamber inside C_0 ∩ F
+    with interior point theta: the subsets I with v_I(θ) > 0."""
+    n = a.dim
+    if len(theta) != n:
+        raise ValueError("theta must have one entry per coordinate")
+    if any(t <= 0 for t in theta):
+        raise ValueError("chamber not inside the open orthant")
+    fam = family_mask(theta, n)
+    # v_I(θ) = 0 exactly when neither I nor its complement is a face
+    if not _splits_every_pair(fam, n):
+        raise ValueError("witness lies on an arrangement hyperplane")
+    return Complex(n, fam)
+
+
+# ---------------------------------------------------------------------------
+# bunches
+
+def is_bunch(phi: Bunch) -> bool:
+    """Pairwise-meeting interiors plus upward closure under refinement.
+
+    Two free cones have disjoint relative interiors exactly when a part of
+    one and a part of the other cover [n], and two parts of one free
+    partition never do, so the interiors meet pairwise exactly when no two
+    member parts cover [n]."""
+    cones = list(phi.cones)
+    if not cones:
+        return False
+    for c in cones:
+        if not is_free(c):
+            raise ValueError("bunch members must be free cones")
+    n = phi.n
+    full = (1 << n) - 1
+    members = {tuple(mask_of(part, n) for part in c.parts) for c in cones}
+    parts = {p for m in members for p in m}
+    if any(a | b == full for a in parts for b in parts):
+        return False
+    # Upward closure under refinement.  Every refinement of a member is
+    # reached by splitting one part in two at a time, and each step is still
+    # free, so it is enough that every such split of a member is a member.
+    for m in members:
+        for i, part in enumerate(m):
+            low = part & -part
+            rest = part ^ low
+            sub = rest
+            while sub:
+                sub = (sub - 1) & rest
+                q = m[:i] + m[i + 1:] + (low | sub, rest ^ sub)
+                if tuple(sorted(q, key=lambda s: s & -s)) not in members:
+                    return False
+    return True
+
+
+def complex_from_bunch(phi: Bunch) -> Complex:
+    """Downward closure of all member parts; inverse of phi_from_complex."""
+    if not is_bunch(phi):
+        raise ValueError("not a bunch")
+    parts = (mask_of(part, phi.n) for c in phi.cones for part in c.parts)
+    d = Complex(phi.n, _closure(phi.n, parts))
+    if not (is_full(d) and is_maximal_biconnected(d)):
+        raise ValueError("not a maximal bunch")
+    if phi_from_complex(d) != phi:
+        raise ValueError("not a maximal bunch")
+    return d
+
+
+def is_maximal_bunch(phi: Bunch) -> bool:
+    if not is_bunch(phi):
+        raise ValueError("not a bunch")
+    try:
+        complex_from_bunch(phi)
+    except ValueError:
+        return False
+    return True
+
+
+def bunch_from_theta(theta, n: int) -> Bunch:
+    """Φ_θ: all free P with θ strictly interior to ω_P.
+
+    Requires θ componentwise positive, strictly inside C_0, and off every
+    wall v_I = 0 (so strict membership is decided by signs alone).  The
+    family of the I with v_I(θ) > 0 decides the last two: θ is inside C_0
+    when it holds every singleton, and on a wall when it holds neither I
+    nor its complement.
+    """
+    theta = tuple(Fraction(t) for t in theta)
+    if len(theta) != n:
+        raise ValueError("dimension mismatch")
+    if any(t <= 0 for t in theta):
+        raise ValueError("theta must lie in the open orthant")
+    family = family_mask(theta, n)
+    if not _mask_is_full(family, n):
+        raise ValueError("theta must lie in the interior of C_0")
+    if not _splits_every_pair(family, n):
+        raise ValueError("theta lies on a wall of the arrangement")
+    return _free_bunch(n, family)
+
+
+def projectivity_witness_lp(phi: Bunch):
+    """Independent LP route on the bunch itself: with the maximal parts of
+    its members (subsets of parts are implied), θ_i >= 1 and v_I(θ) >= 1 is
+    feasible (by scaling) exactly when the common interior is nonempty."""
+    n = phi.n
+    parts = (mask_of(part, n) for c in phi.cones for part in c.parts)
+    rows = _cone_rows(n, _maximal_faces_of_mask(_closure(n, parts), n))
+    return solve_ge(rows, [1] * len(rows))
+
+
+# ---------------------------------------------------------------------------
+# complexes
+
+def is_biconnected(d: Complex) -> bool:
+    """No two faces (a face with itself included) union to [n].  Faces f, g
+    of a downset with f ∪ g = [n] put [n] minus f in it next to f, so this
+    holds exactly when the family meets its complement image nowhere."""
+    return not d.family & _complement_image(d.family, d.n)
+
+
+def max_biconnected_to_biconnected(d: Complex) -> Complex:
+    """Image of a maximally-biconnected complex on [n] under the bijection
+    with biconnected complexes on [n-1].
+
+    Membership rule: K ∈ image <=> K ∪ {n} ∈ d, including K = ∅ (which is in
+    the image exactly when {n} ∈ d, encoded by the sole-empty-face family).
+    The subsets containing n are the top half of d's family mask.
+    """
+    if not is_maximal_biconnected(d):
+        raise ValueError("input is not maximally biconnected")
+    n = d.n
+    return Complex(n - 1, d.family >> (1 << (n - 1)))
+
+
+def biconnected_to_max_biconnected(d: Complex) -> Complex:
+    """Inverse of max_biconnected_to_biconnected: d lives on [n-1].
+
+    K ∪ {n} is a face exactly when K ∈ d, and K is one exactly when
+    [n-1] minus K ∉ d."""
+    if not is_biconnected(d):
+        raise ValueError("input is not biconnected")
+    m = d.n
+    every = (1 << (1 << m)) - 1
+    return Complex(m + 1, d.family << (1 << m)
+                   | ~_complement_image(d.family, m) & every)
+
+
+# ---------------------------------------------------------------------------
+# coxrelations
+
+class InhomogeneousError(ValueError):
+    def __init__(self, mono_a, mono_b):
+        super().__init__(f"inhomogeneous: {mono_a} vs {mono_b}")
+        self.monomials = (mono_a, mono_b)
+
+
+def var_degree(token, n: int) -> tuple:
+    name = token[0]
+    deg = [0] * n
+    if name == "phi":
+        deg[token[1] - 1] += 1
+        deg[token[2] - 1] += 1
+    elif name == "c":
+        deg[token[1] - 1] -= 2
+    elif name in ("x", "y"):
+        deg[token[1] - 1] += 1
+    elif name in ("z", "w"):
+        deg[token[1] - 1] -= 1
+    else:
+        raise ValueError(f"unknown variable {token}")
+    return tuple(deg)
+
+
+def degree_of(p: dict, n: int) -> tuple:
+    """Common Z^n-degree of all monomials; InhomogeneousError otherwise."""
+    if not p:
+        raise ValueError("zero polynomial has no degree")
+    degs = {}
+    for mono in p:
+        d = tuple(sum(col) for col in
+                  zip(*(var_degree(t, n) for t in mono))) if mono else (0,) * n
+        degs[d] = mono
+        if len(degs) > 1:
+            a, b = (degs[k] for k in degs)
+            raise InhomogeneousError(a, b)
+    return next(iter(degs))
+
+
+def evaluate(p: dict, pt: XPoint):
+    """Evaluate a polynomial in φ, c at a point, via φ_ij = x_i y_j − x_j y_i.
+
+    Exact: an int at an integral point with integer coefficients, a
+    Fraction otherwise."""
+    return _evaluate(p, _point_values(pt))
+
+
+# ---------------------------------------------------------------------------
+# ratgeom
+
+def solve_ge(A, rhs) -> tuple | None:
+    """A point x (free sign) with A x >= rhs, or None."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    rows = []
+    for i in range(m):
+        a = list(A[i])
+        s = [0] * m
+        s[i] = -1
+        rows.append(a + [-x for x in a] + s)
+    y = ratgeom.solve_eq_nonneg(rows, list(rhs))
+    if y is None:
+        return None
+    return tuple(y[j] - y[n + j] for j in range(n))

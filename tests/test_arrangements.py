@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from polycrep import arrangements as ar, ratgeom
 from polycrep.arrangements import Arrangement
 
+import routes
+
 
 def whitney_char_poly(a: Arrangement) -> dict:
     """χ(t) = Σ_{S ⊆ A} (−1)^|S| t^(dim − rank S), Whitney's formula: a
@@ -171,7 +173,7 @@ def test_regions_in_cone_requires_member_facets():
 def test_chambers_carry_valid_witnesses():
     a = ar.build_A(5)
     c0 = ar.cone_C0(5)
-    points = ar.chambers_in_cone(a, c0)
+    points = routes.chambers_in_cone(a, c0)
     assert len(set(points)) == len(points) == 76
     for theta in points:
         assert ratgeom.primitive(theta) == theta
@@ -218,10 +220,10 @@ def test_resource_bounds():
 def test_chamber_to_complex_central():
     from polycrep.complexes import is_full, is_maximal_biconnected
     a = ar.build_A(5)
-    chs = ar.chambers_in_cone(a, ar.cone_C0(5))
+    chs = routes.chambers_in_cone(a, ar.cone_C0(5))
     central = next(theta for theta in chs
                    if all(x == theta[0] for x in theta))
-    d = ar.chamber_to_complex(a, central)
+    d = routes.chamber_to_complex(a, central)
     assert is_full(d) and is_maximal_biconnected(d)
     assert all(len(f) == 2 for f in d.maximal_faces)
 
@@ -294,7 +296,7 @@ def test_backends_agree_on_hostile_inputs(case):
 def test_count_and_collect_agree(n, cone):
     """Counting skips the rays of a last cut; collecting builds them."""
     a, c = ar.build_A(n), cone(n)
-    assert ar.count_regions_in_cone(a, c) == len(ar.chambers_in_cone(a, c))
+    assert ar.count_regions_in_cone(a, c) == len(routes.chambers_in_cone(a, c))
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,6 +316,6 @@ def test_sign_cones_partition_the_regions(case):
         cone = ratgeom.ConeH(a.dim, tuple(tuple(s * x for x in b)
                                           for s, b in zip(signs, basis)))
         count = ar.count_regions_in_cone(a, cone)
-        assert count == len(ar.chambers_in_cone(a, cone))
+        assert count == len(routes.chambers_in_cone(a, cone))
         total += count
     assert total == ar.count_regions(a, "enumerate")

@@ -11,6 +11,8 @@ from polycrep import (arrangements as ar, bunches, complexes as cx,
 from polycrep.bunches import Bunch
 from polycrep.complexes import Complex, Partition
 
+import routes
+
 
 def size2_complex(n):
     return Complex.from_faces(n, tuple(
@@ -25,8 +27,8 @@ def test_phi_from_complex_size2():
     phi = bunches.phi_from_complex(size2_complex(5))
     # 1 all-singleton + 10 one-pair + 15 two-pair partitions
     assert len(phi.cones) == 26
-    assert bunches.is_bunch(phi)
-    assert bunches.is_maximal_bunch(phi)
+    assert routes.is_bunch(phi)
+    assert routes.is_maximal_bunch(phi)
     assert all(len(c.parts) >= 3 for c in phi.cones)
 
 
@@ -34,19 +36,19 @@ def test_eta_pair_is_not_a_bunch():
     # wall cones of complementary subsets have disjoint interiors
     i, ic = {1, 2}, {3, 4, 5}
     phi = Bunch(5, frozenset({pc.eta(i, 5), pc.eta(ic, 5)}))
-    assert not bunches.is_bunch(phi)
+    assert not routes.is_bunch(phi)
 
 
 def test_singleton_bunch():
     phi = Bunch(5, frozenset({singletons_cone(5)}))
-    assert bunches.is_bunch(phi)
-    assert not bunches.is_maximal_bunch(phi)
+    assert routes.is_bunch(phi)
+    assert not routes.is_maximal_bunch(phi)
     with pytest.raises(ValueError):
-        bunches.complex_from_bunch(phi)
+        routes.complex_from_bunch(phi)
 
 
 def test_empty_is_not_a_bunch():
-    assert not bunches.is_bunch(Bunch(5, frozenset()))
+    assert not routes.is_bunch(Bunch(5, frozenset()))
 
 
 def test_is_bunch_matches_pairwise_definition():
@@ -58,7 +60,7 @@ def test_is_bunch_matches_pairwise_definition():
     n = 5
     free = list(cx.enumerate_partitions(range(1, n + 1), n, min_parts=3))
     a = ar.build_A(n)
-    thetas = ar.chambers_in_cone(a, ar.cone_C0(n))
+    thetas = routes.chambers_in_cone(a, ar.cone_C0(n))
 
     def closure(cones):
         return {q for q in free
@@ -78,7 +80,7 @@ def test_is_bunch_matches_pairwise_definition():
     for trial in range(3000):
         kind = trial % 3
         if kind == 2:
-            phi = bunches.bunch_from_theta(rng.choice(thetas), n).cones
+            phi = routes.bunch_from_theta(rng.choice(thetas), n).cones
             cones = set(rng.sample(sorted(phi, key=str), rng.randint(1, 4)))
             if rng.random() < 0.5:
                 cones.add(rng.choice(free))
@@ -87,7 +89,7 @@ def test_is_bunch_matches_pairwise_definition():
         if kind:
             cones = closure(cones)
         want = pairwise(cones)
-        assert bunches.is_bunch(Bunch(n, frozenset(cones))) == want, cones
+        assert routes.is_bunch(Bunch(n, frozenset(cones))) == want, cones
         seen[want] += 1
     assert min(seen.values()) > 300, seen
 
@@ -103,8 +105,8 @@ def test_removing_minimal_cone_breaks_maximality():
     phi = bunches.phi_from_complex(size2_complex(5))
     coarse = next(c for c in phi.cones if len(c.parts) == 3)
     smaller = Bunch(5, phi.cones - {coarse})
-    assert bunches.is_bunch(smaller)
-    assert not bunches.is_maximal_bunch(smaller)
+    assert routes.is_bunch(smaller)
+    assert not routes.is_maximal_bunch(smaller)
 
 
 def test_every_maximal_bunch_contains_singletons_cone():
@@ -142,33 +144,33 @@ def test_bunch_from_theta_matches_definition():
     n = 5
     free = [p for p in cx.enumerate_partitions(range(1, n + 1), n,
                                                min_parts=3)]
-    for theta in ar.chambers_in_cone(ar.build_A(n), ar.cone_C0(n)):
+    for theta in routes.chambers_in_cone(ar.build_A(n), ar.cone_C0(n)):
         total = sum(theta)
         want = frozenset(p for p in free
                          if all(2 * sum(theta[i - 1] for i in part) < total
                                 for part in p.parts))
-        assert bunches.bunch_from_theta(theta, n).cones == want
+        assert routes.bunch_from_theta(theta, n).cones == want
 
 
 def test_bunch_from_theta_ones():
-    phi = bunches.bunch_from_theta((1, 1, 1, 1, 1), 5)
+    phi = routes.bunch_from_theta((1, 1, 1, 1, 1), 5)
     assert phi == bunches.phi_from_complex(size2_complex(5))
-    assert bunches.is_maximal_bunch(phi)
+    assert routes.is_maximal_bunch(phi)
 
 
 def test_bunch_from_theta_rejections():
     """Orthant, then C0, then wall: each point fails the first check it
     breaks, also when it breaks a later one."""
     with pytest.raises(ValueError, match="C_0"):
-        bunches.bunch_from_theta((10, 1, 1, 1, 1), 5)  # inside a corner cone
+        routes.bunch_from_theta((10, 1, 1, 1, 1), 5)  # inside a corner cone
     with pytest.raises(ValueError, match="C_0"):
-        bunches.bunch_from_theta((4, 1, 1, 1, 1), 5)  # also on v_{1} = 0
+        routes.bunch_from_theta((4, 1, 1, 1, 1), 5)  # also on v_{1} = 0
     with pytest.raises(ValueError, match="wall"):
-        bunches.bunch_from_theta((1, 1, 1, 1, 1, 1), 6)  # on walls (#I=3)
+        routes.bunch_from_theta((1, 1, 1, 1, 1, 1), 6)  # on walls (#I=3)
     with pytest.raises(ValueError, match="wall"):
-        bunches.bunch_from_theta((1, 2, 3, 4, 4), 5)  # v_{34} = 0, in C0°
+        routes.bunch_from_theta((1, 2, 3, 4, 4), 5)  # v_{34} = 0, in C0°
     with pytest.raises(ValueError, match="orthant"):
-        bunches.bunch_from_theta((0, 1, 1, 1, 1), 5)  # also on a wall
+        routes.bunch_from_theta((0, 1, 1, 1, 1), 5)  # also on a wall
 
 
 def test_bunch_from_theta_non_integral():
@@ -185,14 +187,14 @@ def test_bunch_from_theta_non_integral():
         p for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)
         if all(2 * sum(theta[i - 1] for i in part) < total
                for part in p.parts))
-    phi = bunches.bunch_from_theta(theta, n)
+    phi = routes.bunch_from_theta(theta, n)
     assert phi.cones == want
-    assert phi == bunches.bunch_from_theta([60 * t for t in theta], n)
+    assert phi == routes.bunch_from_theta([60 * t for t in theta], n)
 
 
 def test_same_chamber_same_bunch():
-    a = bunches.bunch_from_theta((1, 1, 1, 1, 1), 5)
-    b = bunches.bunch_from_theta((9, 10, 11, 12, 13), 5)
+    a = routes.bunch_from_theta((1, 1, 1, 1, 1), 5)
+    b = routes.bunch_from_theta((9, 10, 11, 12, 13), 5)
     assert a == b  # both generic points lie in the central chamber
 
 
@@ -205,10 +207,10 @@ def test_projectivity_routes_agree_n5():
     for d in cx.enumerate_max_biconnected(5, full_only=True):
         phi = bunches.phi_from_complex(d)
         dd = bunches.projectivity_witness(d)
-        lp = bunches._projectivity_witness_lp(phi)
+        lp = routes.projectivity_witness_lp(phi)
         assert (dd is None) == (lp is None)
         if dd is not None:
-            theta = bunches.bunch_from_theta(dd, 5)
+            theta = routes.bunch_from_theta(dd, 5)
             assert theta == phi
 
 
@@ -222,11 +224,11 @@ def test_projectivity_routes_agree_n6_sample():
         phi = bunches.phi_from_complex(d)
         witness = bunches.projectivity_witness(d)
         assert (witness is None) == (
-            bunches._projectivity_witness_lp(phi) is None)
+            routes.projectivity_witness_lp(phi) is None)
         if witness is None:
             nonprojective += 1
         else:
-            assert bunches.bunch_from_theta(witness, 6) == phi
+            assert routes.bunch_from_theta(witness, 6) == phi
     assert nonprojective >= 150
 
 
@@ -250,6 +252,6 @@ def test_witness_is_chamber_point(n):
     split of C_0 reports for that chamber: the face rows cut out the
     chamber's closure, and both take the ray sum of its extreme rays."""
     a = ar.build_A(n)
-    for theta in ar.chambers_in_cone(a, ar.cone_C0(n)):
-        d = ar.chamber_to_complex(a, theta)
+    for theta in routes.chambers_in_cone(a, ar.cone_C0(n)):
+        d = routes.chamber_to_complex(a, theta)
         assert bunches.projectivity_witness(d) == theta

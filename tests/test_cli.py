@@ -19,6 +19,8 @@ GOLDEN = [
      '{"count": 2646, "full_only": false, "n": 6}'),
     (["complexes", "count", "--n", "5", "--full-only"],
      '{"count": 76, "full_only": true, "n": 5}'),
+    (["resolutions", "census", "--n", "4"],
+     '{"n": 4, "nonprojective": 0, "projective": 12, "total": 12}'),
     (["resolutions", "census", "--n", "5"],
      '{"n": 5, "nonprojective": 0, "projective": 81, "total": 81}'),
     (["resolutions", "census", "--n", "6"],
@@ -158,6 +160,8 @@ def test_count_beyond_range_fails_fast(capsys):
         assert time.monotonic() - t0 < 1
         out = capsys.readouterr()
         assert out.out == "" and "error:" in out.err
+        # the n = 8 explanation only for an n above the range
+        assert ("at n=8" in out.err) == (argv[1] == "8")
 
 
 @pytest.mark.parametrize("argv", [
@@ -210,6 +214,25 @@ def test_enumeration_beyond_range_fails_fast(argv, capsys):
     out = capsys.readouterr()
     assert out.out == "" and "error:" in out.err
     assert "supported range" in out.err
+
+
+@pytest.mark.parametrize("argv", [["complexes", "enumerate", "--n", "6"],
+                                  ["resolutions", "census", "--n", "6",
+                                   "--records"]])
+def test_closed_pipe_exits_1_without_traceback(argv):
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # the rest of the stream is far more than a pipe buffer holds
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "polycrep", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert json.loads(first)
+    assert b"Traceback" not in err, err.decode()
 
 
 def test_cli_import_does_not_load_numpy():

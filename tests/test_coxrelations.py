@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from polycrep import coxrelations as cx
 
+import routes
+
 
 def test_relation_counts():
     for n in (4, 5, 6):
@@ -17,7 +19,7 @@ def test_relation_counts():
 
 def test_plucker_degrees():
     for p in cx.plucker_relations(6):
-        d = cx.degree_of(p, 6)
+        d = routes.degree_of(p, 6)
         assert sum(d) == 4 and set(d) <= {0, 1}
 
 
@@ -25,11 +27,11 @@ def test_sigma_degrees_and_shape():
     rels = cx.sigma_relations(5)
     # sigma_{i,i} has n-1 monomials (the k=i term vanishes)
     diag = [r for r in rels
-            if cx.degree_of(r, 5).count(2) == 1]
+            if routes.degree_of(r, 5).count(2) == 1]
     assert len(diag) == 5
     assert all(len(r) == 4 for r in diag)
     for r in rels:
-        assert sum(cx.degree_of(r, 5)) == 2
+        assert sum(routes.degree_of(r, 5)) == 2
 
 
 def test_phi_normalization():
@@ -38,18 +40,18 @@ def test_phi_normalization():
 
 
 def test_degree_errors():
-    with pytest.raises(cx.InhomogeneousError):
-        cx.degree_of(cx.p_add(cx.phi(1, 2), cx.var("c", 1)), 5)
+    with pytest.raises(routes.InhomogeneousError):
+        routes.degree_of(cx.p_add(cx.phi(1, 2), cx.var("c", 1)), 5)
     with pytest.raises(ValueError):
-        cx.degree_of({}, 5)
+        routes.degree_of({}, 5)
 
 
 def test_product_degrees_add():
     a = cx.phi(1, 2)
     b = cx.var("c", 3)
-    da = cx.degree_of(a, 5)
-    db = cx.degree_of(b, 5)
-    dab = cx.degree_of(cx.p_mul(a, b), 5)
+    da = routes.degree_of(a, 5)
+    db = routes.degree_of(b, 5)
+    dab = routes.degree_of(cx.p_mul(a, b), 5)
     assert dab == tuple(x + y for x, y in zip(da, db))
 
 
@@ -57,7 +59,7 @@ def test_z_w_degrees_make_moment_generators_homogeneous():
     for i in (1, 3):
         pair = cx.p_add(cx.p_mul(cx.var("x", i), cx.var("z", i)),
                         cx.p_mul(cx.var("y", i), cx.var("w", i)))
-        assert cx.degree_of(pair, 5) == (0,) * 5
+        assert routes.degree_of(pair, 5) == (0,) * 5
 
 
 def test_iota_identities():
@@ -145,7 +147,7 @@ def test_non_integral_point_verifies():
         y = tuple(v / 3 for v in pt.y)
         scaled = cx.XPoint(n, x, y, pt.c)  # the quadrics are homogeneous
         assert cx.verify_relations_vanish(scaled)
-        value = cx.evaluate(cx.phi(1, 2), scaled)
+        value = routes.evaluate(cx.phi(1, 2), scaled)
         assert isinstance(value, Fraction)
         assert value == (pt.x[0] * pt.y[1] - pt.x[1] * pt.y[0]) / 9
         bad = _unchecked_point(n, x, y, (pt.c[0] + 1,) + pt.c[1:])
@@ -155,8 +157,8 @@ def test_non_integral_point_verifies():
 def test_evaluate_rejects_unknown_variables():
     pt = cx.sample_X_point(5, 0)
     with pytest.raises(ValueError):
-        cx.evaluate(cx.var("x", 1), pt)
-    assert cx.evaluate(cx.p_scale(cx.phi(2, 1), Fraction(1, 2)), pt) == \
+        routes.evaluate(cx.var("x", 1), pt)
+    assert routes.evaluate(cx.p_scale(cx.phi(2, 1), Fraction(1, 2)), pt) == \
         Fraction(pt.x[1] * pt.y[0] - pt.x[0] * pt.y[1], 2)
 
 

@@ -1,0 +1,64 @@
+"""The library keeps only code the system runs.
+
+Every top-level def and class under src/polycrep must be named (as a Name
+or an Attribute) somewhere in the package outside its own body: a function
+whose only callers are tests belongs in the tests (second routes live in
+tests/routes.py).
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polycrep"
+
+EXCEPTIONS = {
+    # the console entry point: pyproject's [project.scripts] calls it
+    ("cli", "main"),
+    # the validating public entry over the unchecked _psi_member, which
+    # crosscheck runs directly; folding the two slows psi_suite by a third
+    ("hyper_cones", "psi_membership"),
+}
+
+
+def _modules() -> dict:
+    return {p.stem: ast.parse(p.read_text(), str(p))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def _references(tree, skip=None) -> set:
+    """Every Name id and Attribute attr in tree, outside the node skip."""
+    out = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _definitions(modules: dict):
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                yield mod, node
+
+
+def test_every_definition_has_a_library_reference():
+    modules = _modules()
+    defined = set()
+    unreferenced = []
+    for mod, node in _definitions(modules):
+        defined.add((mod, node.name))
+        if (mod, node.name) in EXCEPTIONS:
+            continue
+        if not any(node.name in _references(tree, node)
+                   for tree in modules.values()):
+            unreferenced.append(f"{mod}.{node.name}")
+    assert not unreferenced, unreferenced
+    assert EXCEPTIONS <= defined, EXCEPTIONS - defined

@@ -8,6 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from polycrep import ratgeom
 from polycrep.ratgeom import ConeH, ConeV
 
+import routes
+
 
 def orthant(n):
     return ConeV(n, tuple(tuple(1 if j == i else 0 for j in range(n))
@@ -112,11 +114,11 @@ def test_solve_eq_nonneg_breaks_ratio_ties_by_basis_index():
 
 
 def test_solve_ge():
-    sol = ratgeom.solve_ge([(1, 0), (0, 1), (-1, -1)], [1, 1, -10])
+    sol = routes.solve_ge([(1, 0), (0, 1), (-1, -1)], [1, 1, -10])
     assert sol is not None
     x, y = sol
     assert x >= 1 and y >= 1 and -x - y >= -10
-    assert ratgeom.solve_ge([(1, 0), (-1, 0)], [1, 0]) is None
+    assert routes.solve_ge([(1, 0), (-1, 0)], [1, 0]) is None
 
 
 def test_row_reduce_canonical():
