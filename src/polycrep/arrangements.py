@@ -2,15 +2,14 @@
 
 Two independent counting backends:
 
-* ``enumerate`` — depth-first region splitting with an exact double-description
-  certificate per region: a region-in-cone is represented by its extreme rays
-  (integer vectors) together with cached constraint values; splitting on a
-  hyperplane produces the two child ray sets without any LP.  The arrangement
-  is first essentialized and space is covered by the 2^r simplicial sign cones
-  of r independent normals; regions come in ± pairs, so half of the cones
-  are split and the count doubled.  The cones' start records are sign flips
-  of one set, and a count builds no rays for a cut that leaves no other
-  hyperplane cutting its region.
+* ``enumerate`` — depth-first region splitting by ratgeom.dd_regions, with
+  an exact double-description certificate per region: its extreme rays and
+  their cached constraint values, split without any LP.  The arrangement
+  is first essentialized and space is covered by the 2^r simplicial sign
+  cones of r independent normals; regions come in ± pairs, so half of the
+  cones are split and the count doubled, each from sign flips of one
+  ratgeom.dd_start.  A cone's split starts from independent facets, and
+  its other facets bound it.
 * ``charpoly`` — one rank-by-rank pass over the intersection lattice finds
   the flats and the Möbius function together.  Each frontier flat carries
   its quotient lines (the normals' residual directions modulo its span,
@@ -134,49 +133,6 @@ def cone_Ci(n: int, i: int) -> ConeH:
 # ---------------------------------------------------------------------------
 # enumerate backend: DD region splitting
 
-def _split_regions(rays0, nf, collect):
-    """Count (and optionally report) regions of the arrangement inside a
-    cone, from the start ray records of its extreme rays over the cone's
-    nf facets followed by the normals.  Exact, LP-free: a region is split
-    by one ratgeom.dd_cut into the ray sets of its two children.
-
-    dd_cut carries the start values to new rays on the hyperplanes that
-    still cut their region.  collect(rays) receives each region's ray
-    records (ray first).  Without collect, a cut that leaves no other
-    hyperplane cutting counts its two children and builds no rays: the
-    cut is in pos & neg, so each side keeps a ray off it.
-    """
-    facets = (1 << nf) - 1
-    count = 0
-    # (rays, hyperplanes still to test, decided constraints), as masks over
-    # constraint indices: the cone's facets first, then the normals
-    stack = [(rays0, ((1 << len(rays0[0][1])) - 1) ^ facets, facets)]
-    while stack:
-        rays, remaining, decided = stack.pop()
-        pos = neg = 0
-        for rv in rays:
-            pos |= rv[2]
-            neg |= rv[3]
-        cutting = pos & neg & remaining
-        decided |= remaining ^ cutting
-        if not cutting:
-            count += 1
-            if collect is not None:
-                collect(rays)
-            continue
-        bit = cutting & -cutting
-        keep = cutting ^ bit
-        if not keep and collect is None:
-            count += 2
-            continue
-        plus, minus, zero, new = ratgeom.dd_cut(
-            rays, bit.bit_length() - 1, decided, keep)
-        decided |= bit
-        stack.append((plus + zero + new, keep, decided))
-        stack.append((minus + zero + new, keep, decided))
-    return count
-
-
 def _essentialize(a: Arrangement):
     """Restrict normals to the pivot coordinates of their row space.
 
@@ -206,9 +162,8 @@ def _count_enumerate(a: Arrangement) -> int:
     if d == 0:
         return 1
     basis = [normals[i] for i in ratgeom.independent_rows(normals, d)]
-    recs = ratgeom.ray_records(ratgeom.simplicial_rays(basis),
-                               (*basis, *normals))
     facets = (1 << d) - 1
+    recs, _ = ratgeom.dd_start((*basis, *normals), d, facets)
     flips = [(tuple(-x for x in r), vals[:d] + [-v for v in vals[d:]],
               pos & facets | neg & ~facets, pos & ~facets, tight)
              for r, vals, pos, neg, tight in recs]
@@ -216,7 +171,7 @@ def _count_enumerate(a: Arrangement) -> int:
     for rest in itertools.product((False, True), repeat=d - 1):
         start = [f if s else rv
                  for s, rv, f in zip((False, *rest), recs, flips)]
-        total += _split_regions(start, d, None)
+        total += ratgeom.dd_regions(start, facets, facets, None)
     return 2 * total
 
 
@@ -321,10 +276,10 @@ def count_regions(a: Arrangement, mode: str = "enumerate") -> int:
 # ---------------------------------------------------------------------------
 # regions relative to cones and rays
 
-def _cone_records(a: Arrangement, cone: ConeH) -> list:
-    """Start records of the split of a pointed cone whose facets are
-    arrangement hyperplanes, so that every region is inside it or disjoint:
-    its extreme rays over its facets followed by the normals."""
+def _split_rows(a: Arrangement, cone: ConeH) -> tuple:
+    """The rows of the split of a cone whose facets are arrangement
+    hyperplanes, so that every region is inside it or disjoint: its facets
+    followed by the normals."""
     if cone.ambient_dim != a.dim:
         raise ValueError("cone/arrangement dimension mismatch")
     if len(a.normals) > MAX_CONE_HYPERPLANES:
@@ -334,19 +289,19 @@ def _cone_records(a: Arrangement, cone: ConeH) -> list:
     for ineq in cone.inequalities:
         if canon_normal(ineq) not in have:
             raise ValueError("cone facet is not an arrangement hyperplane")
-    if ratgeom.rank(cone.inequalities) < cone.ambient_dim:
-        raise ValueError("cone must be pointed")
-    rays = ratgeom.h_to_v(cone).generators
-    if not rays:
-        raise ValueError("zero cone")
-    return ratgeom.ray_records(rays, (*cone.inequalities, *a.normals))
+    return (*cone.inequalities, *a.normals)
 
 
 def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
-    """Regions of the arrangement wholly inside the given cone, whose
-    facets must themselves be arrangement hyperplanes."""
-    return _split_regions(_cone_records(a, cone), len(cone.inequalities),
-                          None)
+    """Regions of the arrangement wholly inside the given pointed cone,
+    whose facets must themselves be arrangement hyperplanes: the facets
+    bound the split and the normals cut it."""
+    facets = (1 << len(cone.inequalities)) - 1
+    count = ratgeom.dd_regions(
+        *ratgeom.dd_start(_split_rows(a, cone), a.dim, facets), facets, None)
+    if not count:
+        raise ValueError("zero cone")
+    return count
 
 
 def chamber_orbits(n: int) -> list:
@@ -357,9 +312,10 @@ def chamber_orbits(n: int) -> list:
     and exactly one chamber of each orbit meets the interior of the sorted
     cone W: θ_1 ≥ … ≥ θ_n ≥ 0.  Inside W, C_0 is the one inequality
     θ_1 ≤ Σ_{j>1} θ_j.  The regions of A(n) inside W ∩ C_0 are those
-    chambers' W-pieces, split like count_regions_in_cone although
-    θ_i = θ_{i+1} is no hyperplane of A(n).  θ, the ray_sum of a piece's
-    extreme rays, is strictly decreasing and off every hyperplane.
+    chambers' W-pieces, split from W's simplicial rays with C_0's row
+    bounding, as in count_regions_in_cone, though θ_i = θ_{i+1} is no
+    hyperplane of A(n): a bounding row need not be.  θ, the ray_sum of a
+    piece's extreme rays, is strictly decreasing and off every hyperplane.
     The chamber's stabiliser is the product of the symmetric groups on the
     runs of adjacent elements whose exchange fixes family_mask(θ); the
     orbit size is n!/|Stab|.
@@ -380,9 +336,9 @@ def chamber_orbits(n: int) -> list:
             stab *= run
         out.append((theta, factorial(n) // stab))
 
-    rays = ratgeom.h_to_v(ConeH(n, facets)).generators
-    _split_regions(ratgeom.ray_records(rays, (*facets, *a.normals)),
-                   len(facets), collect)
+    bounding = (1 << len(facets)) - 1
+    ratgeom.dd_regions(*ratgeom.dd_start((*facets, *a.normals), n, bounding),
+                       bounding, collect)
     return out
 
 

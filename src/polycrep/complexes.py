@@ -230,6 +230,8 @@ def family_mask(theta, n: int) -> int:
     with the empty face's bit 0 set (subset sums by DP).  At a generic θ in
     the open orthant this is a maximally-biconnected complex."""
     _check_family_n(n)
+    if len(theta) != n:
+        raise ValueError("theta must have n entries")
     sums = [0] * (1 << n)
     for bits in range(1, 1 << n):
         low = bits & -bits

@@ -80,9 +80,9 @@ def is_free(c: HyperCone) -> bool:
 
 def contains_corner(c: HyperCone, i: int) -> bool:
     """C_i ⊆ ω_{P,K} iff K meets the complement of i's part."""
-    if not 1 <= i <= c.n:
-        raise ValueError("index out of range")
-    I = next(J for J in c.partition.parts if i in J)
+    I = next((J for J in c.partition.parts if i in J), None)
+    if I is None:
+        raise ValueError("index outside the partition's ground")
     return bool(c.K - I)
 
 

@@ -7,11 +7,13 @@ ints or Fractions, rays are canonicalized to primitive integer form, and no
 operation ever rounds.  This module is the brute-force oracle against which
 the closed-form combinatorial criteria of the other modules are validated.
 
-One integer double-description step, dd_cut, serves both H-to-V conversion
-and the region splitting of the arrangements module: rays carry their
-constraint values and sign/tight bitmasks, start from the simplicial rays
-of independent rows (fraction-free row reduction), and new rays get their
-values by a linear update, so the DD path builds no Fraction.
+One driver, dd_regions, runs every double-description step (dd_cut), from
+the simplicial rays of independent rows (dd_start, by fraction-free row
+reduction).  It cuts a cone to the nonnegative side of each bounding row
+and splits it by the others, so in H-to-V conversion every row bounds and
+the extreme rays are those of the one uncut region.  Rays carry their
+constraint values and sign/tight bitmasks, and new rays get their values
+by a linear update, so the DD path builds no Fraction.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ def row_reduce(rows):
     if not m:
         return (), ()
     d = len(m[0])
+    if any(len(r) != d for r in m):
+        raise ValueError("rows of different lengths")
     pivs = []
     r = 0
     for c in range(d):
@@ -162,6 +166,8 @@ def kernel_basis(rows, dim: int):
     The RREF rows are scaled, so each free column f gives the kernel vector
     with x_f = L and x_p = −row_f · L / row_p at each pivot p, L the lcm of
     the pivot entries."""
+    if any(len(r) != dim for r in rows):
+        raise ValueError("row length differs from dim")
     return _kernel_from_rref(*row_reduce(rows), dim)
 
 
@@ -298,42 +304,67 @@ def dd_cut(rays, cut: int, decided: int, todo: int):
     return plus, minus, zero, new
 
 
-def _extreme_rays_pointed(ineqs, k):
-    """Extreme rays of the pointed cone {t in Q^k : ineqs · t >= 0}.
-
-    Starts from the simplicial cone of the first k independent inequalities
-    and cuts by the others in order, one dd_cut each.
-    """
-    if k == 0:
-        return []
-    base = independent_rows(ineqs, k)
+def dd_start(rows, k: int, bounding: int):
+    """The start of a dd_regions run over integer rows in Q^k: the records
+    of the simplicial rays of the first k independent bounding rows (a mask
+    over the row indices) over every row, and the mask of those k rows, now
+    decided.  The bounding rows must cut out a pointed cone."""
+    picks = [i for i in range(len(rows)) if bounding >> i & 1]
+    base = [picks[j] for j in independent_rows([rows[i] for i in picks], k)]
     if len(base) < k:
-        raise ValueError("inequality system is not pointed")
-    rays = ray_records(simplicial_rays([ineqs[i] for i in base]), ineqs)
-    decided = sum(1 << i for i in base)
-    todo = ((1 << len(ineqs)) - 1) ^ decided
-    for h in range(len(ineqs)):
-        if decided >> h & 1:
+        raise ValueError("cone must be pointed")
+    rays = simplicial_rays([rows[i] for i in base])
+    return ray_records(rays, rows), sum(1 << i for i in base)
+
+
+def dd_regions(rays, decided: int, bounding: int, collect) -> int:
+    """Count (and optionally report) the regions into which the rows not
+    decided cut the pointed cone of the ray records from dd_start, one
+    dd_cut per step.
+
+    A bounding row that some ray is negative on is cut once, keeping its
+    nonnegative side (no ray left: no region); any other row with rays on
+    both sides splits the region in two.  A row that does neither is
+    decided.  dd_cut carries the values to new rays on the rows that still
+    cut.  collect(rays) receives each region's ray records (ray first).
+    Without collect, a split that leaves no other row cutting counts its
+    two children and builds no rays: each side keeps a ray off the row.
+    """
+    count = 0
+    # (rays, rows still to test, decided rows), as masks over row indices
+    stack = [(rays, ((1 << len(rays[0][1])) - 1) ^ decided, decided)]
+    while stack:
+        rays, remaining, decided = stack.pop()
+        pos = neg = 0
+        for rv in rays:
+            pos |= rv[2]
+            neg |= rv[3]
+        cutting = (pos | bounding) & neg & remaining
+        decided |= remaining ^ cutting
+        if not cutting:
+            count += 1
+            if collect is not None:
+                collect(rays)
             continue
-        todo ^= 1 << h
-        plus, _, zero, new = dd_cut(rays, h, decided, todo)
-        rays = plus + zero + new
-        decided |= 1 << h
-    return [rv[0] for rv in rays]
+        bit = cutting & -cutting
+        keep = cutting ^ bit
+        if not keep and collect is None and not bit & bounding:
+            count += 2
+            continue
+        plus, minus, zero, new = dd_cut(
+            rays, bit.bit_length() - 1, decided, keep)
+        decided |= bit
+        if plus or zero:
+            stack.append((plus + zero + new, keep, decided))
+        if not bit & bounding:
+            stack.append((minus + zero + new, keep, decided))
+    return count
 
 
 def h_to_v(cone: ConeH) -> ConeV:
     """Generator representation of an H-cone; lineality emitted as ± ray pairs."""
     d = cone.ambient_dim
     A = list(cone.inequalities)
-    if not A:
-        gens = []
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            gens.append(tuple(e))
-            gens.append(tuple(-x for x in e))
-        return ConeV(d, tuple(gens))
     # the row space of A complements the lineality space, its kernel
     basis, pivs = row_reduce(A)
     lines = _kernel_from_rref(basis, pivs, d)
@@ -343,8 +374,12 @@ def h_to_v(cone: ConeH) -> ConeV:
         gens.append(b)
         gens.append(tuple(-x for x in b))
     if k:
+        # the pointed part: the one region of the reduced rows, all bounding
         reduced = [tuple(dot(a, b) for b in basis) for a in A]
-        for t in _extreme_rays_pointed(reduced, k):
+        every = (1 << len(A)) - 1
+        region = []
+        dd_regions(*dd_start(reduced, k, every), every, region.extend)
+        for t, *_ in region:
             x = [0] * d
             for coef, b in zip(t, basis):
                 x = [xi + coef * bi for xi, bi in zip(x, b)]
@@ -404,6 +439,8 @@ def solve_eq_nonneg(A, b) -> list | None:
     """
     m = len(A)
     n = len(A[0]) if m else 0
+    if len(b) != m or any(len(row) != n for row in A):
+        raise ValueError("A must have rows of one length, b one entry per row")
     nvars = n + m
     # rows [A_i | e_i | b_i] with b_i >= 0; artificial i is basic in row i
     T = []

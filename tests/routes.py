@@ -23,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from polycrep import ratgeom
-from polycrep.arrangements import (Arrangement, _cone_records,
-                                   _split_regions)
+from polycrep.arrangements import Arrangement, _split_rows
 from polycrep.bunches import Bunch, _cone_rows, _free_bunch, phi_from_complex
 from polycrep.complexes import (Complex, _closure, _complement_image,
                                 _mask_is_full, _maximal_faces_of_mask,
@@ -40,14 +39,17 @@ from polycrep.ratgeom import ConeH, ray_sum
 
 def chambers_in_cone(a: Arrangement, cone: ConeH) -> list:
     """One interior point per region inside the cone: the ray_sum of the
-    region's extreme rays.  No hyperplane cuts the region, so the point is
+    region's extreme rays, from the split count_regions_in_cone counts,
+    with every cut made.  No hyperplane cuts the region, so the point is
     off every hyperplane."""
     out = []
 
     def collect(rays):
         out.append(ray_sum(rv[0] for rv in rays))
 
-    _split_regions(_cone_records(a, cone), len(cone.inequalities), collect)
+    facets = (1 << len(cone.inequalities)) - 1
+    ratgeom.dd_regions(*ratgeom.dd_start(_split_rows(a, cone), a.dim, facets),
+                       facets, collect)
     return out
 
 

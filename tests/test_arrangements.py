@@ -170,6 +170,18 @@ def test_regions_in_cone_requires_member_facets():
         ar.count_regions_in_cone(a, ar.cone_F(5))
 
 
+def test_regions_in_cone_refuses_zero_and_unpointed_cones():
+    """x, y >= 0 and x + y <= 0 is the zero cone, which holds no region;
+    x >= 0 alone is not pointed."""
+    a = Arrangement(2, ((1, 0), (0, 1), (1, 1)))
+    zero = ratgeom.ConeH(2, ((1, 0), (0, 1), (-1, -1)))
+    assert ratgeom.h_to_v(zero) == ratgeom.ConeV(2, ())
+    with pytest.raises(ValueError, match="zero cone"):
+        ar.count_regions_in_cone(a, zero)
+    with pytest.raises(ValueError, match="cone must be pointed"):
+        ar.count_regions_in_cone(a, ratgeom.ConeH(2, ((1, 0),)))
+
+
 def test_chambers_carry_valid_witnesses():
     a = ar.build_A(5)
     c0 = ar.cone_C0(5)
@@ -303,9 +315,10 @@ def test_count_and_collect_agree(n, cone):
 @given(hostile_arrangements())
 def test_sign_cones_partition_the_regions(case):
     """On the essential form of the arrangement, each of the 2^d sign cones
-    of d independent normals, split from its own h_to_v rays, counts the
-    same in count and collect mode, and the counts sum to enumerate's,
-    whose sign cones start from flipped records of one simplicial set."""
+    of d independent normals, split as a cone in its own right (its facets
+    bounding, from its own simplicial start), counts the same in count and
+    collect mode, and the counts sum to enumerate's, whose sign cones start
+    from flipped records of one simplicial set."""
     a, _ = case
     _, pivs = ratgeom.row_reduce(a.normals)
     a = Arrangement(len(pivs), tuple(tuple(h[c] for c in pivs)

@@ -174,6 +174,13 @@ def test_family_masks_refuse_large_n():
         assert time.monotonic() - t0 < 1
 
 
+def test_family_mask_needs_one_weight_per_element():
+    with pytest.raises(ValueError, match="n entries"):
+        cx.family_mask((1, 2, 3, 4), 5)
+    with pytest.raises(ValueError, match="n entries"):
+        cx.family_mask((1, 2, 3, 4, 5, 6), 5)
+
+
 def test_swap_adjacent_permutes_family_masks():
     """Exchanging elements i+1, i+2 of the family mask of θ gives the
     family mask of θ with those two coordinates exchanged."""

@@ -55,6 +55,10 @@ def test_contains_corner():
         assert not hc.contains_corner(c, i)
     with pytest.raises(ValueError):
         hc.contains_corner(c, 6)
+    # 5 is in [5] but in no part of the partition
+    c = HyperCone(5, part(5, {1, 2}, {3, 4}), frozenset({5}))
+    with pytest.raises(ValueError, match="ground"):
+        hc.contains_corner(c, 5)
 
 
 def test_contains_F():

@@ -1,9 +1,9 @@
-"""The library keeps only code the system runs.
+"""The library keeps only code the system runs, and one copy of each kernel.
 
 Every top-level def and class under src/polycrep must be named (as a Name
 or an Attribute) somewhere in the package outside its own body: a function
 whose only callers are tests belongs in the tests (second routes live in
-tests/routes.py).
+tests/routes.py).  One function drives the double-description step.
 """
 
 import ast
@@ -62,3 +62,22 @@ def test_every_definition_has_a_library_reference():
             unreferenced.append(f"{mod}.{node.name}")
     assert not unreferenced, unreferenced
     assert EXCEPTIONS <= defined, EXCEPTIONS - defined
+
+
+def _called_names(tree) -> list:
+    """The name of every function called in tree, bare or as an attribute."""
+    return [node.func.id if isinstance(node.func, ast.Name)
+            else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))]
+
+
+def test_one_double_description_driver():
+    """dd_cut has one caller, ratgeom.dd_regions, which h_to_v and every
+    region split share: arrangements splits a cone from its facets and
+    never converts it to rays first."""
+    modules = _modules()
+    callers = [f"{mod}.{node.name}" for mod, node in _definitions(modules)
+               if "dd_cut" in _called_names(node)]
+    assert callers == ["ratgeom.dd_regions"]
+    assert "h_to_v" not in _called_names(modules["arrangements"])

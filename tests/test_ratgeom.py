@@ -135,6 +135,23 @@ def test_kernel_basis():
         assert sum(v) == 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ratgeom.row_reduce([[1, 2, 3], [0, 1]]),
+    lambda: ratgeom.rank([[1, 2], [3]]),
+    lambda: ratgeom.kernel_basis([[1, 1, 1]], 2),
+    lambda: ratgeom.kernel_basis([[1, 1], [1]], 2),
+    lambda: ratgeom.solve_eq_nonneg([[1, 1]], [1, -5]),
+    lambda: ratgeom.solve_eq_nonneg([[1, 1], [1, 0]], [1]),
+    lambda: ratgeom.solve_eq_nonneg([[1, 2], [3]], [1, 2]),
+], ids=["row_reduce-ragged", "rank-ragged", "kernel-dim", "kernel-ragged",
+        "solve-long-b", "solve-short-b", "solve-ragged"])
+def test_linear_algebra_refuses_bad_shapes(call):
+    """Ragged rows, a dim other than the row length, and a right-hand side
+    of another length than A are refused, not read in part."""
+    with pytest.raises(ValueError):
+        call()
+
+
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=7)
 
