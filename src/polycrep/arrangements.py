@@ -4,10 +4,10 @@ Two independent counting backends:
 
 * ``enumerate`` — depth-first region splitting by ratgeom.dd_regions, with
   an exact double-description certificate per region: its extreme rays and
-  their cached constraint values, split without any LP.  The arrangement
-  is first essentialized and space is covered by the 2^r simplicial sign
-  cones of r independent normals; regions come in ± pairs, so half of the
-  cones are split and the count doubled, each from sign flips of one
+  their cached constraint values, split without any LP.  Space is covered,
+  modulo the lineality of the normals, by the 2^r simplicial sign cones of
+  r independent normals, r the rank; regions come in ± pairs, so half of
+  the cones are split and the count doubled, each from sign flips of one
   ratgeom.dd_start.  A cone's split starts from independent facets, and
   its other facets bound it.
 * ``charpoly`` — one rank-by-rank pass over the intersection lattice finds
@@ -133,45 +133,26 @@ def cone_Ci(n: int, i: int) -> ConeH:
 # ---------------------------------------------------------------------------
 # enumerate backend: DD region splitting
 
-def _essentialize(a: Arrangement):
-    """Restrict normals to the pivot coordinates of their row space.
-
-    The coordinate subspace spanned by the pivot axes is transversal to the
-    common lineality of the hyperplanes, so region counts are unchanged.
-    """
-    rref, pivs = ratgeom.row_reduce(a.normals)
-    r = len(pivs)
-    if r == a.dim:
-        return a.normals, a.dim
-    proj = [tuple(h[c] for c in pivs) for h in a.normals]
-    return tuple(proj), r
-
-
 def _count_enumerate(a: Arrangement) -> int:
-    """Split the 2^(d−1) simplicial cones {x : s_i b_i·x >= 0} with s_1 = +1
-    of d independent normals b_i, and double the count.  The b_i are
-    hyperplanes of the arrangement, so each region lies in one sign cone,
-    and its negative, also a region, lies in the opposite one.
+    """Split the 2^(r−1) simplicial cones {x : s_i b_i·x >= 0} with s_1 = +1
+    of r independent normals b_i, r the rank, and double the count.  The
+    b_i are hyperplanes of the arrangement, so each region lies in one sign
+    cone, and its negative, also a region, lies in the opposite one.
 
-    One ray_records call over (b, normals) gives the records of b's
-    simplicial rays r_j, with b_i·r_j = p_j δ_ij, p_j > 0.  The sign cone's
-    rays are s_j r_j and its facets s_i b_i, so for s_j = −1 ray j's record
-    negates the ray and its normal values and swaps pos/neg on the normal
-    bits, and keeps its facet values s_i s_j p_j δ_ij."""
-    normals, d = _essentialize(a)
-    if d == 0:
-        return 1
-    basis = [normals[i] for i in ratgeom.independent_rows(normals, d)]
-    facets = (1 << d) - 1
-    recs, _ = ratgeom.dd_start((*basis, *normals), d, facets)
-    flips = [(tuple(-x for x in r), vals[:d] + [-v for v in vals[d:]],
-              pos & facets | neg & ~facets, pos & ~facets, tight)
+    dd_start over the normals gives b's simplicial rays r_j, with
+    b_i·r_j = p_j δ_ij, p_j > 0, modulo the lineality every normal vanishes
+    on.  The sign cone's rays are s_j r_j, so for s_j = −1 ray j's record
+    negates the ray and its values and swaps its pos/neg masks.  The b_i
+    are decided: each sign cone lies on one side of every one."""
+    every = (1 << len(a.normals)) - 1
+    recs, base = ratgeom.dd_start(a.normals, a.dim, every)
+    flips = [(tuple(-x for x in r), [-v for v in vals], neg, pos, tight)
              for r, vals, pos, neg, tight in recs]
     total = 0
-    for rest in itertools.product((False, True), repeat=d - 1):
+    for rest in itertools.product((False, True), repeat=len(recs) - 1):
         start = [f if s else rv
                  for s, rv, f in zip((False, *rest), recs, flips)]
-        total += ratgeom.dd_regions(start, facets, facets, None)
+        total += ratgeom.dd_regions(start, base, 0, None)
     return 2 * total
 
 
@@ -293,14 +274,22 @@ def _split_rows(a: Arrangement, cone: ConeH) -> tuple:
 
 
 def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
-    """Regions of the arrangement wholly inside the given pointed cone,
-    whose facets must themselves be arrangement hyperplanes: the facets
-    bound the split and the normals cut it."""
-    facets = (1 << len(cone.inequalities)) - 1
-    count = ratgeom.dd_regions(
-        *ratgeom.dd_start(_split_rows(a, cone), a.dim, facets), facets, None)
+    """Regions of the arrangement wholly inside the given pointed cone with
+    interior, whose facets must themselves be arrangement hyperplanes: the
+    facets bound the split and the normals cut it.  The cone has no
+    interior when some y >= 0 with Σy = 1 has Fᵀy = 0, F its facets
+    (Gordan's alternative)."""
+    F = cone.inequalities
+    facets = (1 << len(F)) - 1
+    rays, base = ratgeom.dd_start(_split_rows(a, cone), a.dim, facets)
+    if len(rays) < a.dim:
+        raise ValueError("cone must be pointed")
+    count = ratgeom.dd_regions(rays, base, facets, None)
     if not count:
         raise ValueError("zero cone")
+    if ratgeom.solve_eq_nonneg([*zip(*F), (1,) * len(F)],
+                               [0] * a.dim + [1]) is not None:
+        raise ValueError("cone has no interior")
     return count
 
 

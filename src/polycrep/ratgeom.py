@@ -8,12 +8,13 @@ operation ever rounds.  This module is the brute-force oracle against which
 the closed-form combinatorial criteria of the other modules are validated.
 
 One driver, dd_regions, runs every double-description step (dd_cut), from
-the simplicial rays of independent rows (dd_start, by fraction-free row
-reduction).  It cuts a cone to the nonnegative side of each bounding row
-and splits it by the others, so in H-to-V conversion every row bounds and
-the extreme rays are those of the one uncut region.  Rays carry their
-constraint values and sign/tight bitmasks, and new rays get their values
-by a linear update, so the DD path builds no Fraction.
+the simplicial rays of the first independent bounding rows, which dd_start
+reads off one fraction-free row reduction.  It cuts a cone to the
+nonnegative side of each bounding row and splits it by the others, so in
+H-to-V conversion every row bounds and the extreme rays are those of the
+one uncut region.  Rays carry their constraint values and sign/tight
+bitmasks, and new rays get their values by a linear update, so the DD path
+builds no Fraction.
 """
 
 from __future__ import annotations
@@ -28,23 +29,21 @@ from .values import Value
 Vec = tuple  # tuple of int/Fraction, length = ambient dimension
 
 
+def _integer_row(row):
+    """The row scaled by the lcm of its denominators (an integer row as
+    it is)."""
+    if all(type(x) is int for x in row):
+        return row
+    row = [Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def primitive(v: Iterable) -> tuple:
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    v = tuple(v)
-    if all(type(x) is int for x in v):
-        g = gcd(*v)
-        return tuple(x // g for x in v) if g > 1 else v
-    v = [Fraction(x) for x in v]
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    w = [int(x * den) for x in v]
-    g = 0
-    for x in w:
-        g = gcd(g, x)
-    if g > 1:
-        w = [x // g for x in w]
-    return tuple(w)
+    w = _integer_row(tuple(v))
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
 
 
 def ray_sum(rays: Iterable) -> tuple:
@@ -186,46 +185,6 @@ def _kernel_from_rref(rref, pivs, dim: int) -> list:
     return basis
 
 
-def independent_rows(rows, k: int) -> list:
-    """Indices of the first k integer rows that are linearly independent,
-    picked greedily in order (fewer if the rows have rank < k).
-
-    Each picked row is kept reduced against the earlier ones, as a (pivot,
-    row) pair zero at the earlier pivots, so a later row is dependent
-    exactly when its residual vanishes."""
-    basis = []
-    picked = []
-    for i, v in enumerate(rows):
-        if len(picked) == k:
-            break
-        for p, b in basis:
-            if v[p]:
-                v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is None:
-            continue
-        g = gcd(*v)
-        basis.append((p, [x // g for x in v]))
-        picked.append(i)
-    return picked
-
-
-def simplicial_rays(rows) -> list:
-    """Extreme rays r_i of the simplicial cone {x : rows · x >= 0}, for an
-    invertible square integer matrix: rows · r_i = p_i e_i with p_i > 0.
-
-    Fraction-free RREF of [rowsᵀ | I] is [diag(p) | diag(p) · rows⁻ᵀ] with
-    positive leading entries, so row i's right half is p_i times column i
-    of rows⁻¹."""
-    k = len(rows)
-    aug = [[rows[j][i] for j in range(k)] + [int(i == j) for j in range(k)]
-           for i in range(k)]
-    rref, pivs = row_reduce(aug)
-    if pivs != tuple(range(k)):
-        raise ValueError("rows are not independent")
-    return [primitive(row[k:]) for row in rref]
-
-
 # ---------------------------------------------------------------------------
 # double description
 
@@ -256,13 +215,14 @@ def dd_cut(rays, cut: int, decided: int, todo: int):
 
     Returns (plus, minus, zero, new): the records strictly positive,
     strictly negative and zero on the cut, and one new ray on the cut per
-    adjacent plus/minus pair.  The rays must be the extreme rays of a
-    pointed cone on which every `decided` constraint is weakly one-signed;
-    two rays are adjacent when no third ray is tight on every decided
-    constraint both are tight on.  A new ray (a·r₋ + b·r₊)/g gets values
-    (a·vals₋ + b·vals₊)/g only on the `todo` constraints, exact because the
-    values are linear in the ray; on a decided constraint both parents are
-    weakly on one side, so its sign there is theirs, read off their masks.
+    adjacent plus/minus pair.  The rays must be the extreme rays of a cone,
+    pointed modulo its lineality, on which every `decided` constraint is
+    weakly one-signed; two rays are adjacent when no third ray is tight on
+    every decided constraint both are tight on.  A new ray (a·r₋ + b·r₊)/g
+    gets values (a·vals₋ + b·vals₊)/g only on the `todo` constraints, exact
+    because the values are linear in the ray; on a decided constraint both
+    parents are weakly on one side, so its sign there is theirs, read off
+    their masks.
     """
     bit = 1 << cut
     plus, minus, zero = [], [], []
@@ -306,21 +266,27 @@ def dd_cut(rays, cut: int, decided: int, todo: int):
 
 def dd_start(rows, k: int, bounding: int):
     """The start of a dd_regions run over integer rows in Q^k: the records
-    of the simplicial rays of the first k independent bounding rows (a mask
-    over the row indices) over every row, and the mask of those k rows, now
-    decided.  The bounding rows must cut out a pointed cone."""
+    over every row of the simplicial rays of B's first independent rows, B
+    the bounding rows (a mask over the row indices), and the mask of those
+    rows, now decided.
+
+    One fraction-free RREF of [Bᵀ | I_k] gives both: its pivot columns in
+    Bᵀ are B's first independent rows, and pivot row j's I-half y_j has
+    b_i·y_j = p_j δ_ij over those rows, p_j > 0.  If B has rank r < k, the
+    r rays stand for the cone modulo its lineality."""
     picks = [i for i in range(len(rows)) if bounding >> i & 1]
-    base = [picks[j] for j in independent_rows([rows[i] for i in picks], k)]
-    if len(base) < k:
-        raise ValueError("cone must be pointed")
-    rays = simplicial_rays([rows[i] for i in base])
-    return ray_records(rays, rows), sum(1 << i for i in base)
+    m = len(picks)
+    rref, pivs = row_reduce([[rows[i][c] for i in picks]
+                             + [int(c == j) for j in range(k)]
+                             for c in range(k)])
+    rays = [primitive(row[m:]) for row, p in zip(rref, pivs) if p < m]
+    return ray_records(rays, rows), sum(1 << picks[p] for p in pivs if p < m)
 
 
 def dd_regions(rays, decided: int, bounding: int, collect) -> int:
     """Count (and optionally report) the regions into which the rows not
-    decided cut the pointed cone of the ray records from dd_start, one
-    dd_cut per step.
+    decided cut the cone of the ray records from dd_start (pointed modulo
+    its lineality), one dd_cut per step.
 
     A bounding row that some ray is negative on is cut once, keeping its
     nonnegative side (no ray left: no region); any other row with rays on
@@ -390,17 +356,7 @@ def h_to_v(cone: ConeH) -> ConeV:
 def v_to_h(cone: ConeV) -> ConeH:
     """Inequality representation: generators of the dual cone, by duality."""
     d = cone.ambient_dim
-    if not cone.generators:
-        # zero cone: all +/- coordinate inequalities
-        ineqs = []
-        for i in range(d):
-            e = [0] * d
-            e[i] = 1
-            ineqs.append(tuple(e))
-            ineqs.append(tuple(-x for x in e))
-        return ConeH(d, tuple(ineqs))
-    dual = h_to_v(ConeH(d, cone.generators))
-    return ConeH(d, dual.generators)
+    return ConeH(d, h_to_v(ConeH(d, cone.generators)).generators)
 
 
 def canonical_form(cone: ConeV) -> ConeV:
@@ -414,15 +370,6 @@ def cone_dim(cone: ConeV) -> int:
 
 # ---------------------------------------------------------------------------
 # exact LP feasibility (phase-1 simplex, Bland's rule)
-
-def _integer_row(row) -> list:
-    """The row scaled by the lcm of its denominators (integer rows as is)."""
-    if all(type(x) is int for x in row):
-        return list(row)
-    row = [Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
-
 
 def solve_eq_nonneg(A, b) -> list | None:
     """A feasible point of {y >= 0 : A y = b}, or None.

@@ -172,7 +172,9 @@ def test_regions_in_cone_requires_member_facets():
 
 def test_regions_in_cone_refuses_zero_and_unpointed_cones():
     """x, y >= 0 and x + y <= 0 is the zero cone, which holds no region;
-    x >= 0 alone is not pointed."""
+    x >= 0 alone is not pointed.  The ray x = 0, y >= 0 and the face
+    θ_1 = 0 of A(4)'s orthant have no interior, so no open region lies in
+    them."""
     a = Arrangement(2, ((1, 0), (0, 1), (1, 1)))
     zero = ratgeom.ConeH(2, ((1, 0), (0, 1), (-1, -1)))
     assert ratgeom.h_to_v(zero) == ratgeom.ConeV(2, ())
@@ -180,6 +182,12 @@ def test_regions_in_cone_refuses_zero_and_unpointed_cones():
         ar.count_regions_in_cone(a, zero)
     with pytest.raises(ValueError, match="cone must be pointed"):
         ar.count_regions_in_cone(a, ratgeom.ConeH(2, ((1, 0),)))
+    ray = ratgeom.ConeH(2, ((1, 0), (-1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="cone has no interior"):
+        ar.count_regions_in_cone(a, ray)
+    face = ratgeom.ConeH(4, ((-1, 0, 0, 0), *ar.cone_F(4).inequalities))
+    with pytest.raises(ValueError, match="cone has no interior"):
+        ar.count_regions_in_cone(ar.build_A(4), face)
 
 
 def test_chambers_carry_valid_witnesses():
@@ -315,15 +323,17 @@ def test_count_and_collect_agree(n, cone):
 @given(hostile_arrangements())
 def test_sign_cones_partition_the_regions(case):
     """On the essential form of the arrangement, each of the 2^d sign cones
-    of d independent normals, split as a cone in its own right (its facets
-    bounding, from its own simplicial start), counts the same in count and
-    collect mode, and the counts sum to enumerate's, whose sign cones start
-    from flipped records of one simplicial set."""
+    of the d independent normals of dd_start's base, split as a cone in
+    its own right (its facets bounding, from its own simplicial start),
+    counts the same in count and collect mode, and the counts sum to
+    enumerate's, whose sign cones start from flipped records of one
+    simplicial set."""
     a, _ = case
     _, pivs = ratgeom.row_reduce(a.normals)
     a = Arrangement(len(pivs), tuple(tuple(h[c] for c in pivs)
                                      for h in a.normals))
-    basis = [a.normals[i] for i in ratgeom.independent_rows(a.normals, a.dim)]
+    _, base = ratgeom.dd_start(a.normals, a.dim, (1 << len(a.normals)) - 1)
+    basis = [h for i, h in enumerate(a.normals) if base >> i & 1]
     total = 0
     for signs in itertools.product((1, -1), repeat=a.dim):
         cone = ratgeom.ConeH(a.dim, tuple(tuple(s * x for x in b)

@@ -75,9 +75,17 @@ def _called_names(tree) -> list:
 def test_one_double_description_driver():
     """dd_cut has one caller, ratgeom.dd_regions, which h_to_v and every
     region split share: arrangements splits a cone from its facets and
-    never converts it to rays first."""
+    never converts it to rays first.  Every run starts from one
+    elimination, dd_start's, and arrangements makes none of its own."""
     modules = _modules()
     callers = [f"{mod}.{node.name}" for mod, node in _definitions(modules)
                if "dd_cut" in _called_names(node)]
     assert callers == ["ratgeom.dd_regions"]
     assert "h_to_v" not in _called_names(modules["arrangements"])
+    assert "row_reduce" not in _called_names(modules["arrangements"])
+    start, = (node for mod, node in _definitions(modules)
+              if (mod, node.name) == ("ratgeom", "dd_start"))
+    assert _called_names(start).count("row_reduce") == 1
+    names = set().union(*map(_references, modules.values()))
+    names |= {node.name for _, node in _definitions(modules)}
+    assert not names & {"independent_rows", "simplicial_rays"}

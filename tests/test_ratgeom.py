@@ -217,15 +217,50 @@ def invertible_matrices(draw):
     return rows
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(invertible_matrices())
-def test_simplicial_rays_invert_the_rows(rows):
-    rays = ratgeom.simplicial_rays(rows)
-    k = len(rows)
-    for i, r in enumerate(rays):
-        image = [ratgeom.dot(row, r) for row in rows]
-        assert image[i] > 0
-        assert all(image[j] == 0 for j in range(k) if j != i)
+@st.composite
+def deficient_matrices(draw):
+    """Rows in Q^k of rank r < k: integer combinations of r rows."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    gens = [tuple(draw(entries) for _ in range(k))
+            for _ in range(draw(st.integers(min_value=0, max_value=k - 1)))]
+    combos = st.lists(st.integers(-2, 2), min_size=len(gens),
+                      max_size=len(gens))
+    return [tuple(sum(c * g[i] for c, g in zip(coeffs, gens))
+                  for i in range(k))
+            for coeffs in draw(st.lists(combos, min_size=1, max_size=5))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(invertible_matrices(), deficient_matrices()), st.data())
+def test_dd_start_inverts_the_first_independent_rows(rows, data):
+    """dd_start's base is the greedy choice of independent bounding rows,
+    and it gives one ray per base row, positive on its own row and zero on
+    the others: k rays for an invertible matrix, r for rank r < k."""
+    k = len(rows[0])
+    every = (1 << len(rows)) - 1
+    bounding = data.draw(st.sampled_from((every, every >> 1, every & ~1)))
+    picks = [i for i in range(len(rows)) if bounding >> i & 1]
+    greedy = [i for j, i in enumerate(picks)
+              if ratgeom.rank([rows[p] for p in picks[:j + 1]])
+              > ratgeom.rank([rows[p] for p in picks[:j]])]
+    recs, base = ratgeom.dd_start(rows, k, bounding)
+    assert [i for i in range(len(rows)) if base >> i & 1] == greedy
+    assert len(recs) == len(greedy)
+    if bounding == every:
+        assert len(recs) == ratgeom.rank(rows)
+    for j, (r, vals, *_) in enumerate(recs):
+        assert vals == [ratgeom.dot(row, r) for row in rows]
+        image = [vals[i] for i in greedy]
+        assert image[j] > 0
+        assert all(image[i] == 0 for i in range(len(greedy)) if i != j)
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_zero_cone_has_every_unit_row(d):
+    """The dual of the zero cone is all of Q^d: each ± unit row bounds."""
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    assert ratgeom.v_to_h(ConeV(d, ())) == ConeH(
+        d, (*units, *(tuple(-x for x in e) for e in units)))
 
 
 @st.composite
