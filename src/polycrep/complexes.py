@@ -2,9 +2,11 @@
 
 Partitions, downward-closed complexes stored by their family masks,
 enumeration of maximally-biconnected complexes, and their count λ(n) by
-structure, through the bijection with biconnected complexes on [n-1].  The
-tests check that count against the walk, and keep biconnectedness and the
-bijection's two maps as second routes in tests/routes.py.
+structure, through the bijection with biconnected complexes on [n-1], as a
+sum over S_{n-3}-orbits of downsets.  The walks reach n = MAX_N = 7 and the
+count n = MAX_COUNT_N = 8.  The tests check that count against the walk
+and against the plain sum over every downset, and keep biconnectedness and
+the bijection's two maps as second routes in tests/routes.py.
 
 Ground sets are {1..n}; internally subsets are bitmasks (bit i-1 for
 element i) and a whole family of subsets is a single big int with bit s set
@@ -21,7 +23,9 @@ from collections.abc import Iterator
 
 from .values import Value
 
+# the walks visit every complex; the counts sum over orbits of downsets
 MAX_N = 7
+MAX_COUNT_N = 8
 # a family mask on [n] has 2^n bits: its kernel takes ms at n = 16, s at 20
 MAX_FAMILY_N = 16
 
@@ -190,12 +194,19 @@ def _mask_dfs(items, first, second) -> Iterator[int]:
             stack.append((idx + 1, nin, nout))
 
 
-def _check_range(n: int):
-    if not 4 <= n <= MAX_N:
-        why = (" (at n=8 there are 229 809 982 112 complexes, and counting "
-               "them by the sum over downsets, 7 828 354 terms, needs a "
-               "symmetry reduction)" if n > MAX_N else "")
-        raise ValueError(f"n={n} outside supported range 4..{MAX_N}{why}")
+def _check_range(n: int, limit: int = MAX_N):
+    """Refuse n outside 4..limit before any work: MAX_N for the walks,
+    which visit every complex, MAX_COUNT_N for the counts."""
+    if not 4 <= n <= limit:
+        if n < 4:
+            why = ""
+        elif limit == MAX_N:
+            why = (" (walks visit every complex: λ(8) = 229 809 982 112 of "
+                   "them at n=8, which the counts reach)")
+        else:
+            why = (" (λ(9) by the orbit sum needs about Dedekind(7)/720 "
+                   "≈ 3·10⁹ terms)")
+        raise ValueError(f"n={n} outside supported range 4..{limit}{why}")
 
 
 def max_biconnected_masks(n: int, full_only: bool = False) -> Iterator[int]:
@@ -212,11 +223,13 @@ def max_biconnected_masks(n: int, full_only: bool = False) -> Iterator[int]:
     return masks
 
 
-def _iter_downset_masks(n: int) -> Iterator[int]:
-    """Every downset of 2^[n] as a family bitmask, the empty family too."""
+def _iter_downset_masks(n: int, inside: int = -1) -> Iterator[int]:
+    """Every downset of 2^[n] inside the downset `inside` (all of 2^[n] by
+    default) as a family bitmask, the empty family too."""
     down, up, _, _ = _tables(n)
     zero = [0] * len(down)
-    return _mask_dfs(range(len(down)), (down, zero), (zero, up))
+    items = [s for s in range(1 << n) if inside >> s & 1]
+    return _mask_dfs(items, (down, zero), (zero, up))
 
 
 def _mask_is_full(inm: int, n: int) -> bool:
@@ -270,6 +283,27 @@ def _swap_adjacent(fam: int, n: int, i: int) -> int:
     step = 1 << i
     return (fam & ~(first | second) | (fam & first) << step
             | (fam & second) >> step)
+
+
+def _orbits(masks, n: int) -> Iterator[tuple]:
+    """(first member met, orbit size) for each S_n-orbit of the family masks
+    on [n], which must be closed under S_n.  Each orbit is walked by
+    exchanges of adjacent elements, which generate S_n."""
+    seen = set()
+    for fam in masks:
+        if fam in seen:
+            continue
+        orbit = {fam}
+        todo = [fam]
+        while todo:
+            f = todo.pop()
+            for i in range(n - 1):
+                g = _swap_adjacent(f, n, i)
+                if g not in orbit:
+                    orbit.add(g)
+                    todo.append(g)
+        seen |= orbit
+        yield fam, len(orbit)
 
 
 def _closure(n: int, masks) -> int:
@@ -335,7 +369,7 @@ def _count_downsets(p: int, down, up, memo: dict) -> int:
 
 def count_max_biconnected(n: int) -> int:
     """λ(n), the number of maximally-biconnected complexes on [n], by
-    structure rather than by walking them.
+    structure rather than by walking them, for 4 ≤ n ≤ MAX_COUNT_N.
 
     Through the [n] <-> [n-1] bijection λ(n) counts the biconnected complexes
     D on [n-1].  With k = n-2, split D by the element n-1 into D₁ ⊆ D₀, both
@@ -343,13 +377,27 @@ def count_max_biconnected(n: int) -> int:
     n-1.  D is biconnected exactly when D₁ is a downset of
     T(D₀) = {B ∈ D₀ : [k] minus B ∉ D₀}, so λ(n) is the sum over D₀ of
     #downsets(T(D₀)).
+
+    The sum runs over S_h-orbits, h = k-1.  Split D₀ in turn by the element
+    k into E₁ ⊆ E₀, downsets of 2^[h], so that D₀ = E₀ | E₁ << 2^h.  S_h
+    fixes k and commutes with complementation in [k], so σ carries the
+    terms of E₀ onto those of σE₀: the terms of one E₀ per orbit, times the
+    orbit size, cover the orbit (1568 terms at n=7 where the plain sum has
+    7581, and 268 989 at n=8).
     """
-    _check_range(n)
-    k = n - 2
+    _check_range(n, MAX_COUNT_N)
+    k, h = n - 2, n - 3
     down, up, _, _ = _tables(k)
     memo = {}
-    return sum(_count_downsets(d0 & ~_complement_image(d0, k), down, up, memo)
-               for d0 in _iter_downset_masks(k))
+    total = 0
+    for e0, size in _orbits(_iter_downset_masks(h), h):
+        terms = 0
+        for e1 in _iter_downset_masks(h, e0):
+            d0 = e0 | e1 << (1 << h)
+            terms += _count_downsets(d0 & ~_complement_image(d0, k),
+                                     down, up, memo)
+        total += size * terms
+    return total
 
 
 # ---------------------------------------------------------------------------

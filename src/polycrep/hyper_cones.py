@@ -205,8 +205,9 @@ def census_counts(n: int) -> dict:
     walk: λ(n) complexes, of which the n non-full ones and the one full
     complex per chamber of 𝒜 inside C_0 are projective (a chamber lies on
     no hyperplane v_I = 0, so it is fixed by, and fixes, its complex).
-    The chambers are counted by S_n-orbit, as the sum of the orbit sizes."""
-    _check_range(n)
+    The chambers are counted by S_n-orbit, as the sum of the orbit sizes,
+    and λ(n) by the orbit sum, whose range check, 4 ≤ n ≤ 8, runs first:
+    the counts reach one n beyond the census walk."""
     total = count_max_biconnected(n)
     proj = n + sum(size for _, size in arrangements.chamber_orbits(n))
     return {"n": n, "total": total, "projective": proj,

@@ -328,9 +328,21 @@ def dd_regions(rays, decided: int, bounding: int, collect) -> int:
 
 
 def h_to_v(cone: ConeH) -> ConeV:
-    """Generator representation of an H-cone; lineality emitted as ± ray pairs."""
+    """Generator representation of an H-cone; lineality emitted as ± ray pairs.
+
+    A pointed cone (A of rank d) is the one region of A's rows, all
+    bounding, and its extreme rays are that region's rays.  With lineality
+    the rays are taken in the row space of A, which complements the
+    lineality space, so that they are canonical."""
     d = cone.ambient_dim
     A = list(cone.inequalities)
+    every = (1 << len(A)) - 1
+    region = []
+    if 0 < d <= len(A):
+        rays, base = dd_start(A, d, every)
+        if base.bit_count() == d:
+            dd_regions(rays, base, every, region.extend)
+            return ConeV(d, tuple(r for r, *_ in region))
     # the row space of A complements the lineality space, its kernel
     basis, pivs = row_reduce(A)
     lines = _kernel_from_rref(basis, pivs, d)
@@ -342,8 +354,6 @@ def h_to_v(cone: ConeH) -> ConeV:
     if k:
         # the pointed part: the one region of the reduced rows, all bounding
         reduced = [tuple(dot(a, b) for b in basis) for a in A]
-        every = (1 << len(A)) - 1
-        region = []
         dd_regions(*dd_start(reduced, k, every), every, region.extend)
         for t, *_ in region:
             x = [0] * d

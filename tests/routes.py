@@ -13,9 +13,13 @@ other fails when either is wrong:
   exact LP on the bunch itself for projectivity
   (projectivity_witness_lp), where the library reads the complex's faces;
 * complexes: biconnectedness and the [n] <-> [n-1] bijection behind the
-  structural count of λ(n);
+  structural count of λ(n), and that count as a plain sum with one term
+  per downset (count_max_biconnected_plain), where the library sums over
+  orbits;
 * coxrelations: the Z^n-grading of a polynomial and its value at a point;
-* ratgeom: A x >= rhs over free-sign x by the phase-1 simplex.
+* ratgeom: A x >= rhs over free-sign x by the phase-1 simplex, and H-to-V
+  conversion that always projects onto the row space (h_to_v_projected),
+  where the library runs a pointed cone's rows as they are.
 """
 
 from __future__ import annotations
@@ -25,13 +29,16 @@ from fractions import Fraction
 from polycrep import ratgeom
 from polycrep.arrangements import Arrangement, _split_rows
 from polycrep.bunches import Bunch, _cone_rows, _free_bunch, phi_from_complex
-from polycrep.complexes import (Complex, _closure, _complement_image,
-                                _mask_is_full, _maximal_faces_of_mask,
-                                _splits_every_pair, family_mask, is_full,
+from polycrep.complexes import (Complex, _check_range, _closure,
+                                _complement_image, _count_downsets,
+                                _iter_downset_masks, _mask_is_full,
+                                _maximal_faces_of_mask, _splits_every_pair,
+                                _tables, family_mask, is_full,
                                 is_maximal_biconnected, mask_of)
 from polycrep.coxrelations import XPoint, _evaluate, _point_values
 from polycrep.polygon_cones import is_free
-from polycrep.ratgeom import ConeH, ray_sum
+from polycrep.ratgeom import (ConeH, ConeV, _kernel_from_rref, dd_regions,
+                              dd_start, dot, primitive, ray_sum, row_reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +205,17 @@ def biconnected_to_max_biconnected(d: Complex) -> Complex:
                    | ~_complement_image(d.family, m) & every)
 
 
+def count_max_biconnected_plain(n: int) -> int:
+    """λ(n) as the sum of #downsets(T(D₀)) over every downset D₀ of 2^[k],
+    k = n-2, one term each (7581 at n=7)."""
+    _check_range(n)
+    k = n - 2
+    down, up, _, _ = _tables(k)
+    memo = {}
+    return sum(_count_downsets(d0 & ~_complement_image(d0, k), down, up, memo)
+               for d0 in _iter_downset_masks(k))
+
+
 # ---------------------------------------------------------------------------
 # coxrelations
 
@@ -264,3 +282,31 @@ def solve_ge(A, rhs) -> tuple | None:
     if y is None:
         return None
     return tuple(y[j] - y[n + j] for j in range(n))
+
+
+def h_to_v_projected(cone: ConeH) -> ConeV:
+    """h_to_v through the row space of A for every cone: the lineality
+    pairs, then the one region of A's rows projected onto the RREF basis,
+    lifted back."""
+    d = cone.ambient_dim
+    A = list(cone.inequalities)
+    # the row space of A complements the lineality space, its kernel
+    basis, pivs = row_reduce(A)
+    lines = _kernel_from_rref(basis, pivs, d)
+    k = len(basis)
+    gens = []
+    for b in lines:
+        gens.append(b)
+        gens.append(tuple(-x for x in b))
+    if k:
+        # the pointed part: the one region of the reduced rows, all bounding
+        reduced = [tuple(dot(a, b) for b in basis) for a in A]
+        every = (1 << len(A)) - 1
+        region = []
+        dd_regions(*dd_start(reduced, k, every), every, region.extend)
+        for t, *_ in region:
+            x = [0] * d
+            for coef, b in zip(t, basis):
+                x = [xi + coef * bi for xi, bi in zip(x, b)]
+            gens.append(primitive(x))
+    return ConeV(d, tuple(gens))

@@ -62,10 +62,12 @@ def test_hosten_morris_7(lambda7):
 
 
 def test_structural_count_7():
-    """λ(7) by the [n] <-> [n-1] split, without walking the 1.4 M complexes."""
+    """λ(7) by the [n] <-> [n-1] split, without walking the 1.4 M complexes:
+    the orbit sum and the plain sum over every downset."""
     t0 = time.monotonic()
     assert cx.count_max_biconnected(7) == 1422564
     assert time.monotonic() - t0 < 10
+    assert routes.count_max_biconnected_plain(7) == 1422564
 
 
 # -- criterion 2: exactly n non-full complexes --------------------------------
@@ -136,6 +138,17 @@ def test_orbit_chambers_8_with_time_bound():
     assert len(orbits) == 2469
     assert sum(size for _, size in orbits) == 33207248
     assert time.monotonic() - t0 < 30
+
+
+def test_census_8_with_time_bound():
+    """λ(8) = 229 809 982 112 (Brouwer, Mills, Mills & Verbeek, EJC 2013)
+    by the orbit sum, of which the 8 non-full complexes and one per
+    chamber of A(8) inside C_0 are projective."""
+    t0 = time.monotonic()
+    assert hc.census_counts(8) == {
+        "n": 8, "total": 229809982112, "projective": 33207256,
+        "nonprojective": 229776774856}
+    assert time.monotonic() - t0 < 10
 
 
 # -- criterion 5: Segre cubic, two routes to 332 ------------------------------

@@ -153,15 +153,26 @@ def test_global_options_after_the_command(capsys):
 
 
 def test_count_beyond_range_fails_fast(capsys):
-    for argv in (["--n", "8"], ["--n", "8", "--full-only"],
-                 ["--n", "3", "--full-only"]):
+    for argv in (["complexes", "count", "--n", "9"],
+                 ["complexes", "count", "--n", "9", "--full-only"],
+                 ["resolutions", "census", "--n", "9"],
+                 ["complexes", "count", "--n", "3", "--full-only"]):
         t0 = time.monotonic()
-        assert cli.main(["complexes", "count"] + argv) == 1
+        assert cli.main(argv) == 1
         assert time.monotonic() - t0 < 1
         out = capsys.readouterr()
         assert out.out == "" and "error:" in out.err
-        # the n = 8 explanation only for an n above the range
-        assert ("at n=8" in out.err) == (argv[1] == "8")
+        # the λ(9) explanation only for an n above the range
+        assert ("λ(9)" in out.err) == (argv[3] == "9")
+
+
+def test_count_8_full_only_with_time_bound(capsys):
+    """λ(8) less the 8 non-full complexes, by the orbit sum."""
+    t0 = time.monotonic()
+    assert cli.main(["complexes", "count", "--n", "8", "--full-only"]) == 0
+    assert time.monotonic() - t0 < 10
+    assert capsys.readouterr().out.strip() == (
+        '{"count": 229809982104, "full_only": true, "n": 8}')
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,6 +213,8 @@ def test_charpoly_beyond_bound_fails_fast(capsys):
 @pytest.mark.parametrize("argv", [["complexes", "enumerate", "--n", "8"],
                                   ["bunches", "classify", "--n", "8"],
                                   ["oracle", "crosscheck", "--n", "8"],
+                                  ["resolutions", "census", "--n", "8",
+                                   "--records"],
                                   ["resolutions", "census", "--n", "30",
                                    "--records"],
                                   ["resolutions", "census", "--n", "-1",

@@ -73,8 +73,8 @@ def test_hosten_morris():
     for n, lam in ((5, 81), (6, 2646)):
         assert cx.count_max_biconnected(n) == lam
         assert sum(1 for _ in cx.max_biconnected_masks(n)) == lam
-    with pytest.raises(ValueError):
-        cx.count_max_biconnected(8)
+    with pytest.raises(ValueError, match=r"λ\(9\)"):
+        cx.count_max_biconnected(9)
 
 
 def test_enumerated_complexes_are_maximal_biconnected():
@@ -223,14 +223,32 @@ def test_downset_counter_matches_brute_force():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_structural_count_matches_mask_dfs(n):
+    """The orbit sum equals the walk and the plain sum over every downset."""
     walked = sum(1 for _ in cx.max_biconnected_masks(n))
-    assert cx.count_max_biconnected(n) == walked == {4: 12, 5: 81, 6: 2646}[n]
+    assert (cx.count_max_biconnected(n) == walked
+            == routes.count_max_biconnected_plain(n)
+            == {4: 12, 5: 81, 6: 2646}[n])
 
 
 def test_count_range_errors():
-    for n in (3, 8):
-        with pytest.raises(ValueError):
-            cx.count_max_biconnected(n)
+    with pytest.raises(ValueError):
+        cx.count_max_biconnected(3)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match=r"λ\(9\) .* Dedekind\(7\)/720"):
+        cx.count_max_biconnected(9)
+    assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("h,orbits,downsets",
+                         [(1, 3, 3), (2, 5, 6), (3, 10, 20), (4, 30, 168),
+                          (5, 210, 7581)])
+def test_downset_orbits(h, orbits, downsets):
+    """The S_h-orbits of the downsets of 2^[h] that count_max_biconnected
+    sums over at n = h+3: their number, and sizes that add up to the number
+    of downsets."""
+    found = list(cx._orbits(cx._iter_downset_masks(h), h))
+    assert len(found) == orbits
+    assert sum(size for _, size in found) == downsets
 
 
 def test_refines():

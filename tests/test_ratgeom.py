@@ -1,5 +1,6 @@
 """Exact cone kernel: dual descriptions, LP feasibility, canonical forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -311,6 +312,31 @@ def test_h_to_v_agrees_with_the_simplex(h, points):
         for g in v.generators:
             others = ConeV(d, tuple(o for o in v.generators if o != g))
             assert not contains_point(others, g)
+
+
+def test_h_to_v_equals_the_projected_route():
+    """h_to_v runs a pointed cone's own rows and projects only a cone with
+    lineality onto its row space; on seeded random cones of both kinds,
+    small and huge entries, it equals the route that always projects.
+    The rows are combinations of r generators, so their rank is at most r;
+    half of the systems are oriented to be positive at one point."""
+    rng = random.Random(19)
+    kinds = {True: 0, False: 0}
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        scale = rng.choice((1, HUGE))
+        gens = [[rng.randint(-3, 3) * scale + rng.randint(-1, 1)
+                 for _ in range(d)] for _ in range(rng.randint(1, d))]
+        rows = [[sum(rng.randint(-2, 2) * g[i] for g in gens)
+                 for i in range(d)] for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:
+            p = [rng.choice((1, -1)) * rng.randint(1, 5) for _ in range(d)]
+            rows = [a if ratgeom.dot(a, p) >= 0 else [-x for x in a]
+                    for a in rows]
+        h = ConeH(d, tuple(map(tuple, rows)))
+        kinds[ratgeom.rank(h.inequalities) == d] += 1
+        assert ratgeom.h_to_v(h) == routes.h_to_v_projected(h)
+    assert min(kinds.values()) >= 60, kinds
 
 
 # ---------------------------------------------------------------------------
