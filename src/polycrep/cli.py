@@ -114,11 +114,13 @@ def cmd_chambers_count(args) -> int:
 
 
 def cmd_bunches_classify(args) -> int:
+    # projectivity is S_n-invariant: one is_projective per orbit
     total = proj = 0
-    for d in complexes.enumerate_max_biconnected(args.n, full_only=True):
-        total += 1
-        if bunches.is_projective(d):
-            proj += 1
+    masks = complexes.max_biconnected_masks(args.n, full_only=True)
+    for fam, orbit in complexes._orbits(masks, args.n):
+        total += len(orbit)
+        if bunches.is_projective(complexes.Complex(args.n, fam)):
+            proj += len(orbit)
     _emit({"n": args.n, "total": total, "projective": proj,
            "nonprojective": total - proj}, args.format)
     return 0

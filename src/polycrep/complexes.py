@@ -6,7 +6,9 @@ structure, through the bijection with biconnected complexes on [n-1], as a
 sum over S_{n-3}-orbits of downsets.  The walks reach n = MAX_N = 7 and the
 count n = MAX_COUNT_N = 8.  The tests check that count against the walk
 and against the plain sum over every downset, and keep biconnectedness and
-the bijection's two maps as second routes in tests/routes.py.
+the bijection's two maps as second routes in tests/routes.py.  _orbits is
+the one S_n-orbit walk on family masks: the count, the census witness bank
+and `bunches classify` share it.
 
 Ground sets are {1..n}; internally subsets are bitmasks (bit i-1 for
 element i) and a whole family of subsets is a single big int with bit s set
@@ -286,24 +288,27 @@ def _swap_adjacent(fam: int, n: int, i: int) -> int:
 
 
 def _orbits(masks, n: int) -> Iterator[tuple]:
-    """(first member met, orbit size) for each S_n-orbit of the family masks
-    on [n], which must be closed under S_n.  Each orbit is walked by
-    exchanges of adjacent elements, which generate S_n."""
+    """(first member met, orbit) for each S_n-orbit the family masks on
+    [n] meet, once.  orbit maps each member to a permutation p (0-based)
+    with tuple(w[j] for j in p) carrying the first member's witness θ to
+    that member's: the walk exchanges adjacent elements, which generate
+    S_n, and swaps p[i], p[i+1] along with _swap_adjacent(f, n, i)."""
     seen = set()
     for fam in masks:
         if fam in seen:
             continue
-        orbit = {fam}
+        orbit = {fam: tuple(range(n))}
         todo = [fam]
         while todo:
             f = todo.pop()
+            p = orbit[f]
             for i in range(n - 1):
                 g = _swap_adjacent(f, n, i)
                 if g not in orbit:
-                    orbit.add(g)
+                    orbit[g] = (*p[:i], p[i + 1], p[i], *p[i + 2:])
                     todo.append(g)
-        seen |= orbit
-        yield fam, len(orbit)
+        seen.update(orbit)
+        yield fam, orbit
 
 
 def _closure(n: int, masks) -> int:
@@ -342,13 +347,6 @@ def _subset_table(n: int) -> tuple:
     frozenset of that subset.  The tuples order faces as Complex does."""
     return tuple((t, frozenset(t)) for t in (
         tuple(i + 1 for i in range(n) if s >> i & 1) for s in range(1 << n)))
-
-
-def enumerate_max_biconnected(n: int, full_only: bool = False) -> Iterator[Complex]:
-    """All maximally-biconnected complexes on [n], in the order of
-    max_biconnected_masks."""
-    for inm in max_biconnected_masks(n, full_only):
-        yield Complex(n, inm)
 
 
 def _count_downsets(p: int, down, up, memo: dict) -> int:
@@ -390,13 +388,13 @@ def count_max_biconnected(n: int) -> int:
     down, up, _, _ = _tables(k)
     memo = {}
     total = 0
-    for e0, size in _orbits(_iter_downset_masks(h), h):
+    for e0, orbit in _orbits(_iter_downset_masks(h), h):
         terms = 0
         for e1 in _iter_downset_masks(h, e0):
             d0 = e0 | e1 << (1 << h)
             terms += _count_downsets(d0 & ~_complement_image(d0, k),
                                      down, up, memo)
-        total += size * terms
+        total += len(orbit) * terms
     return total
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 
 from . import arrangements, bunches, hyper_cones, polygon_cones, ratgeom
-from .complexes import (_check_range, enumerate_max_biconnected,
-                        enumerate_partitions, is_full, is_maximal_biconnected)
+from .complexes import (Complex, _check_range, enumerate_partitions, is_full,
+                        is_maximal_biconnected, max_biconnected_masks)
 from .ratgeom import ConeH, ConeV
 
 
@@ -118,7 +118,7 @@ def psi_suite(n: int, max_k: int = 3) -> dict:
                    for i in range(1, n + 1)}
     if not all(hyper_cones.is_free(hc) for hc in data):
         raise ValueError("free_orbit_data yielded a non-free cone")
-    for d in enumerate_max_biconnected(n):
+    for d in (Complex(n, m) for m in max_biconnected_masks(n)):
         if not is_maximal_biconnected(d):
             raise ValueError("enumerated a non-maximal complex")
         if is_full(d):

@@ -10,10 +10,10 @@ exact witness character when it is projective and None when it is not.
 The census works by S_n-orbits of GIT chambers: arrangements.chamber_orbits
 splits only the sorted cone θ_1 ≥ … ≥ θ_n inside C_0, one chamber per
 orbit.  The counts add up the orbit sizes, and the census expands each
-representative's bunches.projectivity_witness over its orbit.  The second
-routes, which the tests compare it with, split all of C_0
-(arrangements.count_regions_in_cone, and chambers_in_cone in tests/routes.py)
-and walk every complex.
+representative's bunches.projectivity_witness over its orbit, walked by
+complexes._orbits.  The second routes, which the tests compare it with,
+split all of C_0 (arrangements.count_regions_in_cone, and chambers_in_cone
+in tests/routes.py) and walk every complex.
 
 All closed forms here are cross-validated against the ratgeom oracle in the
 test suite; any disagreement is a test failure, not a warning.
@@ -26,7 +26,7 @@ from collections.abc import Iterator
 
 from . import arrangements, bunches, polygon_cones
 from .complexes import (Complex, Partition, _check_range, _closure,
-                        _swap_adjacent, count_max_biconnected,
+                        _orbits, count_max_biconnected,
                         enumerate_partitions, family_mask, is_full,
                         is_maximal_biconnected, max_biconnected_masks)
 from .polygon_cones import eta
@@ -164,21 +164,16 @@ def _projective_bank(n: int) -> dict:
 
     R's witness w_R is the projectivity witness of its complex.  σR has
     extreme rays σ·(those of R), so its witness is σ·w_R, and its family
-    mask is σ applied to R's.  Each orbit is walked by exchanges of
-    adjacent elements, applied to mask and witness alike."""
+    mask is σ applied to R's: complexes._orbits walks the orbit of R's
+    mask and gives each member the permutation p with σ·w_R =
+    tuple(w_R[j] for j in p)."""
+    reps = (family_mask(theta, n)
+            for theta, _ in arrangements.chamber_orbits(n))
     bank = {}
-    for theta, _ in arrangements.chamber_orbits(n):
-        fam = family_mask(theta, n)
-        bank[fam] = bunches.projectivity_witness(Complex(n, fam))
-        todo = [fam]
-        while todo:
-            fam = todo.pop()
-            w = bank[fam]
-            for i in range(n - 1):
-                moved = _swap_adjacent(fam, n, i)
-                if moved not in bank:
-                    bank[moved] = (*w[:i], w[i + 1], w[i], *w[i + 2:])
-                    todo.append(moved)
+    for fam, orbit in _orbits(reps, n):
+        w = bunches.projectivity_witness(Complex(n, fam))
+        for member, p in orbit.items():
+            bank[member] = tuple(w[j] for j in p)
     return bank
 
 

@@ -182,7 +182,8 @@ def test_oracle_equivalence_exhaustive():
 @pytest.mark.parametrize("n", [5, 6])
 def test_complex_bunch_roundtrip(n):
     seen = set()
-    for d in cx.enumerate_max_biconnected(n, full_only=True):
+    for m in max_biconnected_masks(n, full_only=True):
+        d = cx.Complex(n, m)
         phi = bunches.phi_from_complex(d)
         assert routes.complex_from_bunch(phi) == d
         seen.add(phi)
@@ -194,7 +195,8 @@ def test_complex_bunch_roundtrip(n):
 @pytest.mark.parametrize("n", [5, 6])
 def test_complex_dimension_bijection(n):
     images = set()
-    for d in cx.enumerate_max_biconnected(n):
+    for m in max_biconnected_masks(n):
+        d = cx.Complex(n, m)
         b = routes.max_biconnected_to_biconnected(d)
         assert routes.biconnected_to_max_biconnected(b) == d
         images.add(b)
@@ -212,8 +214,8 @@ def test_chamber_complex_consistency(n, m_n):
     assert len(chambers) == m_n
     image = {routes.chamber_to_complex(a, theta) for theta in chambers}
     assert len(image) == m_n  # injective
-    projective = {d for d in cx.enumerate_max_biconnected(n, full_only=True)
-                  if bunches.is_projective(d)}
+    full = (cx.Complex(n, m) for m in max_biconnected_masks(n, full_only=True))
+    projective = {d for d in full if bunches.is_projective(d)}
     assert image == projective
 
 

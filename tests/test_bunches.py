@@ -111,8 +111,8 @@ def test_removing_minimal_cone_breaks_maximality():
 
 def test_every_maximal_bunch_contains_singletons_cone():
     sing = singletons_cone(5)
-    for d in cx.enumerate_max_biconnected(5, full_only=True):
-        assert sing in bunches.phi_from_complex(d).cones
+    for m in cx.max_biconnected_masks(5, full_only=True):
+        assert sing in bunches.phi_from_complex(Complex(5, m)).cones
 
 
 def test_phi_from_complex_matches_definition():
@@ -120,9 +120,9 @@ def test_phi_from_complex_matches_definition():
     partition of [n] into >= 3 parts whose parts are all faces of Δ, for
     every complex at n=5, 200 seeded complexes at n=6, and two complexes
     with two-part partitions into faces."""
-    cases = list(cx.enumerate_max_biconnected(5))
-    cases += random.Random(11).sample(list(cx.enumerate_max_biconnected(6)),
-                                      200)
+    cases = [Complex(5, m) for m in cx.max_biconnected_masks(5)]
+    cases += random.Random(11).sample(
+        [Complex(6, m) for m in cx.max_biconnected_masks(6)], 200)
     cases += [size2_complex(4),
               Complex.from_faces(6, itertools.combinations(range(1, 7), 3))]
     for d in cases:
@@ -199,12 +199,13 @@ def test_same_chamber_same_bunch():
 
 
 def test_projectivity_n5_all_true():
-    for d in cx.enumerate_max_biconnected(5, full_only=True):
-        assert bunches.is_projective(d)
+    for m in cx.max_biconnected_masks(5, full_only=True):
+        assert bunches.is_projective(Complex(5, m))
 
 
 def test_projectivity_routes_agree_n5():
-    for d in cx.enumerate_max_biconnected(5, full_only=True):
+    for m in cx.max_biconnected_masks(5, full_only=True):
+        d = Complex(5, m)
         phi = bunches.phi_from_complex(d)
         dd = bunches.projectivity_witness(d)
         lp = routes.projectivity_witness_lp(phi)
@@ -218,7 +219,7 @@ def test_projectivity_routes_agree_n6_sample():
     """The face route on the complex against the LP route on its bunch, on
     a seeded sample of the 2640 full complexes at n=6, where over a third
     are not projective."""
-    full = list(cx.enumerate_max_biconnected(6, full_only=True))
+    full = [Complex(6, m) for m in cx.max_biconnected_masks(6, full_only=True)]
     nonprojective = 0
     for d in random.Random(2640).sample(full, 600):
         phi = bunches.phi_from_complex(d)

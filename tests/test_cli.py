@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from polycrep import cli
+from polycrep import cli, hyper_cones
 
 GOLDEN = [
     (["complexes", "count", "--n", "5"],
@@ -48,6 +48,8 @@ GOLDEN = [
      '{"n": 4, "nonprojective": 0, "projective": 8, "total": 8}'),
     (["bunches", "classify", "--n", "5"],
      '{"n": 5, "nonprojective": 0, "projective": 76, "total": 76}'),
+    (["bunches", "classify", "--n", "6"],
+     '{"n": 6, "nonprojective": 962, "projective": 1678, "total": 2640}'),
     (["--seed", "3", "cox", "verify", "--n", "8", "--samples", "25"],
      '{"failures": 0, "identities": "ok", "n": 8, "samples": 25}'),
 ]
@@ -137,6 +139,16 @@ def test_full_only_is_count_minus_n(n, capsys):
         assert cli.main(["complexes", "count", "--n", str(n)] + extra) == 0
         counts.append(json.loads(capsys.readouterr().out)["count"])
     assert counts[1] == counts[0] - n
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_classify_projective_is_census_minus_n(n, capsys):
+    """classify sees the full complexes by orbits of complexes, the census
+    counts by orbits of chambers; only the n non-full ones differ."""
+    assert cli.main(["bunches", "classify", "--n", str(n)]) == 0
+    classify = json.loads(capsys.readouterr().out)
+    census = hyper_cones.census_counts(n)
+    assert classify["projective"] == census["projective"] - n
 
 
 def test_global_options_after_the_command(capsys):

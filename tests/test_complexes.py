@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import time
 
@@ -57,16 +58,16 @@ def test_complex_duplicate_faces_collapse():
 
 
 def test_enumeration_counts():
-    assert sum(1 for _ in cx.enumerate_max_biconnected(5)) == 81
-    assert sum(1 for _ in cx.enumerate_max_biconnected(5, full_only=True)) == 76
-    assert sum(1 for _ in cx.enumerate_max_biconnected(6)) == 2646
+    assert sum(1 for _ in cx.max_biconnected_masks(5)) == 81
+    assert sum(1 for _ in cx.max_biconnected_masks(5, full_only=True)) == 76
+    assert sum(1 for _ in cx.max_biconnected_masks(6)) == 2646
 
 
 def test_enumeration_range_errors():
     with pytest.raises(ValueError):
-        list(cx.enumerate_max_biconnected(3))
+        cx.max_biconnected_masks(3)
     with pytest.raises(ValueError):
-        list(cx.enumerate_max_biconnected(10))
+        cx.max_biconnected_masks(10)
 
 
 def test_hosten_morris():
@@ -78,14 +79,16 @@ def test_hosten_morris():
 
 
 def test_enumerated_complexes_are_maximal_biconnected():
-    for d in cx.enumerate_max_biconnected(5):
+    for m in cx.max_biconnected_masks(5):
+        d = Complex(5, m)
         assert routes.is_biconnected(d)
         assert cx.is_maximal_biconnected(d)
 
 
 def test_pair_membership_xor():
     full = set(range(1, 6))
-    for d in cx.enumerate_max_biconnected(5):
+    for m in cx.max_biconnected_masks(5):
+        d = Complex(5, m)
         for k in range(1, 5):
             for I in itertools.combinations(full, k):
                 I = set(I)
@@ -95,7 +98,8 @@ def test_pair_membership_xor():
 def test_face_count():
     # one face per complementary pair of nonempty proper subsets
     for n in (5, 6):
-        for d in cx.enumerate_max_biconnected(n):
+        for m in cx.max_biconnected_masks(n):
+            d = Complex(n, m)
             faces = sum(1 for k in range(1, n)
                         for I in itertools.combinations(range(1, n + 1), k)
                         if d.member(I))
@@ -107,7 +111,8 @@ def test_maximality_by_probing_oracle():
     """Adding any absent subset (closed downward) breaks biconnectedness."""
     n = 5
     full = set(range(1, n + 1))
-    for d in itertools.islice(cx.enumerate_max_biconnected(n), 20):
+    for m in itertools.islice(cx.max_biconnected_masks(n), 20):
+        d = Complex(n, m)
         for k in range(1, n):
             for I in itertools.combinations(full, k):
                 if d.member(I):
@@ -120,8 +125,8 @@ def test_maximality_by_probing_oracle():
 
 def test_nonfull_count_is_n():
     for n in (5, 6):
-        nonfull = [d for d in cx.enumerate_max_biconnected(n)
-                   if not cx.is_full(d)]
+        every = [Complex(n, m) for m in cx.max_biconnected_masks(n)]
+        nonfull = [d for d in every if not cx.is_full(d)]
         assert len(nonfull) == n
         assert {frozenset(d.maximal_faces[0]) for d in nonfull} == {
             frozenset(set(range(1, n + 1)) - {i}) for i in range(1, n + 1)}
@@ -248,7 +253,37 @@ def test_downset_orbits(h, orbits, downsets):
     of downsets."""
     found = list(cx._orbits(cx._iter_downset_masks(h), h))
     assert len(found) == orbits
-    assert sum(size for _, size in found) == downsets
+    assert sum(len(orbit) for _, orbit in found) == downsets
+
+
+def _relabel(fam, n, p):
+    """The family {S : p(S) in fam}, subset by subset: the family mask of
+    θ' = tuple(θ[j] for j in p) when fam is that of θ."""
+    out = 0
+    for t in range(1 << n):
+        if fam >> t & 1:
+            out |= 1 << sum(1 << k for k in range(n) if t >> p[k] & 1)
+    return out
+
+
+@pytest.mark.parametrize("n,orbits,full_orbits",
+                         [(4, 3, 2), (5, 7, 6), (6, 30, 29)])
+def test_orbits_against_brute_force_relabelling(n, orbits, full_orbits):
+    """_orbits on the maximally-biconnected complexes: the number of
+    orbits, orbit sizes against stabilisers counted over every permutation
+    of [n], and each member's permutation, all by relabelling subset masks
+    one by one rather than by adjacent exchanges."""
+    found = list(cx._orbits(cx.max_biconnected_masks(n), n))
+    full = list(cx._orbits(cx.max_biconnected_masks(n, full_only=True), n))
+    assert (len(found), len(full)) == (orbits, full_orbits)
+    assert sum(len(orbit) for _, orbit in found) == cx.count_max_biconnected(n)
+    for first, orbit in found:
+        stab = sum(1 for p in itertools.permutations(range(n))
+                   if _relabel(first, n, p) == first)
+        assert len(orbit) * stab == math.factorial(n)
+        assert orbit[first] == tuple(range(n))
+        for member, p in orbit.items():
+            assert _relabel(first, n, p) == member
 
 
 def test_refines():
@@ -406,7 +441,8 @@ def test_max_to_biconnected_membership_rule():
     """K is in the image exactly when K ∪ {n} is a face of d, K = ∅ too,
     for every maximally-biconnected complex at n = 4, 5, 6."""
     for n in (4, 5, 6):
-        for d in cx.enumerate_max_biconnected(n):
+        for m in cx.max_biconnected_masks(n):
+            d = Complex(n, m)
             b = routes.max_biconnected_to_biconnected(d)
             assert b.n == n - 1
             for kmask in range(1 << (n - 1)):

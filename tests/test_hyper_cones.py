@@ -7,8 +7,8 @@ import pytest
 
 from polycrep import arrangements, hyper_cones as hc, ratgeom
 from polycrep.complexes import (Complex, Partition, _mask_is_full,
-                                _splits_every_pair, enumerate_max_biconnected,
-                                family_mask, max_biconnected_masks)
+                                _splits_every_pair, family_mask,
+                                max_biconnected_masks)
 from polycrep.hyper_cones import HyperCone
 from polycrep.ratgeom import ConeV
 
@@ -119,7 +119,7 @@ def test_psi_membership_rejects_mixed_ground_sets():
     cone6 = HyperCone(6, part(6, {4, 5, 6}, {1}, {2}, {3}), frozenset())
     with pytest.raises(ValueError, match="ground-set mismatch"):
         hc.psi_membership(full5, cone6)
-    full6 = next(enumerate_max_biconnected(6, full_only=True))
+    full6 = Complex(6, next(max_biconnected_masks(6, full_only=True)))
     with pytest.raises(ValueError, match="ground-set mismatch"):
         hc.psi_membership(full6, HyperCone(5, singletons(5), frozenset()))
 
@@ -272,8 +272,8 @@ def test_segre_construction():
 def test_psi_restricted_to_K_empty_recovers_phi():
     """For full complexes, the K=∅ members of Ψ_Δ are exactly Φ_Δ."""
     from polycrep import bunches
-    for d in itertools.islice(
-            enumerate_max_biconnected(5, full_only=True), 10):
+    for m in itertools.islice(max_biconnected_masks(5, full_only=True), 10):
+        d = Complex(5, m)
         phi = bunches.phi_from_complex(d)
         for c in hc.free_orbit_data(5, 0):
             in_psi = hc.psi_membership(d, c)

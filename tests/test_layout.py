@@ -3,7 +3,8 @@
 Every top-level def and class under src/polycrep must be named (as a Name
 or an Attribute) somewhere in the package outside its own body: a function
 whose only callers are tests belongs in the tests (second routes live in
-tests/routes.py).  One function drives the double-description step.
+tests/routes.py).  One function drives the double-description step, and
+one walks an S_n-orbit of family masks.
 """
 
 import ast
@@ -89,3 +90,17 @@ def test_one_double_description_driver():
     names = set().union(*map(_references, modules.values()))
     names |= {node.name for _, node in _definitions(modules)}
     assert not names & {"independent_rows", "simplicial_rays"}
+
+
+def test_one_orbit_walk():
+    """complexes._orbits is the one walk over an S_n-orbit of family
+    masks: the λ orbit sum, the census witness bank and `bunches classify`
+    share it, and only chamber_orbits, which reads stabilisers off runs,
+    exchanges elements itself."""
+    modules = _modules()
+    callers = sorted(f"{mod}.{node.name}"
+                     for mod, node in _definitions(modules)
+                     if "_swap_adjacent" in _called_names(node))
+    assert callers == ["arrangements.chamber_orbits", "complexes._orbits"]
+    defined = {node.name for _, node in _definitions(modules)}
+    assert "enumerate_max_biconnected" not in defined
