@@ -211,6 +211,12 @@ def char_poly(a: Arrangement) -> dict:
     μ(0̂, X) = −Σ μ(0̂, Y) over the lower covers Y ⋖ X with H ≰ Y.  With H
     the lowest bit of X's mask, each cover pair Y ⋖ X is seen once, when
     the closure reaches X from Y, so μ costs one step per cover pair.
+
+    The pass stops at rank dim − 1, whose flats get no lines: their only
+    cover is the origin.  Its μ, the t^0 coefficient, follows from
+    χ(1) = 0, which holds for every non-empty central arrangement
+    (Zaslavsky; Stanley, §3.9), and is 0 when the rank is below dim.  The
+    empty arrangement's χ is t^dim.
     """
     _check_dim(a.dim)
     if len(a.normals) > MAX_CHARPOLY_HYPERPLANES:
@@ -218,9 +224,8 @@ def char_poly(a: Arrangement) -> dict:
                          f"{MAX_CHARPOLY_HYPERPLANES} for charpoly)")
     coeffs = {a.dim: 1}
     frontier = {0: [1, {v: 1 << g for g, v in enumerate(a.normals)}]}
-    rank = 0
-    while frontier:
-        rank += 1
+    for rank in range(1, a.dim):
+        last = rank == a.dim - 1
         covers = {}
         # popping frees each flat's lines as soon as its covers have theirs
         while frontier:
@@ -230,11 +235,14 @@ def char_poly(a: Arrangement) -> dict:
                 x = y | hs
                 cover = covers.get(x)
                 if cover is None:
-                    cover = covers[x] = [0, _quotient(lines, key, drops)]
+                    cover = covers[x] = [
+                        0, None if last else _quotient(lines, key, drops)]
                 if not y & x & -x:
                     cover[0] -= mu
         coeffs[a.dim - rank] = sum(mu for mu, _ in covers.values())
         frontier = covers
+    if a.normals:
+        coeffs[0] = -sum(coeffs.values())
     return {p: c for p, c in sorted(coeffs.items(), reverse=True) if c}
 
 

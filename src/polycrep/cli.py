@@ -4,24 +4,33 @@ Subcommands are thin shells over the library; every numeric answer is the
 exact library result.  Output formats: json (default), csv, plain.  Long
 enumerations stream NDJSON, one record per line.  Exit codes: 0 success,
 1 computation error or a reader that closed the pipe, 2 usage error.
+
+Every call is a fresh process, and at small n start-up is most of its
+time, so each command imports the library layer it runs in its own
+function, and `--format csv` imports csv: `complexes count` and
+`complexes enumerate` load complexes; `bunches classify` bunches and
+complexes; `chambers count` arrangements; `resolutions census`
+hyper_cones; `cox verify` coxrelations; `oracle crosscheck` crosscheck.
+Each layer brings in the modules it imports in turn.  On a shared 2-core
+Xeon, `complexes count --n 4` took a median of 47 ms cold (p25 43 ms; 30
+runs), against 52 ms (p25 48 ms) when this module imported every layer
+up front, and 36 ms for a bare interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
 import sys
-
-from . import arrangements, bunches, complexes, coxrelations, crosscheck, hyper_cones
 
 
 def _emit(obj: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(obj, sort_keys=True))
     elif fmt == "csv":
+        import csv
         keys = sorted(obj)
         csv.writer(sys.stdout).writerows([keys, [obj[k] for k in keys]])
     else:
@@ -30,6 +39,7 @@ def _emit(obj: dict, fmt: str):
 
 
 def cmd_complexes_count(args) -> int:
+    from . import complexes
     count = complexes.count_max_biconnected(args.n)
     if args.full_only:  # less the n non-full ones, ↓([n] minus {i})
         count -= args.n
@@ -51,6 +61,7 @@ def _write_ndjson(n: int, rows, records: bool):
     order and, for records, its kind and witness.  The 2^n-entry subset
     table is built after the first row, so a generator's own range check
     on n runs first."""
+    from . import complexes
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
@@ -71,6 +82,7 @@ def _write_ndjson(n: int, rows, records: bool):
 
 
 def cmd_complexes_enumerate(args) -> int:
+    from . import complexes
     _check_ndjson(args)
     masks = complexes.max_biconnected_masks(args.n, args.full_only)
     _write_ndjson(args.n, ((m, None) for m in masks), records=False)
@@ -78,6 +90,7 @@ def cmd_complexes_enumerate(args) -> int:
 
 
 def cmd_resolutions_census(args) -> int:
+    from . import hyper_cones
     if args.records:
         _check_ndjson(args)
         _write_ndjson(args.n, hyper_cones.census(args.n), records=True)
@@ -87,6 +100,7 @@ def cmd_resolutions_census(args) -> int:
 
 
 def cmd_chambers_count(args) -> int:
+    from . import arrangements
     if args.arrangement == "A":
         if args.m is not None:
             raise ValueError("--m applies only to arrangement B")
@@ -114,6 +128,7 @@ def cmd_chambers_count(args) -> int:
 
 
 def cmd_bunches_classify(args) -> int:
+    from . import bunches, complexes
     # projectivity is S_n-invariant: one is_projective per orbit
     total = proj = 0
     masks = complexes.max_biconnected_masks(args.n, full_only=True)
@@ -127,6 +142,7 @@ def cmd_bunches_classify(args) -> int:
 
 
 def cmd_cox_verify(args) -> int:
+    from . import coxrelations
     identities = coxrelations.iota_substitution_identities(args.n)
     failures = 0
     for s in range(args.samples):
@@ -139,6 +155,7 @@ def cmd_cox_verify(args) -> int:
 
 
 def cmd_oracle_crosscheck(args) -> int:
+    from . import crosscheck
     bad = 0
     for report in crosscheck.run_all(args.n, args.max_k):
         _emit(report, args.format)

@@ -162,12 +162,25 @@ def test_segre_332_all_routes():
 
 # -- criterion 6: the dim-7 arrangement (extended) ----------------------------
 
+B84_REGIONS = 495504
+
+
 def test_B84_charpoly():
     t0 = time.monotonic()
-    assert ar.count_regions(ar.build_B(8, 4), "charpoly") == 495504
+    assert ar.count_regions(ar.build_B(8, 4), "charpoly") == B84_REGIONS
     elapsed = time.monotonic() - t0
     print(f"\nB(8,4) charpoly regions in {elapsed:.1f}s")
     assert elapsed < 10
+
+
+def test_B84_enumerate():
+    """The second route to B84_REGIONS: one certified split per region,
+    sharing no counting kernel with the lattice pass."""
+    t0 = time.monotonic()
+    assert ar.count_regions(ar.build_B(8, 4), "enumerate") == B84_REGIONS
+    elapsed = time.monotonic() - t0
+    print(f"\nB(8,4) enumerate regions in {elapsed:.1f}s")
+    assert elapsed < 30
 
 
 # -- criterion 7: oracle equivalence, exhaustive at n=5 -----------------------

@@ -130,10 +130,22 @@ def test_non_essential_arrangement():
                      (1, 1, -2, 0), (3, -1, -2, 0))), 10),
     (Arrangement(5, ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
                      (1, 1, 1, 0, 0), (1, -1, 1, 0, 0), (1, 2, -3, 0, 0))), 30),
-], ids=["line", "rank1", "rank2-3lines", "rank2-5lines", "rank3-in-Q5"])
+    (Arrangement(1, ()), 1),
+    (Arrangement(2, ()), 1),
+    (Arrangement(3, ()), 1),
+    (Arrangement(2, ((3, -7),)), 2),
+    (Arrangement(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -2, 0))), 8),
+    (Arrangement(4, ((1, -1, 0, 0), (0, 1, -1, 0), (1, 0, -1, 0),
+                     (0, 0, 1, -1), (1, 0, 0, -1), (0, 1, 0, -1))), 24),
+], ids=["line", "rank1", "rank2-3lines", "rank2-5lines", "rank3-in-Q5",
+        "empty-1", "empty-2", "empty-3", "rank1-in-Q2", "rank2-in-Q3",
+        "braid-rank3-in-Q4"])
 def test_enumerate_halves_by_central_symmetry(a, regions):
     """enumerate splits only the sign cones with s_1 = +1 and doubles; on
-    rank-1 and non-essential arrangements it still equals charpoly."""
+    rank-1 and non-essential arrangements it still equals charpoly.
+    charpoly stops at rank dim − 1 and reads the t^0 coefficient off
+    χ(1) = 0, which holds for a non-empty arrangement only (the empty
+    one's χ is t^dim); below full rank that coefficient is 0."""
     assert ar.count_regions(a, "enumerate") == regions
     assert ar.count_regions(a, "charpoly") == regions
     assert ar.char_poly(a) == whitney_char_poly(a)

@@ -260,16 +260,59 @@ def test_closed_pipe_exits_1_without_traceback(argv):
     assert b"Traceback" not in err, err.decode()
 
 
+def _modules_added(argv) -> set:
+    """The modules that importing polycrep.cli and running one command add
+    to a fresh interpreter."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = ("import contextlib, io, sys\n"
+             "before = set(sys.modules)\n"
+             "from polycrep import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = cli.main(sys.argv[1:])\n"
+             "print(code, *sorted(set(sys.modules) - before))\n")
+    res = subprocess.run([sys.executable, "-c", probe, *argv],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    code, *added = res.stdout.split()
+    assert code == "0", res.stdout
+    return set(added)
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_complexes_commands_load_only_complexes(command):
+    # each CLI call is a fresh process, and at small n start-up is most of
+    # its time: a command imports the layers it runs and no other
+    added = _modules_added(["complexes", command, "--n", "4"])
+    assert "polycrep.complexes" in added
+    assert {m for m in added if m.startswith("polycrep")} <= {
+        "polycrep", "polycrep.cli", "polycrep.complexes", "polycrep.values"}
+    assert not added & {"fractions", "csv"}
+
+
+def test_chambers_count_loads_no_other_layer():
+    added = _modules_added(["chambers", "count", "--arrangement", "A",
+                            "--n", "4"])
+    assert "polycrep.arrangements" in added
+    assert not added & {f"polycrep.{m}" for m in (
+        "bunches", "coxrelations", "crosscheck", "hyper_cones")}
+
+
+# polycrep.cli loads each layer in the command that runs it; crosscheck
+# imports every layer but coxrelations
+EVERY_LAYER = "polycrep.cli, polycrep.crosscheck, polycrep.coxrelations"
+
+
 def test_cli_import_does_not_load_numpy():
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    probe = "import sys, polycrep.cli; print('numpy' in sys.modules)"
+    probe = f"import sys, {EVERY_LAYER}; print('numpy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src},
                          check=True)
     assert res.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("module", ["polycrep.cli", "polycrep.arrangements"])
+@pytest.mark.parametrize("module", ["polycrep.cli", "polycrep.arrangements",
+                                    EVERY_LAYER])
 def test_import_loads_neither_dataclasses_nor_inspect(module):
     # every CLI call pays its imports: dataclasses and the inspect chain it
     # pulls in cost about 16 ms of a start-up of about 85 ms
@@ -286,7 +329,7 @@ def test_import_leaves_typing_out():
     # annotations are strings, so no module needs typing at run time; -S
     # keeps site's path hooks, which may import typing themselves, away
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    probe = "import sys, polycrep.cli; print('typing' in sys.modules)"
+    probe = f"import sys, {EVERY_LAYER}; print('typing' in sys.modules)"
     res = subprocess.run([sys.executable, "-S", "-c", probe],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
