@@ -28,7 +28,6 @@ whatever the size of the entries.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import factorial, gcd
 
 from . import ratgeom
@@ -341,8 +340,9 @@ def chamber_orbits(n: int) -> list:
 
 def count_chambers_at_ray(a: Arrangement, theta) -> int:
     """Chambers whose closure contains theta = regions of the localization
-    at theta (hyperplanes vanishing there)."""
-    theta = tuple(Fraction(t) for t in theta)
+    at theta (hyperplanes vanishing there).  theta is read as its primitive
+    integer vector, the same ray."""
+    theta = ratgeom.primitive(theta)
     if len(theta) != a.dim or not any(theta):
         raise ValueError("theta must be a nonzero vector of the right dimension")
     local = [h for h in a.normals if ratgeom.dot(h, theta) == 0]

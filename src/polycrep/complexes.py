@@ -8,7 +8,10 @@ count n = MAX_COUNT_N = 8.  The tests check that count against the walk
 and against the plain sum over every downset, and keep biconnectedness and
 the bijection's two maps as second routes in tests/routes.py.  _orbits is
 the one S_n-orbit walk on family masks: the count, the census witness bank
-and `bunches classify` share it.
+and `bunches classify` share it.  _maximal_face_ranks is the one
+maximal-face kernel, and this module the one that knows the member-tuple
+order of faces (_face_order): Complex, the NDJSON writer and the
+projectivity witness all read maximal faces from it.
 
 Ground sets are {1..n}; internally subsets are bitmasks (bit i-1 for
 element i) and a whole family of subsets is a single big int with bit s set
@@ -105,9 +108,9 @@ class Complex(Value):
     @property
     def maximal_faces(self) -> tuple:
         """The maximal faces as frozensets, sorted by member tuple."""
-        faces = (tuple(i + 1 for i in range(self.n) if s >> i & 1)
-                 for s in _maximal_faces_of_mask(self.family, self.n))
-        return tuple(map(frozenset, sorted(faces)))
+        n = self.n
+        return tuple(frozenset(i + 1 for i in range(n) if s >> i & 1)
+                     for s in _maximal_faces_of_mask(self.family, n))
 
     def member(self, face) -> bool:
         return bool(self.family >> mask_of(face, self.n) & 1)
@@ -325,26 +328,81 @@ def _closure(n: int, masks) -> int:
     return fam
 
 
-def _maximal_faces_of_mask(inm: int, n: int):
-    """Maximal faces of a downward-closed family bitmask, as subset masks:
-    the members s with no member s ∪ {i}, i ∉ s, found by the _closure
-    step taken once per i without folding it in."""
+@functools.lru_cache(maxsize=None)
+def _face_order(n: int) -> tuple:
+    """The subset masks of [n] in member-tuple order, ∅, {1}, {1, 2}, …,
+    {n}, and per subset mask its rank in that order.  This is the one
+    order of faces: Complex and the NDJSON writer take it from the
+    maximal-face kernel, which gives ranks.  In it the nonempty subsets of
+    {i..n} are {i}, {i} joined to each nonempty subset of {i+1..n}, then
+    those subsets."""
+    tail = []
+    for i in reversed(range(n)):
+        bit = 1 << i
+        tail = [bit, *[bit | s for s in tail], *tail]
+    order = (0, *tail)
+    rank = [0] * len(order)
+    for r, s in enumerate(order):
+        rank[s] = r
+    return order, tuple(rank)
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_ranks(n: int) -> list:
+    """Per byte position p of a family mask on [n]: None until some mask
+    has a nonzero byte there, then, per byte value, the ranks of the
+    subset masks 8p … 8p+7 whose bits it sets (_fill_byte_ranks)."""
+    return [None] * (((1 << n) + 7) >> 3)
+
+
+def _fill_byte_ranks(n: int, p: int) -> list:
+    """The byte table of position p, bit by bit: once it holds the
+    values below 2^j, each of them joined to the rank of the subset at
+    bit j gives the values from 2^j up."""
+    rank = _face_order(n)[1]
+    base = p << 3
+    table = [()]
+    for s in range(base, min(base + 8, 1 << n)):
+        r = (rank[s],)
+        table += [t + r for t in table]
+    return table
+
+
+def _maximal_face_ranks(inm: int, n: int) -> list:
+    """The maximal faces of a downward-closed family bitmask, as ranks in
+    _face_order, ascending: the one maximal-face kernel.  The members s
+    with no member s ∪ {i}, i ∉ s, are found by the _closure step taken
+    once per i without folding it in, and read one byte at a time through
+    the byte tables, so a mask pays only for the positions it has."""
     covered = 0
-    for i, lacking in enumerate(_lacking(n)):
-        covered |= inm >> (1 << i) & lacking
+    step = 1
+    for lacking in _lacking(n):
+        covered |= inm >> step & lacking
+        step <<= 1
+    tables = _byte_ranks(n)
     out = []
-    m = inm & ~covered
-    while m:
-        b = m & -m
-        out.append(b.bit_length() - 1)
-        m ^= b
+    for p, byte in enumerate((inm & ~covered).to_bytes(len(tables),
+                                                        "little")):
+        if byte:
+            table = tables[p]
+            if table is None:
+                table = tables[p] = _fill_byte_ranks(n, p)
+            out += table[byte]
+    out.sort()
     return out
+
+
+def _maximal_faces_of_mask(inm: int, n: int) -> list:
+    """The maximal faces of a downward-closed family bitmask, as subset
+    masks in member-tuple order."""
+    order = _face_order(n)[0]
+    return [order[r] for r in _maximal_face_ranks(inm, n)]
 
 
 @functools.lru_cache(maxsize=None)
 def _subset_table(n: int) -> tuple:
     """Per subset mask s of [n], at index s: the sorted member tuple and the
-    frozenset of that subset.  The tuples order faces as Complex does."""
+    frozenset of that subset."""
     return tuple((t, frozenset(t)) for t in (
         tuple(i + 1 for i in range(n) if s >> i & 1) for s in range(1 << n)))
 

@@ -14,12 +14,13 @@ nonnegative side of each bounding row and splits it by the others, so in
 H-to-V conversion every row bounds and the extreme rays are those of the
 one uncut region.  Rays carry their constraint values and sign/tight
 bitmasks, and new rays get their values by a linear update, so the DD path
-builds no Fraction.
+builds no Fraction.  fractions (and the decimal module it loads) is
+imported only where a Fraction is built: for a row with a non-integer
+entry, and for the point of a feasible LP.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Sequence
 
@@ -34,6 +35,7 @@ def _integer_row(row):
     it is)."""
     if all(type(x) is int for x in row):
         return row
+    from fractions import Fraction
     row = [Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row]
@@ -444,6 +446,7 @@ def solve_eq_nonneg(A, b) -> list | None:
 
     if cost[-1] != 0:
         return None
+    from fractions import Fraction
     y = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -214,12 +215,17 @@ def test_chambers_carry_valid_witnesses():
 
 
 def test_count_chambers_at_ray():
+    """θ names a ray: θ, and 3θ and θ/2 given as Fractions, count alike."""
     a = ar.build_A(6)
-    assert ar.count_chambers_at_ray(a, (1,) * 6) == 332
-    # generic ray: empty localization
-    assert ar.count_chambers_at_ray(a, (3, 9, 27, 81, 243, 365)) == 1
-    with pytest.raises(ValueError):
-        ar.count_chambers_at_ray(a, (0,) * 6)
+    # the generic ray lies on no hyperplane: an empty localization
+    for theta, chambers in (((1,) * 6, 332), ((3, 9, 27, 81, 243, 365), 1)):
+        for ray in (theta, tuple(Fraction(3 * t) for t in theta),
+                    tuple(Fraction(t, 2) for t in theta)):
+            assert ar.count_chambers_at_ray(a, ray) == chambers
+        for bad in ((0,) * 6, (Fraction(0),) * 6, theta[:5], theta + (1,)):
+            with pytest.raises(ValueError,
+                               match="nonzero vector of the right"):
+                ar.count_chambers_at_ray(a, bad)
 
 
 def test_deletion_restriction():

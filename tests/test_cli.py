@@ -289,6 +289,24 @@ def test_complexes_commands_load_only_complexes(command):
     assert not added & {"fractions", "csv"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolutions", "census", "--n", "5"],
+    ["resolutions", "census", "--n", "5", "--records"],
+    ["chambers", "count", "--arrangement", "A", "--n", "5", "--in-cone", "F"],
+    ["chambers", "count", "--arrangement", "A", "--n", "5",
+     "--at-ray", "1,1,1,1,1"],
+    ["chambers", "count", "--arrangement", "A", "--n", "5",
+     "--method", "charpoly"],
+    ["bunches", "classify", "--n", "5"]],
+    ids=["census", "census-records", "in-cone", "at-ray", "charpoly",
+         "classify"])
+def test_exact_commands_build_no_fraction(argv):
+    # every number here is an integer: fractions, and the decimal module
+    # it imports, load only where a Fraction is built (oracle crosscheck's
+    # feasible LPs)
+    assert not _modules_added(argv) & {"fractions", "decimal"}
+
+
 def test_chambers_count_loads_no_other_layer():
     added = _modules_added(["chambers", "count", "--arrangement", "A",
                             "--n", "4"])

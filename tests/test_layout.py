@@ -3,8 +3,9 @@
 Every top-level def and class under src/polycrep must be named (as a Name
 or an Attribute) somewhere in the package outside its own body: a function
 whose only callers are tests belongs in the tests (second routes live in
-tests/routes.py).  One function drives the double-description step, and
-one walks an S_n-orbit of family masks.
+tests/routes.py).  One function drives the double-description step, one
+walks an S_n-orbit of family masks, and one finds the maximal faces of a
+family mask.
 """
 
 import ast
@@ -104,3 +105,31 @@ def test_one_orbit_walk():
     assert callers == ["arrangements.chamber_orbits", "complexes._orbits"]
     defined = {node.name for _, node in _definitions(modules)}
     assert "enumerate_max_biconnected" not in defined
+
+
+def test_one_maximal_face_kernel():
+    """complexes._maximal_face_ranks is the one maximal-face kernel, and
+    complexes the one module that knows the member-tuple order of faces:
+    no other module reads the _lacking masks, _maximal_faces_of_mask maps
+    the kernel's ranks to masks, and the NDJSON writer, Complex's two face
+    methods and projectivity_witness reach faces through the kernel, with
+    no sort of their own."""
+    modules = _modules()
+    readers = sorted(mod for mod, tree in modules.items()
+                     if "_lacking" in _references(tree))
+    assert readers == ["complexes"]
+    functions = {f"{mod}.{node.name}": node
+                 for mod, node in _definitions(modules)}
+    functions.update((f"complexes.Complex.{node.name}", node)
+                     for node in functions["complexes.Complex"].body
+                     if isinstance(node, ast.FunctionDef))
+    users = sorted(name for name, node in functions.items()
+                   if "_maximal_face_ranks" in _references(node))
+    assert users == ["cli._write_ndjson", "complexes._maximal_faces_of_mask"]
+    for name in ("cli._write_ndjson", "complexes.Complex.maximal_faces",
+                 "complexes.Complex.from_faces",
+                 "bunches.projectivity_witness"):
+        node = functions[name]
+        assert _references(node) & {"_maximal_face_ranks",
+                                    "_maximal_faces_of_mask"}, name
+        assert not {"sort", "sorted"} & set(_called_names(node)), name
