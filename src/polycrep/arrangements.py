@@ -31,8 +31,7 @@ import itertools
 from math import factorial, gcd
 
 from . import ratgeom
-from .complexes import _swap_adjacent, family_mask
-from .polygon_cones import v_I
+from .complexes import _swap_adjacent, family_mask, v_I
 from .ratgeom import ConeH, canon_normal, ray_sum
 from .values import Value
 
@@ -82,8 +81,7 @@ def build_A(n: int) -> Arrangement:
         raise ValueError("n >= 4 required")
     _check_dim(n)
     normals = set()
-    for bits in range(1 << n):
-        I = {i + 1 for i in range(n) if bits >> i & 1}
+    for I in range(1 << n):
         normals.add(canon_normal(v_I(I, n)))
     for i in range(n):
         e = [0] * n
@@ -115,7 +113,7 @@ def cone_F(n: int) -> ConeH:
 def cone_C0(n: int) -> ConeH:
     """0 <= θ_i <= Σ_{j≠i} θ_j."""
     ineqs = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    ineqs += [v_I({i}, n) for i in range(1, n + 1)]
+    ineqs += [v_I(1 << i, n) for i in range(n)]
     return ConeH(n, tuple(ineqs))
 
 
@@ -320,7 +318,7 @@ def chamber_orbits(n: int) -> list:
     facets = [tuple(1 if j == i else -1 if j == i + 1 else 0
                     for j in range(n)) for i in range(n - 1)]
     facets.append(tuple(1 if j == n - 1 else 0 for j in range(n)))
-    facets.append(v_I({1}, n))
+    facets.append(v_I(1, n))
     out = []
 
     def collect(rays):

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from . import ratgeom
 from .complexes import (Complex, Partition, _maximal_faces_of_mask,
-                        _partition_masks, _subset_table, is_full,
-                        is_maximal_biconnected)
+                        _partition_masks, is_full, is_maximal_biconnected,
+                        v_I)
 from .values import Value
 
 
@@ -42,9 +42,8 @@ class Bunch(Value):
 def _free_bunch(n: int, family: int) -> Bunch:
     """The free cones ω_P, P a partition of [n] into >= 3 parts each in the
     family mask."""
-    sets = _subset_table(n)
     return Bunch(n, frozenset(
-        Partition(n, tuple(sets[p][1] for p in parts))
+        Partition(n, parts)
         for parts in _partition_masks((1 << n) - 1, family, 3)))
 
 
@@ -57,11 +56,10 @@ def phi_from_complex(d: Complex) -> Bunch:
 
 
 def _cone_rows(n: int, faces) -> list:
-    """θ_i >= 0 and v_I >= 0 (-1 on I, 1 off it) over the face masks I: the
-    H-description of the intersection of the free cones with parts in faces."""
+    """θ_i >= 0 and v_I >= 0 over the face masks I: the H-description of
+    the intersection of the free cones with parts in faces."""
     rows = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    return rows + [tuple(-1 if s >> j & 1 else 1 for j in range(n))
-                   for s in faces]
+    return rows + [v_I(s, n) for s in faces]
 
 
 def projectivity_witness(d: Complex):

@@ -3,14 +3,10 @@
 Subcommands are thin shells over the library; every numeric answer is the
 exact library result.  Output formats: json (default), csv, plain.  Long
 enumerations stream NDJSON, one record per line, written CHUNK_LINES lines
-at a time.  Each line maps the ranks that complexes' maximal-face kernel
-gives to text made once per stream, with no sort of its own.  At n=7, on
-a shared 2-core Xeon with stdout to /dev/null (medians of 5 interleaved
-runs), `complexes enumerate` took 5.0 s and `resolutions census
---records` 5.9 s, against 9.3 and 10.0 s when each line walked its mask
-bit by bit, sorted its faces by member tuple and was printed on its own.
-Exit codes: 0 success, 1 computation error or a reader that closed the
-pipe, 2 usage error.
+at a time rather than one write per line.  Each line maps the ranks that
+complexes' maximal-face kernel gives to text made once per stream, with no
+sort of its own.  Exit codes: 0 success, 1 computation error or a reader
+that closed the pipe, 2 usage error.
 
 Every call is a fresh process, and at small n start-up is most of its
 time, so each command imports the library layer it runs in its own
@@ -20,10 +16,7 @@ complexes; `chambers count` arrangements; `resolutions census`
 hyper_cones; `cox verify` coxrelations; `oracle crosscheck` crosscheck.
 Each layer brings in the modules it imports in turn.  fractions (with
 decimal) loads only where a Fraction is built, which among the commands
-only `oracle crosscheck`'s feasible LPs and `cox verify` do.  On a shared
-2-core Xeon, `complexes count --n 4` took a median of 47 ms cold (p25
-43 ms; 30 runs), against 52 ms (p25 48 ms) when this module imported
-every layer up front, and 36 ms for a bare interpreter.
+only `oracle crosscheck`'s feasible LPs and `cox verify` do.
 """
 
 from __future__ import annotations
@@ -81,8 +74,8 @@ def _write_ndjson(n: int, rows, records: bool):
     first = next(rows, None)
     if first is None:
         return
-    members = complexes._subset_table(n)
-    text = [str(list(members[s][0])) for s in complexes._face_order(n)[0]]
+    text = [str([i + 1 for i in range(n) if s >> i & 1])
+            for s in complexes._face_order(n)[0]]
     ranks = complexes._maximal_face_ranks
     tail = '], "n": %d}' % n
     write = sys.stdout.write

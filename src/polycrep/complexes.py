@@ -13,9 +13,12 @@ maximal-face kernel, and this module the one that knows the member-tuple
 order of faces (_face_order): Complex, the NDJSON writer and the
 projectivity witness all read maximal faces from it.
 
-Ground sets are {1..n}; internally subsets are bitmasks (bit i-1 for
-element i) and a whole family of subsets is a single big int with bit s set
-when the subset with mask s belongs to the family.  A maximally-biconnected
+Ground sets are {1..n}.  Inside the library a subset is a subset mask
+(bit i-1 for element i): a Partition's parts, the I of v_I and the K of
+hyper_cones' orbit data are all masks.  A whole family of subsets is a single
+big int with bit s set when the subset with mask s belongs to the family.
+Only Complex speaks element sets, through mask_of: from_faces, member and
+maximal_faces are how a reader names a complex.  A maximally-biconnected
 complex is exactly a downward-closed family containing precisely one of each
 complementary pair {I, I^c} of nonempty proper subsets, which is what makes
 the mask DFS below fast: each branch decision propagates in O(1) big-int ops.
@@ -51,27 +54,29 @@ def mask_of(members, n: int) -> int:
 
 
 class Partition(Value):
-    """Set partition of a ground subset of [n], parts sorted by minimum."""
+    """Set partition of a ground subset of [n], each part a subset mask,
+    parts sorted by lowest bit."""
 
     __slots__ = ("n", "parts")
 
     def __init__(self, n: int, parts: tuple):
-        parts = tuple(sorted((frozenset(p) for p in parts), key=min))
-        seen = set()
+        parts = tuple(sorted(parts, key=lambda s: s & -s))
+        seen = 0
         for p in parts:
-            if not p:
-                raise ValueError("empty part")
+            if p <= 0:
+                raise ValueError("part is not a nonempty subset mask")
             if p & seen:
                 raise ValueError("parts not disjoint")
             seen |= p
-        if seen and (min(seen) < 1 or max(seen) > n):
+        if seen >> n:
             raise ValueError("part outside ground range")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "parts", parts)
 
     @property
-    def ground(self) -> frozenset:
-        return frozenset().union(*self.parts) if self.parts else frozenset()
+    def ground(self) -> int:
+        """The OR of the parts, which are disjoint: their sum."""
+        return sum(self.parts)
 
 
 class Complex(Value):
@@ -161,12 +166,10 @@ def _tables(n: int):
 
 
 def _pair_reps(n: int):
-    """One representative per complementary pair {I, I^c}: the side containing
-    element 1, ordered lexicographically by sorted member tuple."""
+    """One representative per complementary pair {I, I^c} of nonempty
+    proper subsets: the side containing element 1, in member-tuple order."""
     full = (1 << n) - 1
-    reps = [s for s in range(1, full) if s & 1]
-    reps.sort(key=lambda s: tuple(i for i in range(n) if s >> i & 1))
-    return reps
+    return [s for s in _face_order(n)[0] if s & 1 and s != full]
 
 
 def _mask_dfs(items, first, second) -> Iterator[int]:
@@ -262,6 +265,12 @@ def family_mask(theta, n: int) -> int:
     return fam
 
 
+def v_I(I: int, n: int) -> tuple:
+    """The functional v_I = Σ_{j∉I} f_j − Σ_{i∈I} f_i of the subset mask I:
+    -1 on I, 1 off it.  family_mask holds I exactly where v_I(θ) > 0."""
+    return tuple(-1 if I >> j & 1 else 1 for j in range(n))
+
+
 @functools.lru_cache(maxsize=None)
 def _lacking(n: int) -> tuple:
     """Per element index i: the family mask of every subset of [n] lacking
@@ -333,7 +342,8 @@ def _face_order(n: int) -> tuple:
     """The subset masks of [n] in member-tuple order, ∅, {1}, {1, 2}, …,
     {n}, and per subset mask its rank in that order.  This is the one
     order of faces: Complex and the NDJSON writer take it from the
-    maximal-face kernel, which gives ranks.  In it the nonempty subsets of
+    maximal-face kernel, which gives ranks, and the mask DFS decides the
+    pairs of _pair_reps in it.  In it the nonempty subsets of
     {i..n} are {i}, {i} joined to each nonempty subset of {i+1..n}, then
     those subsets."""
     tail = []
@@ -399,14 +409,6 @@ def _maximal_faces_of_mask(inm: int, n: int) -> list:
     return [order[r] for r in _maximal_face_ranks(inm, n)]
 
 
-@functools.lru_cache(maxsize=None)
-def _subset_table(n: int) -> tuple:
-    """Per subset mask s of [n], at index s: the sorted member tuple and the
-    frozenset of that subset."""
-    return tuple((t, frozenset(t)) for t in (
-        tuple(i + 1 for i in range(n) if s >> i & 1) for s in range(1 << n)))
-
-
 def _count_downsets(p: int, down, up, memo: dict) -> int:
     """Number of downsets of the subposet p (a family mask) of 2^[k].
 
@@ -463,7 +465,7 @@ def refines(q: Partition, p: Partition) -> bool:
     """Every part of q contained in some part of p (same ground set)."""
     if q.n != p.n or q.ground != p.ground:
         raise ValueError("ground-set mismatch")
-    return all(any(a <= b for b in p.parts) for a in q.parts)
+    return all(any(not a & ~b for b in p.parts) for a in q.parts)
 
 
 def _partition_masks(ground: int, family: int, min_parts: int) -> list:
@@ -495,12 +497,12 @@ def _partition_masks(ground: int, family: int, min_parts: int) -> list:
     return found
 
 
-def enumerate_partitions(ground, n: int, min_parts: int = 1) -> Iterator[Partition]:
-    """Set partitions of a ground subset of [n] with >= min_parts parts,
-    the one-block partition first."""
-    g = mask_of(ground, n)
-    if not g:
-        raise ValueError("ground must be nonempty")
+def enumerate_partitions(ground: int, n: int,
+                         min_parts: int = 1) -> Iterator[Partition]:
+    """Set partitions of the subset mask ground of [n] with >= min_parts
+    parts, the one-block partition first."""
+    if not 0 < ground < 1 << n:
+        raise ValueError("ground must be a nonempty subset mask of [n]")
     # -1 has every bit set: the family of all subsets, whatever n is
-    for parts in _partition_masks(g, -1, min_parts):
-        yield Partition(n, tuple(_subset_table(n)[p][1] for p in parts))
+    for parts in _partition_masks(ground, -1, min_parts):
+        yield Partition(n, parts)

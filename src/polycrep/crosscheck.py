@@ -29,7 +29,7 @@ def _contains_all(h: ConeH, vectors) -> bool:
 
 def _free_polygon_cones(n: int):
     return [(p, polygon_cones.generators(p))
-            for p in enumerate_partitions(range(1, n + 1), n, min_parts=3)]
+            for p in enumerate_partitions((1 << n) - 1, n, min_parts=3)]
 
 
 def polygon_suite(n: int) -> dict:
@@ -129,7 +129,8 @@ def psi_suite(n: int, max_k: int = 3) -> dict:
                     members |= 1 << idx
             oracle_bits = [bool(members & cb) for cb in contains]
         else:
-            i = next(j for j in range(1, n + 1) if not d.member({j}))
+            i = next(j for j in range(1, n + 1)
+                     if not d.family >> (1 << (j - 1)) & 1)
             oracle_bits = [_contains_all(h, corner_rays[i]) for h in hforms]
         for hc, oracle in zip(data, oracle_bits):
             checked += 1
@@ -143,14 +144,15 @@ def orbit_membership_suite(n: int, max_k: int = 3) -> dict:
     """in_omega_X_free consistency: every accepted orbit datum generates a
     top-dimensional cone."""
     checked = mismatches = 0
-    for p in enumerate_partitions(range(1, n + 1), n, min_parts=2):
+    bits = [1 << j for j in range(n)]
+    for p in enumerate_partitions((1 << n) - 1, n, min_parts=2):
         for size in range(0, max_k + 1):
-            for K in itertools.combinations(range(1, n + 1), size):
+            for K in map(sum, itertools.combinations(bits, size)):
                 ok = hyper_cones.in_omega_X_free(p, K)
                 checked += 1
                 if ok:
                     gens = hyper_cones.generators_hyper(
-                        hyper_cones.HyperCone(n, p, frozenset(K)))
+                        hyper_cones.HyperCone(n, p, K))
                     if ratgeom.cone_dim(ConeV(n, tuple(gens))) != n:
                         mismatches += 1
     return {"suite": "orbit-membership", "n": n, "max_k": max_k,

@@ -1,7 +1,8 @@
 """Hyperpolygon-side orbit cones ω_{P,K} and the crepant-resolution census.
 
 ω_{P,K} = ω_P + Cone(−e_k | k ∈ K), with the polygon cone ω_P named by its
-partition P as in polygon_cones.  The module provides the combinatorial
+partition P as in polygon_cones and K a subset mask, so that every test
+below is a few mask operations.  The module provides the combinatorial
 membership test for orbit data, the corner-cone and orthant containment
 criteria, the C_0 slice, the Ψ_Δ membership test, and the census that
 pairs every maximally-biconnected complex, as its family mask, with an
@@ -34,15 +35,14 @@ from .values import Value
 
 
 class HyperCone(Value):
-    """ω_{P,K} for orbit data (P, K)."""
+    """ω_{P,K} for orbit data (P, K), K a subset mask."""
 
     __slots__ = ("n", "partition", "K")
 
-    def __init__(self, n: int, partition: Partition, K: frozenset):
-        K = frozenset(K)
+    def __init__(self, n: int, partition: Partition, K: int):
         if partition.n != n:
             raise ValueError("partition range mismatch")
-        if K and (min(K) < 1 or max(K) > n):
+        if K < 0 or K >> n:
             raise ValueError("K outside [n]")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "partition", partition)
@@ -52,22 +52,22 @@ class HyperCone(Value):
 def generators_hyper(c: HyperCone) -> list:
     """Polygon generators of ω_P followed by −e_k, k ∈ K."""
     gens = polygon_cones.generators(c.partition)
-    for k in sorted(c.K):
-        v = [0] * c.n
-        v[k - 1] = -1
-        gens.append(tuple(v))
+    for k in range(c.n):
+        if c.K >> k & 1:
+            v = [0] * c.n
+            v[k] = -1
+            gens.append(tuple(v))
     return gens
 
 
-def in_omega_X_free(p: Partition, k) -> bool:
+def in_omega_X_free(p: Partition, K: int) -> bool:
     """Free orbit-data test (P partitions all of [n])."""
-    K = frozenset(k)
-    if len(p.ground) != p.n:
+    if p.ground != (1 << p.n) - 1:
         return False
     meets = sum(1 for J in p.parts if J & K)
     if meets >= 4:
         return True
-    if any(len(J & K) == 1 for J in p.parts):
+    if any((J & K).bit_count() == 1 for J in p.parts):
         return False
     if len(p.parts) >= 3:
         return True
@@ -79,17 +79,18 @@ def is_free(c: HyperCone) -> bool:
 
 
 def contains_corner(c: HyperCone, i: int) -> bool:
-    """C_i ⊆ ω_{P,K} iff K meets the complement of i's part."""
-    I = next((J for J in c.partition.parts if i in J), None)
+    """C_i ⊆ ω_{P,K} iff K meets the complement of i's part, i in [n]."""
+    bit = 1 << (i - 1) if i > 0 else 0
+    I = next((J for J in c.partition.parts if J & bit), None)
     if I is None:
         raise ValueError("index outside the partition's ground")
-    return bool(c.K - I)
+    return bool(c.K & ~I)
 
 
 def contains_F(c: HyperCone) -> bool:
     """Orthant containment: K nonempty and inside no single part
     (equivalently ω_{P,K} is not strongly convex)."""
-    return bool(c.K) and not any(c.K <= I for I in c.partition.parts)
+    return bool(c.K) and all(c.K & ~I for I in c.partition.parts)
 
 
 def meet_C0(c: HyperCone) -> Partition:
@@ -99,7 +100,7 @@ def meet_C0(c: HyperCone) -> Partition:
         raise ValueError("cone contains the orthant; the slice is not a wall")
     if not c.K:
         return c.partition
-    I = next(J for J in c.partition.parts if c.K <= J)
+    I = next(J for J in c.partition.parts if not c.K & ~J)
     return eta(I, c.n)
 
 
@@ -122,9 +123,10 @@ def psi_membership(d: Complex, c: HyperCone) -> bool:
 
 def _psi_member(d: Complex, c: HyperCone) -> bool:
     """psi_membership for a complex and a cone already checked valid."""
-    n = d.n
+    n, fam = d.n, d.family
     if not is_full(d):
-        missing = [i for i in range(1, n + 1) if not d.member({i})]
+        missing = [i for i in range(1, n + 1)
+                   if not fam >> (1 << (i - 1)) & 1]
         if len(missing) != 1:
             raise ValueError("non-full maximally-biconnected complex "
                              "must miss exactly one singleton")
@@ -132,19 +134,19 @@ def _psi_member(d: Complex, c: HyperCone) -> bool:
     if contains_F(c):
         return True
     if not c.K:
-        return all(d.member(J) for J in c.partition.parts)
-    I = next(J for J in c.partition.parts if c.K <= J)
-    return len(I) <= n - 2 and d.member(I)
+        return all(fam >> J & 1 for J in c.partition.parts)
+    I = next(J for J in c.partition.parts if not c.K & ~J)
+    return I.bit_count() <= n - 2 and bool(fam >> I & 1)
 
 
 def free_orbit_data(n: int, max_k: int | None = None) -> Iterator[HyperCone]:
     """All free hyper cones on [n], optionally with #K bounded."""
-    elems = list(range(1, n + 1))
-    for p in enumerate_partitions(elems, n, min_parts=2):
+    bits = [1 << j for j in range(n)]
+    for p in enumerate_partitions((1 << n) - 1, n, min_parts=2):
         for size in range(0, (max_k if max_k is not None else n) + 1):
-            for K in itertools.combinations(elems, size):
+            for K in map(sum, itertools.combinations(bits, size)):
                 if in_omega_X_free(p, K):
-                    yield HyperCone(n, p, frozenset(K))
+                    yield HyperCone(n, p, K)
 
 
 # ---------------------------------------------------------------------------

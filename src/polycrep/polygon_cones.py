@@ -1,11 +1,12 @@
 """Polygon-side orbit cones ω_P and the wall cones η_I.
 
 ω_P = Cone(e_i + e_j | i < j in the ground set, {i,j} not inside one part),
-and a cone is named by its `Partition` P.  For free cones (P a partition of
-[n] with at least 3 parts) the dual description, containment, and
-relative-interior disjointness have closed combinatorial forms; those are
-implemented here and cross-validated against the ratgeom oracle in the test
-suite.  Non-free queries are deliberately routed to the oracle (NotFreeError)
+and a cone is named by its `Partition` P, whose parts are subset masks, as
+is the I of η_I.  For free cones (P a partition of [n] with at least 3
+parts) the dual description, containment, and relative-interior
+disjointness have closed combinatorial forms; those are implemented here
+and cross-validated against the ratgeom oracle in the test suite.
+Non-free queries are deliberately routed to the oracle (NotFreeError)
 instead of extrapolating the closed forms beyond their proven domain.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import Partition, refines
+from .complexes import Partition, refines, v_I
 
 
 class NotFreeError(ValueError):
@@ -21,29 +22,25 @@ class NotFreeError(ValueError):
     ratgeom oracle."""
 
 
-def v_I(I, n: int) -> tuple:
-    """The functional v_I = sum_{j not in I} f_j - sum_{i in I} f_i."""
-    I = set(I)
-    return tuple(-1 if i in I else 1 for i in range(1, n + 1))
-
-
 def generators(p: Partition) -> list:
     """Vectors e_i + e_j over pairs of the ground set not inside one part."""
-    n = p.n
+    n, ground = p.n, p.ground
     gens = []
-    for i, j in itertools.combinations(sorted(p.ground), 2):
-        if any({i, j} <= part for part in p.parts):
+    for i, j in itertools.combinations(
+            [k for k in range(n) if ground >> k & 1], 2):
+        pair = 1 << i | 1 << j
+        if any(not pair & ~part for part in p.parts):
             continue
         v = [0] * n
-        v[i - 1] = 1
-        v[j - 1] = 1
+        v[i] = 1
+        v[j] = 1
         gens.append(tuple(v))
     return gens
 
 
 def is_free(p: Partition) -> bool:
     """ω_P is free: P partitions all of [n] into at least 3 parts."""
-    return len(p.ground) == p.n and len(p.parts) >= 3
+    return p.ground == (1 << p.n) - 1 and len(p.parts) >= 3
 
 
 def dual_generators(p: Partition) -> list:
@@ -76,10 +73,10 @@ def relint_disjoint_free(p: Partition, q: Partition) -> bool:
     return any(a | b == full for a in p.parts for b in q.parts)
 
 
-def eta(I, n: int) -> Partition:
-    """η_I = ω_{P_I} with P_I = {I} plus singletons of I^c (η_∅ = singletons)."""
-    I = frozenset(I)
-    parts = [frozenset({j}) for j in range(1, n + 1) if j not in I]
+def eta(I: int, n: int) -> Partition:
+    """η_I = ω_{P_I} with P_I = {I} plus singletons of I^c (η_∅ = singletons),
+    I a subset mask."""
+    parts = [1 << j for j in range(n) if not I >> j & 1]
     if I:
         parts.append(I)
     return Partition(n, tuple(parts))

@@ -34,7 +34,7 @@ from polycrep.complexes import (Complex, _check_range, _closure,
                                 _iter_downset_masks, _mask_is_full,
                                 _maximal_faces_of_mask, _splits_every_pair,
                                 _tables, family_mask, is_full,
-                                is_maximal_biconnected, mask_of)
+                                is_maximal_biconnected)
 from polycrep.coxrelations import XPoint, _evaluate, _point_values
 from polycrep.polygon_cones import is_free
 from polycrep.ratgeom import (ConeH, ConeV, _kernel_from_rref, dd_regions,
@@ -93,7 +93,7 @@ def is_bunch(phi: Bunch) -> bool:
             raise ValueError("bunch members must be free cones")
     n = phi.n
     full = (1 << n) - 1
-    members = {tuple(mask_of(part, n) for part in c.parts) for c in cones}
+    members = {c.parts for c in cones}
     parts = {p for m in members for p in m}
     if any(a | b == full for a in parts for b in parts):
         return False
@@ -117,7 +117,7 @@ def complex_from_bunch(phi: Bunch) -> Complex:
     """Downward closure of all member parts; inverse of phi_from_complex."""
     if not is_bunch(phi):
         raise ValueError("not a bunch")
-    parts = (mask_of(part, phi.n) for c in phi.cones for part in c.parts)
+    parts = (part for c in phi.cones for part in c.parts)
     d = Complex(phi.n, _closure(phi.n, parts))
     if not (is_full(d) and is_maximal_biconnected(d)):
         raise ValueError("not a maximal bunch")
@@ -163,7 +163,7 @@ def projectivity_witness_lp(phi: Bunch):
     its members (subsets of parts are implied), θ_i >= 1 and v_I(θ) >= 1 is
     feasible (by scaling) exactly when the common interior is nonempty."""
     n = phi.n
-    parts = (mask_of(part, n) for c in phi.cones for part in c.parts)
+    parts = (part for c in phi.cones for part in c.parts)
     rows = _cone_rows(n, _maximal_faces_of_mask(_closure(n, parts), n))
     return solve_ge(rows, [1] * len(rows))
 

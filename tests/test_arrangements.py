@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from polycrep import arrangements as ar, ratgeom
 from polycrep.arrangements import Arrangement
+from polycrep.complexes import mask_of
 
 import routes
 
@@ -65,7 +66,7 @@ def test_build_A_contains_vI_normals():
     a = ar.build_A(5)
     have = set(a.normals)
     for I in ({1}, {1, 2}, {2, 4}, set()):
-        assert ratgeom.canon_normal(ar.v_I(I, 5)) in have
+        assert ratgeom.canon_normal(ar.v_I(mask_of(I, 5), 5)) in have
 
 
 def test_build_B():

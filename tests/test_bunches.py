@@ -9,7 +9,7 @@ import pytest
 from polycrep import (arrangements as ar, bunches, complexes as cx,
                       polygon_cones as pc)
 from polycrep.bunches import Bunch
-from polycrep.complexes import Complex, Partition
+from polycrep.complexes import Complex, Partition, mask_of
 
 import routes
 
@@ -20,7 +20,12 @@ def size2_complex(n):
 
 
 def singletons_cone(n):
-    return Partition(n, tuple(frozenset({i}) for i in range(1, n + 1)))
+    return Partition(n, tuple(mask_of({i}, n) for i in range(1, n + 1)))
+
+
+def weight(theta, part):
+    """Σ θ_i over the elements i of the part mask."""
+    return sum(t for i, t in enumerate(theta) if part >> i & 1)
 
 
 def test_phi_from_complex_size2():
@@ -34,7 +39,7 @@ def test_phi_from_complex_size2():
 
 def test_eta_pair_is_not_a_bunch():
     # wall cones of complementary subsets have disjoint interiors
-    i, ic = {1, 2}, {3, 4, 5}
+    i, ic = mask_of({1, 2}, 5), mask_of({3, 4, 5}, 5)
     phi = Bunch(5, frozenset({pc.eta(i, 5), pc.eta(ic, 5)}))
     assert not routes.is_bunch(phi)
 
@@ -58,7 +63,7 @@ def test_is_bunch_matches_pairwise_definition():
     subsets, and closures of subsets of a chamber's bunch Φ_θ plus maybe
     one other cone."""
     n = 5
-    free = list(cx.enumerate_partitions(range(1, n + 1), n, min_parts=3))
+    free = list(cx.enumerate_partitions((1 << n) - 1, n, min_parts=3))
     a = ar.build_A(n)
     thetas = routes.chambers_in_cone(a, ar.cone_C0(n))
 
@@ -116,7 +121,7 @@ def test_every_maximal_bunch_contains_singletons_cone():
 
 
 def test_phi_from_complex_matches_definition():
-    """Φ_Δ against the definition written out over frozensets: every
+    """Φ_Δ against the definition written out over part masks: every
     partition of [n] into >= 3 parts whose parts are all faces of Δ, for
     every complex at n=5, 200 seeded complexes at n=6, and two complexes
     with two-part partitions into faces."""
@@ -128,8 +133,8 @@ def test_phi_from_complex_matches_definition():
     for d in cases:
         n = d.n
         want = frozenset(
-            p for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)
-            if all(d.member(part) for part in p.parts))
+            p for p in cx.enumerate_partitions((1 << n) - 1, n, min_parts=3)
+            if all(d.family >> part & 1 for part in p.parts))
         if not want:
             with pytest.raises(ValueError):
                 bunches.phi_from_complex(d)
@@ -142,12 +147,12 @@ def test_bunch_from_theta_matches_definition():
     has θ-weight below half the total, at every C0 chamber witness of
     A(5)."""
     n = 5
-    free = [p for p in cx.enumerate_partitions(range(1, n + 1), n,
+    free = [p for p in cx.enumerate_partitions((1 << n) - 1, n,
                                                min_parts=3)]
     for theta in routes.chambers_in_cone(ar.build_A(n), ar.cone_C0(n)):
         total = sum(theta)
         want = frozenset(p for p in free
-                         if all(2 * sum(theta[i - 1] for i in part) < total
+                         if all(2 * weight(theta, part) < total
                                 for part in p.parts))
         assert routes.bunch_from_theta(theta, n).cones == want
 
@@ -184,9 +189,8 @@ def test_bunch_from_theta_non_integral():
                for k in range(1, n)
                for I in itertools.combinations(range(1, n + 1), k))
     want = frozenset(
-        p for p in cx.enumerate_partitions(range(1, n + 1), n, min_parts=3)
-        if all(2 * sum(theta[i - 1] for i in part) < total
-               for part in p.parts))
+        p for p in cx.enumerate_partitions((1 << n) - 1, n, min_parts=3)
+        if all(2 * weight(theta, part) < total for part in p.parts))
     phi = routes.bunch_from_theta(theta, n)
     assert phi.cones == want
     assert phi == routes.bunch_from_theta([60 * t for t in theta], n)

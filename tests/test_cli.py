@@ -312,7 +312,8 @@ def test_chambers_count_loads_no_other_layer():
                             "--n", "4"])
     assert "polycrep.arrangements" in added
     assert not added & {f"polycrep.{m}" for m in (
-        "bunches", "coxrelations", "crosscheck", "hyper_cones")}
+        "bunches", "coxrelations", "crosscheck", "hyper_cones",
+        "polygon_cones")}
 
 
 # polycrep.cli loads each layer in the command that runs it; crosscheck

@@ -11,9 +11,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polycrep import complexes as cx
-from polycrep.complexes import Complex, Partition
+from polycrep.complexes import Complex, Partition, mask_of
 
 import routes
+
+
+def elements(s):
+    """The frozenset of elements of the subset mask s."""
+    return frozenset(i + 1 for i in range(s.bit_length()) if s >> i & 1)
 
 
 def subsets_leq(n, k):
@@ -288,34 +293,40 @@ def test_orbits_against_brute_force_relabelling(n, orbits, full_orbits):
 
 
 def test_refines():
-    sing = Partition(5, tuple(frozenset({i}) for i in range(1, 6)))
-    p = Partition(5, (frozenset({1, 2, 3}), frozenset({4, 5})))
-    q = Partition(5, (frozenset({1, 2}), frozenset({3}), frozenset({4}),
-                      frozenset({5})))
+    sing = Partition(5, tuple(mask_of({i}, 5) for i in range(1, 6)))
+    p = Partition(5, (mask_of({1, 2, 3}, 5), mask_of({4, 5}, 5)))
+    q = Partition(5, (mask_of({1, 2}, 5), mask_of({3}, 5), mask_of({4}, 5),
+                      mask_of({5}, 5)))
     assert cx.refines(sing, p)
     assert cx.refines(p, p)
     assert cx.refines(q, p)
     with pytest.raises(ValueError):
-        cx.refines(sing, Partition(5, (frozenset({1, 2}),)))
+        cx.refines(sing, Partition(5, (mask_of({1, 2}, 5),)))
 
 
 def test_enumerate_partitions():
-    all5 = list(cx.enumerate_partitions(range(1, 6), 5))
+    all5 = list(cx.enumerate_partitions(0b11111, 5))
     assert len(all5) == 52
-    assert len(list(cx.enumerate_partitions(range(1, 6), 5, min_parts=3))) == 36
-    assert list(cx.enumerate_partitions(range(1, 3), 5, min_parts=3)) == []
+    assert len(list(cx.enumerate_partitions(0b11111, 5, min_parts=3))) == 36
+    assert list(cx.enumerate_partitions(0b11, 5, min_parts=3)) == []
     # the one-block partition comes first
-    assert all5[0].parts == (frozenset({1, 2, 3, 4, 5}),)
+    assert all5[0].parts == (mask_of({1, 2, 3, 4, 5}, 5),)
     assert len(set(all5)) == 52
 
 
 def test_partition_canonical_form():
-    p = Partition(5, (frozenset({4, 5}), frozenset({1, 2, 3})))
-    assert p.parts[0] == frozenset({1, 2, 3})
-    with pytest.raises(ValueError):
-        Partition(5, (frozenset({1}), frozenset({1, 2})))
-    with pytest.raises(ValueError):
-        Partition(5, (frozenset(),))
+    p = Partition(5, (mask_of({4, 5}, 5), mask_of({1, 2, 3}, 5)))
+    assert p.parts[0] == mask_of({1, 2, 3}, 5)
+    assert p.ground == 0b11111
+    # parts given in any order build one value
+    blocks = (0b00100, 0b10010, 0b01001)
+    assert len({Partition(5, q) for q in itertools.permutations(blocks)}) == 1
+    assert Partition(5, blocks).parts == (0b01001, 0b10010, 0b00100)
+    for bad in ((mask_of({1}, 5), mask_of({1, 2}, 5)),  # overlapping
+                (0,), (0b1, 0), (-1,), (0b10, -4),  # zero or negative
+                (0b100000,), (0b1, 0b110000)):  # a bit at or above n
+        with pytest.raises(ValueError):
+            Partition(5, bad)
 
 
 def faces_by_definition(d):
@@ -530,7 +541,7 @@ def test_max_to_biconnected_membership_rule():
             b = routes.max_biconnected_to_biconnected(d)
             assert b.n == n - 1
             for kmask in range(1 << (n - 1)):
-                k = cx._subset_table(n - 1)[kmask][1]
+                k = elements(kmask)
                 assert b.member(k) == d.member(k | {n})
 
 
@@ -551,22 +562,23 @@ def test_biconnected_to_max_membership_rule(case):
     assert r.n == m + 1
     assert max_biconnected_by_definition(r.maximal_faces, m + 1)
     for kmask in range(1 << m):
-        k = cx._subset_table(m)[kmask][1]
+        k = elements(kmask)
         assert member_by_definition(r.maximal_faces, k | {m + 1}) == d.member(k)
 
 
 def partitions_by_restricted_growth(elems):
-    """Every set partition of the list elems, from restricted-growth strings."""
+    """Every set partition of the list elems, each an element's one-bit
+    mask, from restricted-growth strings: a frozenset of part masks each."""
     if not elems:
         return []
     out = []
 
     def rec(i, rgs, top):
         if i == len(elems):
-            blocks = [[] for _ in range(top + 1)]
+            blocks = [0] * (top + 1)
             for e, b in zip(elems, rgs):
-                blocks[b].append(e)
-            out.append(frozenset(frozenset(b) for b in blocks))
+                blocks[b] |= e
+            out.append(frozenset(blocks))
             return
         for b in range(top + 2):
             rec(i + 1, rgs + [b], max(top, b))
@@ -582,14 +594,15 @@ def test_enumerate_partitions_matches_restricted_growth():
     bell = [1, 1, 2, 5, 15, 52, 203]
     n = 6
     for gmask in range(1, 1 << n):
-        ground = list(cx._subset_table(n)[gmask][0])
+        ground = [1 << i for i in range(n) if gmask >> i & 1]
         reference = partitions_by_restricted_growth(ground)
         assert len(reference) == bell[len(ground)]
         for min_parts in range(1, len(ground) + 2):
             got = [frozenset(p.parts) for p in
-                   cx.enumerate_partitions(ground, n, min_parts=min_parts)]
+                   cx.enumerate_partitions(gmask, n, min_parts=min_parts)]
             assert len(got) == len(set(got))
             assert all(len(p) >= min_parts for p in got)
             assert set(got) == {p for p in reference if len(p) >= min_parts}
-    with pytest.raises(ValueError):
-        list(cx.enumerate_partitions([], n))
+    for ground in (0, 1 << n, (1 << n) + 1, 1 << (n + 3)):
+        with pytest.raises(ValueError):
+            list(cx.enumerate_partitions(ground, n))

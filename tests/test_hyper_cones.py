@@ -8,7 +8,7 @@ import pytest
 from polycrep import arrangements, hyper_cones as hc, ratgeom
 from polycrep.complexes import (Complex, Partition, _mask_is_full,
                                 _splits_every_pair, family_mask,
-                                max_biconnected_masks)
+                                mask_of, max_biconnected_masks)
 from polycrep.hyper_cones import HyperCone
 from polycrep.ratgeom import ConeV
 
@@ -16,7 +16,7 @@ import routes
 
 
 def part(n, *blocks):
-    return Partition(n, tuple(frozenset(b) for b in blocks))
+    return Partition(n, tuple(mask_of(b, n) for b in blocks))
 
 
 def singletons(n):
@@ -24,20 +24,27 @@ def singletons(n):
 
 
 def test_in_omega_X_free():
-    assert hc.in_omega_X_free(part(5, {1, 2, 3, 4}, {5}), {1, 2})
-    assert not hc.in_omega_X_free(part(5, {1, 2, 3, 4, 5}), {1, 2})
-    assert hc.in_omega_X_free(singletons(5), set())
-    assert not hc.in_omega_X_free(part(5, {1, 2, 3}), set())  # partial ground
-    assert not hc.in_omega_X_free(part(5, {1, 2, 3, 4}, {5}), set())  # 2 parts
+    assert hc.in_omega_X_free(part(5, {1, 2, 3, 4}, {5}), mask_of({1, 2}, 5))
+    assert not hc.in_omega_X_free(part(5, {1, 2, 3, 4, 5}),
+                                  mask_of({1, 2}, 5))
+    assert hc.in_omega_X_free(singletons(5), 0)
+    assert not hc.in_omega_X_free(part(5, {1, 2, 3}), 0)  # partial ground
+    assert not hc.in_omega_X_free(part(5, {1, 2, 3, 4}, {5}), 0)  # 2 parts
 
 
 def test_generators_hyper():
-    c = HyperCone(5, singletons(5), frozenset())
+    c = HyperCone(5, singletons(5), 0)
     assert len(hc.generators_hyper(c)) == 10
-    c = HyperCone(5, singletons(5), frozenset({1}))
+    c = HyperCone(5, singletons(5), mask_of({1}, 5))
     gens = hc.generators_hyper(c)
     assert len(gens) == 11
     assert gens[-1] == (-1, 0, 0, 0, 0)
+    c = HyperCone(5, singletons(5), mask_of({2, 5}, 5))
+    assert hc.generators_hyper(c)[-2:] == [(0, -1, 0, 0, 0), (0, 0, 0, 0, -1)]
+    # K is a subset mask of [n]: negative, or a bit at or above n, is refused
+    for K in (-1, -0b10, 1 << 5, 0b100001):
+        with pytest.raises(ValueError, match="K outside"):
+            HyperCone(5, singletons(5), K)
 
 
 def test_free_cones_are_top_dimensional():
@@ -47,53 +54,53 @@ def test_free_cones_are_top_dimensional():
 
 
 def test_contains_corner():
-    c = HyperCone(5, part(5, {1}, {2, 3, 4, 5}), frozenset({2}))
+    c = HyperCone(5, part(5, {1}, {2, 3, 4, 5}), mask_of({2}, 5))
     assert hc.contains_corner(c, 1)
     assert not hc.contains_corner(c, 2)
-    c = HyperCone(5, singletons(5), frozenset())
+    c = HyperCone(5, singletons(5), 0)
     for i in range(1, 6):
         assert not hc.contains_corner(c, i)
     with pytest.raises(ValueError):
         hc.contains_corner(c, 6)
     # 5 is in [5] but in no part of the partition
-    c = HyperCone(5, part(5, {1, 2}, {3, 4}), frozenset({5}))
+    c = HyperCone(5, part(5, {1, 2}, {3, 4}), mask_of({5}, 5))
     with pytest.raises(ValueError, match="ground"):
         hc.contains_corner(c, 5)
 
 
 def test_contains_F():
-    assert hc.contains_F(HyperCone(5, singletons(5), frozenset({1, 2})))
-    assert not hc.contains_F(HyperCone(5, singletons(5), frozenset()))
+    assert hc.contains_F(HyperCone(5, singletons(5), mask_of({1, 2}, 5)))
+    assert not hc.contains_F(HyperCone(5, singletons(5), 0))
     assert not hc.contains_F(
-        HyperCone(5, part(5, {1, 2, 3}, {4}, {5}), frozenset({1, 2})))
+        HyperCone(5, part(5, {1, 2, 3}, {4}, {5}), mask_of({1, 2}, 5)))
 
 
 def test_meet_C0():
     p = part(5, {1, 2, 3}, {4}, {5})
-    c = HyperCone(5, p, frozenset({1, 2}))
+    c = HyperCone(5, p, mask_of({1, 2}, 5))
     m = hc.meet_C0(c)
     assert m == part(5, {1, 2, 3}, {4}, {5})  # eta_{123}
-    c = HyperCone(5, p, frozenset())
+    c = HyperCone(5, p, 0)
     assert hc.meet_C0(c) == p
     with pytest.raises(ValueError):
-        hc.meet_C0(HyperCone(5, singletons(5), frozenset({1, 2})))
+        hc.meet_C0(HyperCone(5, singletons(5), mask_of({1, 2}, 5)))
 
 
 def test_psi_membership_basics():
     full = Complex.from_faces(5, tuple(
         frozenset(q) for q in itertools.combinations(range(1, 6), 2)))
     # containing F is always enough
-    c = HyperCone(5, part(5, {1, 2}, {3, 4}, {5}), frozenset({1, 2, 3, 4}))
+    c = HyperCone(5, part(5, {1, 2}, {3, 4}, {5}), mask_of({1, 2, 3, 4}, 5))
     assert hc.contains_F(c)
     assert hc.psi_membership(full, c)
     # K empty: membership of the partition in the complex
-    c = HyperCone(5, singletons(5), frozenset())
+    c = HyperCone(5, singletons(5), 0)
     assert hc.psi_membership(full, c)
-    c = HyperCone(5, part(5, {1, 2, 3}, {4}, {5}), frozenset())
+    c = HyperCone(5, part(5, {1, 2, 3}, {4}, {5}), 0)
     assert not hc.psi_membership(full, c)  # {1,2,3} is not a face
     # non-full complex: corner containment
     nonfull = Complex.from_faces(5, (frozenset({2, 3, 4, 5}),))
-    c = HyperCone(5, part(5, {1}, {2, 3}, {4, 5}), frozenset({2, 3}))
+    c = HyperCone(5, part(5, {1}, {2, 3}, {4, 5}), mask_of({2, 3}, 5))
     assert hc.contains_corner(c, 1)
     assert hc.psi_membership(nonfull, c)
     assert not hc.psi_membership(
@@ -103,12 +110,12 @@ def test_psi_membership_basics():
 def test_psi_membership_validates_its_arguments():
     full = Complex.from_faces(5, tuple(
         frozenset(q) for q in itertools.combinations(range(1, 6), 2)))
-    free = HyperCone(5, singletons(5), frozenset())
+    free = HyperCone(5, singletons(5), 0)
     with pytest.raises(ValueError):
         hc.psi_membership(Complex.from_faces(5, (frozenset({1, 2}),)), free)
     with pytest.raises(ValueError):
         hc.psi_membership(full, HyperCone(5, part(5, {1, 2}, {3, 4, 5}),
-                                          frozenset()))
+                                          0))
 
 
 def test_psi_membership_rejects_mixed_ground_sets():
@@ -116,12 +123,12 @@ def test_psi_membership_rejects_mixed_ground_sets():
     are refused, not answered."""
     full5 = Complex.from_faces(5, tuple(
         frozenset(q) for q in itertools.combinations(range(1, 6), 2)))
-    cone6 = HyperCone(6, part(6, {4, 5, 6}, {1}, {2}, {3}), frozenset())
+    cone6 = HyperCone(6, part(6, {4, 5, 6}, {1}, {2}, {3}), 0)
     with pytest.raises(ValueError, match="ground-set mismatch"):
         hc.psi_membership(full5, cone6)
     full6 = Complex(6, next(max_biconnected_masks(6, full_only=True)))
     with pytest.raises(ValueError, match="ground-set mismatch"):
-        hc.psi_membership(full6, HyperCone(5, singletons(5), frozenset()))
+        hc.psi_membership(full6, HyperCone(5, singletons(5), 0))
 
 
 def test_corner_cone_forms():

@@ -5,7 +5,7 @@ or an Attribute) somewhere in the package outside its own body: a function
 whose only callers are tests belongs in the tests (second routes live in
 tests/routes.py).  One function drives the double-description step, one
 walks an S_n-orbit of family masks, and one finds the maximal faces of a
-family mask.
+family mask.  Inside the library a subset is a subset mask.
 """
 
 import ast
@@ -66,6 +66,19 @@ def test_every_definition_has_a_library_reference():
     assert EXCEPTIONS <= defined, EXCEPTIONS - defined
 
 
+def _functions(modules: dict) -> dict:
+    """Every top-level definition as module.name, and every method of a
+    top-level class as module.Class.name."""
+    functions = {}
+    for mod, node in _definitions(modules):
+        functions[f"{mod}.{node.name}"] = node
+        if isinstance(node, ast.ClassDef):
+            functions.update((f"{mod}.{node.name}.{m.name}", m)
+                             for m in node.body
+                             if isinstance(m, ast.FunctionDef))
+    return functions
+
+
 def _called_names(tree) -> list:
     """The name of every function called in tree, bare or as an attribute."""
     return [node.func.id if isinstance(node.func, ast.Name)
@@ -118,11 +131,7 @@ def test_one_maximal_face_kernel():
     readers = sorted(mod for mod, tree in modules.items()
                      if "_lacking" in _references(tree))
     assert readers == ["complexes"]
-    functions = {f"{mod}.{node.name}": node
-                 for mod, node in _definitions(modules)}
-    functions.update((f"complexes.Complex.{node.name}", node)
-                     for node in functions["complexes.Complex"].body
-                     if isinstance(node, ast.FunctionDef))
+    functions = _functions(modules)
     users = sorted(name for name, node in functions.items()
                    if "_maximal_face_ranks" in _references(node))
     assert users == ["cli._write_ndjson", "complexes._maximal_faces_of_mask"]
@@ -133,3 +142,26 @@ def test_one_maximal_face_kernel():
         assert _references(node) & {"_maximal_face_ranks",
                                     "_maximal_faces_of_mask"}, name
         assert not {"sort", "sorted"} & set(_called_names(node)), name
+
+
+def test_subsets_are_masks():
+    """A subset inside the library is a subset mask.  Only complexes reads
+    element sets (mask_of), for Complex's face interface; frozensets are
+    built only by Complex.maximal_faces, which names faces for a reader, and
+    for the set of cones in a Bunch.  v_I is defined once, and _pair_reps
+    takes its order from _face_order instead of sorting."""
+    modules = _modules()
+    readers = sorted(mod for mod, tree in modules.items()
+                     if "mask_of" in _called_names(tree))
+    assert readers == ["complexes"]
+    functions = _functions(modules)
+    builders = sorted(name for name, node in functions.items()
+                      if isinstance(node, ast.FunctionDef)
+                      and "frozenset" in _called_names(node))
+    assert builders == ["bunches._free_bunch",
+                        "complexes.Complex.maximal_faces"]
+    v_defs = [mod for mod, tree in modules.items() for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "v_I"]
+    assert v_defs == ["complexes"]
+    assert not {"sort", "sorted"} & set(
+        _called_names(functions["complexes._pair_reps"]))

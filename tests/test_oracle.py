@@ -36,7 +36,7 @@ def test_orbit_membership_suite_n5():
 
 @pytest.mark.parametrize("n,samples", [(6, 150), (7, 60)])
 def test_polygon_criteria_random_pairs(n, samples):
-    free = list(enumerate_partitions(range(1, n + 1), n, min_parts=3))
+    free = list(enumerate_partitions((1 << n) - 1, n, min_parts=3))
     gens = {c: tuple(pc.generators(c)) for c in free}
     hforms = {c: ratgeom.v_to_h(ConeV(n, gens[c])) for c in free}
     rng = random.Random(20260824 + n)

@@ -5,12 +5,12 @@ import itertools
 import pytest
 
 from polycrep import polygon_cones as pc, ratgeom
-from polycrep.complexes import Partition, enumerate_partitions
+from polycrep.complexes import Partition, enumerate_partitions, mask_of
 from polycrep.ratgeom import ConeV
 
 
 def part(n, *blocks):
-    return Partition(n, tuple(frozenset(b) for b in blocks))
+    return Partition(n, tuple(mask_of(b, n) for b in blocks))
 
 
 def test_generators_counts():
@@ -53,7 +53,7 @@ def test_dual_generators_requires_free():
 
 def test_subset_free_basics():
     sing = part(5, {1}, {2}, {3}, {4}, {5})
-    for p in enumerate_partitions(range(1, 6), 5, min_parts=3):
+    for p in enumerate_partitions(0b11111, 5, min_parts=3):
         assert pc.subset_free(p, sing)
         assert pc.subset_free(p, p)
 
@@ -77,16 +77,17 @@ def test_mixed_ground_sets_rejected():
 
 
 def test_eta():
-    e = pc.eta({1}, 5)
+    e = pc.eta(mask_of({1}, 5), 5)
     assert len(e.parts) == 5
     assert len(pc.generators(e)) == 10
-    e = pc.eta(set(), 5)
+    e = pc.eta(0, 5)
     assert len(e.parts) == 5
-    big = pc.eta({1, 2, 3, 4}, 5)
+    assert e == part(5, {1}, {2}, {3}, {4}, {5})
+    big = pc.eta(mask_of({1, 2, 3, 4}, 5), 5)
     assert ratgeom.cone_dim(ConeV(5, tuple(pc.generators(big)))) == 4
     # eta_I is free exactly when #I <= n-2
     for k in range(0, 5):
-        I = set(range(1, k + 1))
+        I = mask_of(range(1, k + 1), 5)
         assert pc.is_free(pc.eta(I, 5)) == (k <= 3)
 
 
@@ -96,7 +97,7 @@ def test_classification_distinct_cones():
     by_key = {}
     for k in range(1, 6):
         for ground in itertools.combinations(range(1, 6), k):
-            for p in enumerate_partitions(ground, 5):
+            for p in enumerate_partitions(mask_of(ground, 5), 5):
                 key = ratgeom.canonical_form(
                     ConeV(5, tuple(pc.generators(p))))
                 by_key.setdefault(key, []).append(p)
@@ -109,7 +110,7 @@ def test_classification_distinct_cones():
 
 
 def test_relint_disjoint_implies_not_subset():
-    free = list(enumerate_partitions(range(1, 6), 5, min_parts=3))
+    free = list(enumerate_partitions(0b11111, 5, min_parts=3))
     for p in free:
         for q in free:
             if pc.relint_disjoint_free(p, q):

@@ -14,15 +14,15 @@ from polycrep.hyper_cones import HyperCone
 from polycrep.ratgeom import ConeH, ConeV
 from polycrep.values import Value
 
-P4 = Partition(4, ({1}, {2}, {3, 4}))
+P4 = Partition(4, (0b0001, 0b0010, 0b1100))
 VALUES = {
     "ConeV": lambda: ConeV(2, ((2, 0), (0, 3))),
     "ConeH": lambda: ConeH(2, ((1, 0),)),
-    "Partition": lambda: Partition(4, ({3, 4}, {2}, {1})),
+    "Partition": lambda: Partition(4, (0b1100, 0b0010, 0b0001)),
     "Complex": lambda: Complex.from_faces(3, [{1, 2}, {3}]),
     "Arrangement": lambda: Arrangement(2, ((1, 0), (0, -1), (2, 2))),
     "Bunch": lambda: Bunch(4, frozenset({P4})),
-    "HyperCone": lambda: HyperCone(4, P4, {1}),
+    "HyperCone": lambda: HyperCone(4, P4, 0b0001),
     "XPoint": lambda: coxrelations.sample_X_point(5, 0),
 }
 
