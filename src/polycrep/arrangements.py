@@ -31,7 +31,7 @@ import itertools
 from math import factorial, gcd
 
 from . import ratgeom
-from .complexes import _swap_adjacent, family_mask, v_I
+from .complexes import _swap_adjacent, cone_rows, family_mask, v_I
 from .ratgeom import ConeH, canon_normal, ray_sum
 from .values import Value
 
@@ -75,19 +75,13 @@ class Arrangement(Value):
 
 
 def build_A(n: int) -> Arrangement:
-    """All hyperplanes v_I·θ = 0 (one per complement pair, including Σθ = 0)
-    plus the n coordinate hyperplanes: 2^(n−1) + n in total."""
+    """The hyperplanes of cone_rows(n, every subset mask): v_I·θ = 0, one
+    per complement pair (Σθ = 0 included, as I = ∅), and the n coordinate
+    hyperplanes, 2^(n−1) + n in total.  Arrangement merges ±v_I."""
     if n < 4:
         raise ValueError("n >= 4 required")
     _check_dim(n)
-    normals = set()
-    for I in range(1 << n):
-        normals.add(canon_normal(v_I(I, n)))
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        normals.add(tuple(e))
-    return Arrangement(n, tuple(normals))
+    return Arrangement(n, tuple(cone_rows(n, range(1 << n))))
 
 
 def build_B(n: int, m: int) -> Arrangement:
@@ -106,25 +100,22 @@ def build_B(n: int, m: int) -> Arrangement:
 
 def cone_F(n: int) -> ConeH:
     """The closed positive orthant of parameters."""
-    eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    return ConeH(n, eye)
+    return ConeH(n, tuple(cone_rows(n)))
 
 
 def cone_C0(n: int) -> ConeH:
-    """0 <= θ_i <= Σ_{j≠i} θ_j."""
-    ineqs = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    ineqs += [v_I(1 << i, n) for i in range(n)]
-    return ConeH(n, tuple(ineqs))
+    """0 <= θ_i <= Σ_{j≠i} θ_j: v_I >= 0 over the singletons I."""
+    return ConeH(n, tuple(cone_rows(n, (1 << i for i in range(n)))))
 
 
 def cone_Ci(n: int, i: int) -> ConeH:
-    """Cone(e_i, e_i + e_j | j ≠ i): θ_j >= 0 (j ≠ i) and θ_i >= Σ_{j≠i}θ_j."""
+    """Cone(e_i, e_i + e_j | j ≠ i): θ_j >= 0 (j ≠ i) and v_I >= 0 for
+    I = [n] minus {i}, i.e. θ_i >= Σ_{j≠i}θ_j, which implies θ_i >= 0."""
     if not 1 <= i <= n:
         raise ValueError("index out of range")
-    ineqs = [tuple(1 if j == k else 0 for j in range(n))
-             for k in range(n) if k != i - 1]
-    ineqs.append(tuple(1 if j == i - 1 else -1 for j in range(n)))
-    return ConeH(n, tuple(ineqs))
+    rows = cone_rows(n, ((1 << n) - 1 ^ 1 << (i - 1),))
+    del rows[i - 1]
+    return ConeH(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,21 @@ closure of all member parts.
 
 Projectivity of the quotient attached to Δ amounts to the cones of Φ_Δ
 sharing a common interior point.  Their intersection is cut out by θ ≥ 0
-and v_I ≥ 0 over the maximal faces I of Δ, so `projectivity_witness` reads
-those faces off the complex and certifies the answer by the extreme rays of
-that cone, the closed GIT chamber of Δ when it is projective.  The second
-route, in tests/routes.py, builds the bunch, recovers the maximal parts
-from its own members and solves an exact rational LP; the inverse map and
-the bunch axioms live there too.
+and v_I ≥ 0 over the maximal faces I of Δ, the rows complexes.cone_rows
+writes for those faces, so `projectivity_witness` reads them off the
+complex and certifies the answer by the extreme rays of that cone, the
+closed GIT chamber of Δ when it is projective.  The second route, in
+tests/routes.py, builds the bunch, recovers the maximal parts from its own
+members and solves an exact rational LP on the same rows; the inverse map
+and the bunch axioms live there too.
 """
 
 from __future__ import annotations
 
 from . import ratgeom
 from .complexes import (Complex, Partition, _maximal_faces_of_mask,
-                        _partition_masks, is_full, is_maximal_biconnected,
-                        v_I)
+                        _partition_masks, cone_rows, is_full,
+                        is_maximal_biconnected)
 from .values import Value
 
 
@@ -55,13 +56,6 @@ def phi_from_complex(d: Complex) -> Bunch:
     return phi
 
 
-def _cone_rows(n: int, faces) -> list:
-    """θ_i >= 0 and v_I >= 0 over the face masks I: the H-description of
-    the intersection of the free cones with parts in faces."""
-    rows = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    return rows + [v_I(s, n) for s in faces]
-
-
 def projectivity_witness(d: Complex):
     """A rational θ interior to every cone of Φ_Δ, or None.
 
@@ -71,6 +65,8 @@ def projectivity_witness(d: Complex):
     pointed (it sits in the orthant), so its extreme rays certify the
     answer: their ray_sum lies in its relative interior, which is the
     interior exactly when there are rays and no inequality vanishes there.
+    The rows are cone_rows(n, maximal faces), so row n + k is the k-th
+    maximal face's v_I.
     On the orthant v_J ≥ v_I for J ⊆ I and v_{I^c} = −v_I, so for a
     projective Δ the cone is the closure of the chamber of A(n) inducing
     Δ, and the witness is the ray_sum of that chamber's extreme rays.
@@ -78,7 +74,7 @@ def projectivity_witness(d: Complex):
     if not (is_full(d) and is_maximal_biconnected(d)):
         raise ValueError("requires a full maximally-biconnected complex")
     n = d.n
-    rows = _cone_rows(n, _maximal_faces_of_mask(d.family, n))
+    rows = cone_rows(n, _maximal_faces_of_mask(d.family, n))
     rays = ratgeom.h_to_v(ratgeom.ConeH(n, tuple(rows))).generators
     theta = ratgeom.ray_sum(rays)
     if not rays or any(ratgeom.dot(row, theta) <= 0 for row in rows):

@@ -11,7 +11,9 @@ the one S_n-orbit walk on family masks: the count, the census witness bank
 and `bunches classify` share it.  _maximal_face_ranks is the one
 maximal-face kernel, and this module the one that knows the member-tuple
 order of faces (_face_order): Complex, the NDJSON writer and the
-projectivity witness all read maximal faces from it.
+projectivity witness all read maximal faces from it.  cone_rows, next to
+v_I, writes the one H-form of the paper's cones, θ ≥ 0 and v_I ≥ 0 over a
+list of subset masks: the orthant, C_0, ω_P, A(n) and Φ_Δ's common part.
 
 Ground sets are {1..n}.  Inside the library a subset is a subset mask
 (bit i-1 for element i): a Partition's parts, the I of v_I and the K of
@@ -269,6 +271,15 @@ def v_I(I: int, n: int) -> tuple:
     """The functional v_I = Σ_{j∉I} f_j − Σ_{i∈I} f_i of the subset mask I:
     -1 on I, 1 off it.  family_mask holds I exactly where v_I(θ) > 0."""
     return tuple(-1 if I >> j & 1 else 1 for j in range(n))
+
+
+def cone_rows(n: int, subsets=()) -> list:
+    """θ ≥ 0 and v_I ≥ 0 over the subset masks I: the orthant rows e_1..e_n,
+    then v_I(subsets[k]) as row n + k.  The orthant F (no subsets), C_0
+    (the singletons), ω_P (the parts of P), A(n) (every subset) and the
+    common part of Φ_Δ's cones (the maximal faces of Δ) are all this form."""
+    rows = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return rows + [v_I(s, n) for s in subsets]
 
 
 @functools.lru_cache(maxsize=None)

@@ -118,11 +118,6 @@ def psi_membership(d: Complex, c: HyperCone) -> bool:
         raise ValueError("ground-set mismatch")
     if not is_maximal_biconnected(d):
         raise ValueError("requires a maximally-biconnected complex")
-    return _psi_member(d, c)
-
-
-def _psi_member(d: Complex, c: HyperCone) -> bool:
-    """psi_membership for a complex and a cone already checked valid."""
     n, fam = d.n, d.family
     if not is_full(d):
         missing = [i for i in range(1, n + 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import Partition, refines, v_I
+from .complexes import Partition, cone_rows, refines
 
 
 class NotFreeError(ValueError):
@@ -44,16 +44,12 @@ def is_free(p: Partition) -> bool:
 
 
 def dual_generators(p: Partition) -> list:
-    """Generators of ω_P^∨ for free P: the v_I, I ∈ P, plus f_1..f_n."""
+    """Generators of ω_P^∨ for free P: ω_P's own rows, since ω_P is
+    θ ≥ 0 and v_I ≥ 0 for I ∈ P: cone_rows(n, P), f_1..f_n and then the
+    v_I in the order of P's parts."""
     if not is_free(p):
         raise NotFreeError("dual description proven only for free cones")
-    n = p.n
-    gens = [v_I(part, n) for part in p.parts]
-    for i in range(n):
-        f = [0] * n
-        f[i] = 1
-        gens.append(tuple(f))
-    return gens
+    return cone_rows(p.n, p.parts)
 
 
 def subset_free(p: Partition, q: Partition) -> bool:

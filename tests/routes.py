@@ -28,12 +28,12 @@ from fractions import Fraction
 
 from polycrep import ratgeom
 from polycrep.arrangements import Arrangement, _split_rows
-from polycrep.bunches import Bunch, _cone_rows, _free_bunch, phi_from_complex
+from polycrep.bunches import Bunch, _free_bunch, phi_from_complex
 from polycrep.complexes import (Complex, _check_range, _closure,
                                 _complement_image, _count_downsets,
                                 _iter_downset_masks, _mask_is_full,
                                 _maximal_faces_of_mask, _splits_every_pair,
-                                _tables, family_mask, is_full,
+                                _tables, cone_rows, family_mask, is_full,
                                 is_maximal_biconnected)
 from polycrep.coxrelations import XPoint, _evaluate, _point_values
 from polycrep.polygon_cones import is_free
@@ -164,7 +164,7 @@ def projectivity_witness_lp(phi: Bunch):
     feasible (by scaling) exactly when the common interior is nonempty."""
     n = phi.n
     parts = (part for c in phi.cones for part in c.parts)
-    rows = _cone_rows(n, _maximal_faces_of_mask(_closure(n, parts), n))
+    rows = cone_rows(n, _maximal_faces_of_mask(_closure(n, parts), n))
     return solve_ge(rows, [1] * len(rows))
 
 

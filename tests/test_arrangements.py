@@ -67,6 +67,16 @@ def test_build_A_contains_vI_normals():
     have = set(a.normals)
     for I in ({1}, {1, 2}, {2, 4}, set()):
         assert ratgeom.canon_normal(ar.v_I(mask_of(I, 5), 5)) in have
+    # build_A's rows: the orthant rows, then v_I at row n + k for subsets[k]
+    for n, subsets in ((4, ()), (5, (0b00110, 0, 0b11111, 0b00110)),
+                       (6, tuple(range(64)))):
+        rows = ar.cone_rows(n, subsets)
+        assert len(rows) == n + len(subsets)
+        assert rows[:n] == [tuple(int(j == i) for j in range(n))
+                            for i in range(n)]
+        for k, s in enumerate(subsets):
+            assert rows[n + k] == ar.v_I(s, n)
+    assert rows == ar.cone_rows(6, iter(range(64)))
 
 
 def test_build_B():

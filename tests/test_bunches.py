@@ -86,7 +86,8 @@ def test_is_bunch_matches_pairwise_definition():
         kind = trial % 3
         if kind == 2:
             phi = routes.bunch_from_theta(rng.choice(thetas), n).cones
-            cones = set(rng.sample(sorted(phi, key=str), rng.randint(1, 4)))
+            cones = set(rng.sample(sorted(phi, key=lambda p: p.parts),
+                                   rng.randint(1, 4)))
             if rng.random() < 0.5:
                 cones.add(rng.choice(free))
         else:

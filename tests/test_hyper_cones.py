@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from polycrep import arrangements, hyper_cones as hc, ratgeom
+from polycrep import arrangements, hyper_cones as hc, polygon_cones, ratgeom
 from polycrep.complexes import (Complex, Partition, _mask_is_full,
-                                _splits_every_pair, family_mask,
+                                _splits_every_pair, cone_rows, family_mask,
                                 mask_of, max_biconnected_masks)
 from polycrep.hyper_cones import HyperCone
 from polycrep.ratgeom import ConeV
@@ -140,6 +140,15 @@ def test_corner_cone_forms():
     for i in (0, 6):
         with pytest.raises(ValueError):
             arrangements.cone_Ci(5, i)
+    # one H-form: F is cone_rows with no subsets, C_0 is ω of the
+    # singletons, and C_i's θ_i >= 0 is implied by its v_I row
+    for n in range(4, 8):
+        assert arrangements.cone_F(n) == ratgeom.ConeH(
+            n, tuple(cone_rows(n)))
+        assert arrangements.cone_C0(n) == ratgeom.ConeH(
+            n, tuple(polygon_cones.dual_generators(polygon_cones.eta(0, n))))
+        for i in range(1, n + 1):
+            assert len(arrangements.cone_Ci(n, i).inequalities) == n
 
 
 def test_census_n5():

@@ -1,11 +1,13 @@
 """The library keeps only code the system runs, and one copy of each kernel.
 
 Every top-level def and class under src/polycrep must be named (as a Name
-or an Attribute) somewhere in the package outside its own body: a function
-whose only callers are tests belongs in the tests (second routes live in
+or an Attribute) somewhere in the package outside its own body, and every
+method of a top-level class but a dunder as an Attribute: a function whose
+only callers are tests belongs in the tests (second routes live in
 tests/routes.py).  One function drives the double-description step, one
 walks an S_n-orbit of family masks, and one finds the maximal faces of a
-family mask.  Inside the library a subset is a subset mask.
+family mask.  Inside the library a subset is a subset mask, and one row
+builder writes the H-form θ >= 0, v_I >= 0 of the paper's cones.
 """
 
 import ast
@@ -16,9 +18,11 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polycrep"
 EXCEPTIONS = {
     # the console entry point: pyproject's [project.scripts] calls it
     ("cli", "main"),
-    # the validating public entry over the unchecked _psi_member, which
-    # crosscheck runs directly; folding the two slows psi_suite by a third
-    ("hyper_cones", "psi_membership"),
+    # the element-set reader interface of Complex: how a reader names a
+    # complex by its faces, which the library itself reads as masks
+    ("complexes", "Complex.from_faces"),
+    ("complexes", "Complex.maximal_faces"),
+    ("complexes", "Complex.member"),
 }
 
 
@@ -27,15 +31,16 @@ def _modules() -> dict:
             for p in sorted(SRC.glob("*.py"))}
 
 
-def _references(tree, skip=None) -> set:
-    """Every Name id and Attribute attr in tree, outside the node skip."""
+def _references(tree, skip=None, names=True) -> set:
+    """Every Name id (unless not names) and Attribute attr in tree, outside
+    the node skip."""
     out = set()
     todo = [tree]
     while todo:
         node = todo.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if names and isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -51,17 +56,28 @@ def _definitions(modules: dict):
                 yield mod, node
 
 
+def _methods(cls: ast.ClassDef):
+    """The methods of a class but its dunders."""
+    return (m for m in cls.body if isinstance(m, ast.FunctionDef)
+            and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
 def test_every_definition_has_a_library_reference():
     modules = _modules()
     defined = set()
     unreferenced = []
     for mod, node in _definitions(modules):
-        defined.add((mod, node.name))
-        if (mod, node.name) in EXCEPTIONS:
-            continue
-        if not any(node.name in _references(tree, node)
-                   for tree in modules.values()):
-            unreferenced.append(f"{mod}.{node.name}")
+        entries = [(node.name, node, True)]
+        if isinstance(node, ast.ClassDef):
+            entries += [(f"{node.name}.{m.name}", m, False)
+                        for m in _methods(node)]
+        for name, defn, names in entries:
+            defined.add((mod, name))
+            if (mod, name) in EXCEPTIONS:
+                continue
+            if not any(defn.name in _references(tree, defn, names)
+                       for tree in modules.values()):
+                unreferenced.append(f"{mod}.{name}")
     assert not unreferenced, unreferenced
     assert EXCEPTIONS <= defined, EXCEPTIONS - defined
 
@@ -165,3 +181,16 @@ def test_subsets_are_masks():
     assert v_defs == ["complexes"]
     assert not {"sort", "sorted"} & set(
         _called_names(functions["complexes._pair_reps"]))
+
+
+def test_one_cone_row_builder():
+    """complexes.cone_rows writes θ >= 0 and v_I >= 0 for the orthant, C_0,
+    ω_P, A(n) and Φ_Δ's common part; only chamber_orbits, whose sorted cone
+    has rows θ_i − θ_{i+1} of another form, calls v_I besides it.  The
+    per-module row builders and the unchecked Ψ test are gone."""
+    modules = _modules()
+    callers = sorted(name for name, node in _functions(modules).items()
+                     if "v_I" in _called_names(node))
+    assert callers == ["arrangements.chamber_orbits", "complexes.cone_rows"]
+    defined = {node.name for _, node in _definitions(modules)}
+    assert not defined & {"_cone_rows", "_psi_member"}
