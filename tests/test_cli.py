@@ -74,6 +74,11 @@ STREAMED = [
      "f8b8f245b1965ac23d1014821704e969d8245d56c5c57b1ea88a009ea92b6e13"),
     (["complexes", "enumerate", "--n", "6", "--full-only"], 2640,
      "e8ee5dacd683b0a1e94eb8dcebfe1e382ccac14b000a3e99aef3a36465825368"),
+    # one report per suite: the digests pin every suite's checked count
+    (["oracle", "crosscheck", "--n", "4", "--max-k", "3"], 4,
+     "82d960c9fd1279b65be1faf0af62c0bfdedcc9ed17240c366a78623d5fd2c4bf"),
+    (["oracle", "crosscheck", "--n", "5"], 4,
+     "62eea03858aaa7c1ea9b03cb968940c53c0c2f4e409992fe3b63ef410ffe8c68"),
 ]
 
 
@@ -230,15 +235,18 @@ def test_charpoly_beyond_bound_fails_fast(capsys):
                                   ["resolutions", "census", "--n", "30",
                                    "--records"],
                                   ["resolutions", "census", "--n", "-1",
-                                   "--records"]])
+                                   "--records"],
+                                  ["oracle", "crosscheck", "--n", "7"]])
 def test_enumeration_beyond_range_fails_fast(argv, capsys):
-    # λ(8) = 229 809 982 112 complexes: the walk is refused before it starts
+    # λ(8) = 229 809 982 112 complexes: the walk is refused before it
+    # starts; the oracle's Ψ check, λ(7) × 6840 of them, already at n=7
     t0 = time.monotonic()
     assert cli.main(argv) == 1
     assert time.monotonic() - t0 < 3
     out = capsys.readouterr()
     assert out.out == "" and "error:" in out.err
     assert "supported range" in out.err
+    assert "λ(9)" not in out.err  # that reason is the counts' alone
 
 
 @pytest.mark.parametrize("argv", [["complexes", "enumerate", "--n", "6"],

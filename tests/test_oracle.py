@@ -1,15 +1,18 @@
 """Closed-form criteria vs the exact polyhedral oracle.
 
 The n=5 suites are exhaustive over their stated domains; any mismatch is a
-hard failure.  Larger n are covered by seeded random pair samples.
+hard failure.  Larger n are covered by seeded random pair samples.  A
+closed form made wrong on one ordered instance gives exactly one mismatch,
+so the suites' shared LPs and incidence masks still check every instance.
 """
 
 import random
 
 import pytest
 
-from polycrep import crosscheck, polygon_cones as pc, ratgeom
-from polycrep.complexes import enumerate_partitions
+from polycrep import crosscheck, hyper_cones, polygon_cones as pc, ratgeom
+from polycrep.complexes import (Complex, enumerate_partitions, is_full,
+                                max_biconnected_masks)
 from polycrep.ratgeom import ConeV
 
 
@@ -49,3 +52,58 @@ def test_polygon_criteria_random_pairs(n, samples):
         oracle_disjoint = not ratgeom.relint_intersects(
             ConeV(n, gens[a]), ConeV(n, gens[b]))
         assert pc.relint_disjoint_free(a, b) == oracle_disjoint
+
+
+def _wrong_once(monkeypatch, module, name, instance):
+    """Make module.name give the wrong answer on the arguments instance
+    alone."""
+    right = getattr(module, name)
+
+    def wrong(*args):
+        return right(*args) != (args == instance)
+
+    monkeypatch.setattr(module, name, wrong)
+
+
+FREE4 = list(enumerate_partitions(0b1111, 4, min_parts=3))
+DATA4 = list(hyper_cones.free_orbit_data(4, 3))
+
+
+@pytest.mark.parametrize("name", ["relint_disjoint_free", "subset_free"])
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (2, 2)])
+def test_polygon_suite_checks_each_ordered_pair(monkeypatch, name, a, b):
+    _wrong_once(monkeypatch, pc, name, (FREE4[a], FREE4[b]))
+    assert crosscheck.polygon_suite(4)["mismatches"] == 1
+
+
+@pytest.mark.parametrize("datum,i", [(0, 1), (5, 3), (len(DATA4) - 1, 4)])
+def test_hyper_suite_checks_each_corner(monkeypatch, datum, i):
+    _wrong_once(monkeypatch, hyper_cones, "contains_corner",
+                (DATA4[datum], i))
+    assert crosscheck.hyper_suite(4, 3)["mismatches"] == 1
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_psi_suite_checks_each_pair(monkeypatch, full):
+    d = next(Complex(4, m) for m in max_biconnected_masks(4)
+             if is_full(Complex(4, m)) == full)
+    _wrong_once(monkeypatch, hyper_cones, "psi_membership", (d, DATA4[7]))
+    assert crosscheck.psi_suite(4, 3)["mismatches"] == 1
+
+
+def test_run_all_computes_each_object_once(monkeypatch):
+    """From cold caches, run_all(4, 3) makes at most 117 DD conversions
+    and 63 LPs: one H-form per cone, one LP per unordered pair (274 and 84
+    when each suite built its own)."""
+    for f in vars(crosscheck).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    calls = dict.fromkeys(("h_to_v", "solve_eq_nonneg"), 0)
+    for name in calls:
+        def counted(*args, _right=getattr(ratgeom, name), _name=name):
+            calls[_name] += 1
+            return _right(*args)
+        monkeypatch.setattr(ratgeom, name, counted)
+    reports = crosscheck.run_all(4, 3)
+    assert [r["mismatches"] for r in reports] == [0] * 4
+    assert calls["h_to_v"] <= 117 and calls["solve_eq_nonneg"] <= 63, calls

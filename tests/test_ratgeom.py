@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polycrep import ratgeom
 from polycrep.ratgeom import ConeH, ConeV
@@ -312,6 +312,19 @@ def test_h_to_v_agrees_with_the_simplex(h, points):
         for g in v.generators:
             others = ConeV(d, tuple(o for o in v.generators if o != g))
             assert not contains_point(others, g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(h_cones())
+@example(ConeH(3, ((1, 0, 0),)))  # a half-space: lineality of rank 2
+@example(ConeH(3, ((1, 1, 0), (-1, -1, 0), (0, 0, 1))))  # not full
+@example(ConeH(2, ((1, 0), (-1, 0), (0, 1), (0, -1))))  # the zero cone
+@example(ConeH(2, ()))  # all of Q^2
+def test_h_to_v_output_is_canonical(h):
+    """h_to_v gives the canonical generators of its cone already, so a
+    second canonical_form changes nothing, lineality or not."""
+    v = ratgeom.h_to_v(h)
+    assert ratgeom.canonical_form(v) == v
 
 
 def test_h_to_v_equals_the_projected_route():
