@@ -9,7 +9,10 @@ Two independent counting backends:
   r independent normals, r the rank; regions come in ± pairs, so half of
   the cones are split and the count doubled, each from sign flips of one
   ratgeom.dd_start.  A cone's split starts from independent facets, and
-  its other facets bound it.
+  its other facets bound it.  Counting carries no ray coordinates: a ray
+  is its constraint values, divided by their gcd, and its sign/tight
+  masks, and pairs of rays with fewer than r − 2 common tight rows are
+  never tested for adjacency.
 * ``charpoly`` — one rank-by-rank pass over the intersection lattice finds
   the flats and the Möbius function together.  Each frontier flat carries
   its quotient lines (the normals' residual directions modulo its span,
@@ -130,12 +133,13 @@ def _count_enumerate(a: Arrangement) -> int:
     dd_start over the normals gives b's simplicial rays r_j, with
     b_i·r_j = p_j δ_ij, p_j > 0, modulo the lineality every normal vanishes
     on.  The sign cone's rays are s_j r_j, so for s_j = −1 ray j's record
-    negates the ray and its values and swaps its pos/neg masks.  The b_i
-    are decided: each sign cone lies on one side of every one."""
+    negates its values and swaps its pos/neg masks; a count reads no
+    coordinates, so the flip carries none.  The b_i are decided: each sign
+    cone lies on one side of every one."""
     every = (1 << len(a.normals)) - 1
     recs, base = ratgeom.dd_start(a.normals, a.dim, every)
-    flips = [(tuple(-x for x in r), [-v for v in vals], neg, pos, tight)
-             for r, vals, pos, neg, tight in recs]
+    flips = [(None, [-v for v in vals], neg, pos, tight)
+             for _, vals, pos, neg, tight in recs]
     total = 0
     for rest in itertools.product((False, True), repeat=len(recs) - 1):
         start = [f if s else rv

@@ -14,7 +14,13 @@ nonnegative side of each bounding row and splits it by the others, so in
 H-to-V conversion every row bounds and the extreme rays are those of the
 one uncut region.  Rays carry their constraint values and sign/tight
 bitmasks, and new rays get their values by a linear update, so the DD path
-builds no Fraction.  fractions (and the decimal module it loads) is
+builds no Fraction.  A run that only counts carries no coordinates at all:
+its records are (None, vals, pos, neg, tight), each new ray's values
+divided by their gcd, since a region's count depends on the rays' signs
+and adjacency alone.  In both modes a plus/minus pair with fewer common
+tight rows than a ridge needs (r − 2, r the cone's dimension modulo its
+lineality) is never adjacent and is skipped before the adjacency scan
+(Fukuda & Prodon 1996).  fractions (and the decimal module it loads) is
 imported only where a Fraction is built: for a row with a non-integer
 entry, and for the point of a feasible LP.
 """
@@ -211,7 +217,7 @@ def ray_records(rays, rows) -> list:
     return out
 
 
-def dd_cut(rays, cut: int, decided: int, todo: int):
+def dd_cut(rays, cut: int, decided: int, todo: int, ridge: int):
     """One double-description step: cut the cone of the ray records by
     constraint number `cut`.
 
@@ -220,11 +226,27 @@ def dd_cut(rays, cut: int, decided: int, todo: int):
     adjacent plus/minus pair.  The rays must be the extreme rays of a cone,
     pointed modulo its lineality, on which every `decided` constraint is
     weakly one-signed; two rays are adjacent when no third ray is tight on
-    every decided constraint both are tight on.  A new ray (a·r₋ + b·r₊)/g
-    gets values (a·vals₋ + b·vals₊)/g only on the `todo` constraints, exact
-    because the values are linear in the ray; on a decided constraint both
-    parents are weakly on one side, so its sign there is theirs, read off
-    their masks.
+    every decided constraint both are tight on.
+
+    Adjacent rays span a 2-face, and the span of a face is cut out by the
+    decided rows tight on all of it, so their common tight rows have rank
+    r − 2, r the dimension of the cone modulo its lineality, and number at
+    least `ridge` = r − 2 (Fukuda & Prodon, "Double description method
+    revisited", 1996).  A pair with fewer is skipped before the scan over
+    the other rays; the scan would reject it too, so the output does not
+    change.  The bound holds on a lower-dimensional region as well: its
+    implicit equalities are tight on every ray, so they count towards
+    every pair's tight rows.
+
+    A new ray a·r₋ + b·r₊ gets values a·vals₋ + b·vals₊ only on the `todo`
+    constraints, exact because the values are linear in the ray; on a
+    decided constraint both parents are weakly on one side, so its sign
+    there is theirs, read off their masks.  Records whose ray slot is None
+    carry no coordinates (count mode): the new record is (None, vals, …),
+    its values divided by their gcd, or left as they are when all are 0.
+    Otherwise the ray is divided by the gcd g of its coordinates, and its
+    values by g too; g divides the values' gcd, so counting keeps values
+    no larger than collecting does.
     """
     bit = 1 << cut
     plus, minus, zero = [], [], []
@@ -242,19 +264,27 @@ def dd_cut(rays, cut: int, decided: int, todo: int):
         a = vp[cut]
         for rm in minus:
             t12 = rp[4] & rm[4] & decided
-            if any(r3[4] & t12 == t12 for r3 in rays
-                   if r3 is not rp and r3 is not rm):
+            if t12.bit_count() < ridge or any(
+                    r3[4] & t12 == t12 for r3 in rays
+                    if r3 is not rp and r3 is not rm):
                 continue
             vm = rm[1]
             b = -vm[cut]
-            r = [a * x + b * y for x, y in zip(rm[0], rp[0])]
-            g = gcd(*r)
+            vs = [a * vm[c] + b * vp[c] for c, _ in todo_bits]
+            if rp[0] is None:
+                r = None
+                g = gcd(*vs)
+            else:
+                r = [a * x + b * y for x, y in zip(rm[0], rp[0])]
+                g = gcd(*r)
+                r = tuple(x // g for x in r)
+            if g > 1:
+                vs = [v // g for v in vs]
             npos = (rp[2] | rm[2]) & decided
             nneg = (rp[3] | rm[3]) & decided
             ntight = t12 | bit
             vals = {}
-            for c, cbit in todo_bits:
-                v = (a * vm[c] + b * vp[c]) // g
+            for (c, cbit), v in zip(todo_bits, vs):
                 vals[c] = v
                 if v > 0:
                     npos |= cbit
@@ -262,7 +292,7 @@ def dd_cut(rays, cut: int, decided: int, todo: int):
                     nneg |= cbit
                 else:
                     ntight |= cbit
-            new.append((tuple(x // g for x in r), vals, npos, nneg, ntight))
+            new.append((r, vals, npos, nneg, ntight))
     return plus, minus, zero, new
 
 
@@ -294,11 +324,22 @@ def dd_regions(rays, decided: int, bounding: int, collect) -> int:
     nonnegative side (no ray left: no region); any other row with rays on
     both sides splits the region in two.  A row that does neither is
     decided.  dd_cut carries the values to new rays on the rows that still
-    cut.  collect(rays) receives each region's ray records (ray first).
-    Without collect, a split that leaves no other row cutting counts its
-    two children and builds no rays: each side keeps a ray off the row.
+    cut, and skips pairs with fewer than r − 2 common tight rows, r the
+    number of start rays: by dd_start's contract, the dimension of the
+    cone modulo its lineality.  collect(rays) receives each region's ray
+    records (ray first).
+
+    Without collect the run counts only, and nothing reads a ray's
+    coordinates: the start records' ray slots are replaced by None, so
+    every record is (None, vals, pos, neg, tight), and dd_cut normalises a
+    new ray's values by their own gcd.  A split that leaves no other row
+    cutting counts its two children and builds no rays: each side keeps a
+    ray off the row.
     """
     count = 0
+    ridge = len(rays) - 2
+    if collect is None:
+        rays = [(None, *rv[1:]) for rv in rays]
     # (rays, rows still to test, decided rows), as masks over row indices
     stack = [(rays, ((1 << len(rays[0][1])) - 1) ^ decided, decided)]
     while stack:
@@ -320,7 +361,7 @@ def dd_regions(rays, decided: int, bounding: int, collect) -> int:
             count += 2
             continue
         plus, minus, zero, new = dd_cut(
-            rays, bit.bit_length() - 1, decided, keep)
+            rays, bit.bit_length() - 1, decided, keep, ridge)
         decided |= bit
         if plus or zero:
             stack.append((plus + zero + new, keep, decided))

@@ -17,13 +17,16 @@ other fails when either is wrong:
   per downset (count_max_biconnected_plain), where the library sums over
   orbits;
 * coxrelations: the Z^n-grading of a polynomial and its value at a point;
-* ratgeom: A x >= rhs over free-sign x by the phase-1 simplex, and H-to-V
+* ratgeom: A x >= rhs over free-sign x by the phase-1 simplex, H-to-V
   conversion that always projects onto the row space (h_to_v_projected),
-  where the library runs a pointed cone's rows as they are.
+  where the library runs a pointed cone's rows as they are, and a pointed
+  cone's extreme rays as the kernel lines of its rank-(d−1) row subsets
+  (extreme_rays_brute), where the library runs double description.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from polycrep import ratgeom
@@ -310,3 +313,45 @@ def h_to_v_projected(cone: ConeH) -> ConeV:
                 x = [xi + coef * bi for xi, bi in zip(x, b)]
             gens.append(primitive(x))
     return ConeV(d, tuple(gens))
+
+
+def _det(m) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    m = [list(r) for r in m]
+    k = len(m)
+    sign, prev = 1, 1
+    for i in range(k):
+        p = next((r for r in range(i, k) if m[r][i]), None)
+        if p is None:
+            return 0
+        if p != i:
+            m[i], m[p] = m[p], m[i]
+            sign = -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
+
+
+def extreme_rays_brute(cone: ConeH) -> tuple:
+    """The extreme rays of a pointed H-cone, primitive and sorted, by brute
+    force.  An extreme ray is a face of dimension 1, so the rows tight on
+    it have rank d − 1: it spans the kernel of some d − 1 independent rows.
+    For every (d−1)-subset of rows the kernel is found by cofactors (its
+    entries are the signed maximal minors, all 0 when the rank is below
+    d − 1), and the sign of the line that satisfies every row is kept."""
+    d = cone.ambient_dim
+    rows = cone.inequalities
+    if ratgeom.rank(rows) != d:
+        raise ValueError("cone must be pointed")
+    rays = set()
+    for sub in itertools.combinations(rows, d - 1):
+        x = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in sub])
+             for j in range(d)]
+        if not any(x):
+            continue
+        for s in (1, -1):
+            if all(dot(a, x) * s >= 0 for a in rows):
+                rays.add(primitive(s * v for v in x))
+    return tuple(sorted(rays))

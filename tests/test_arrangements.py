@@ -340,12 +340,74 @@ def test_backends_agree_on_hostile_inputs(case):
                      + ar.count_regions(restrict(a, h)))
 
 
+def _both_modes(recs, decided: int, bounding: int) -> tuple:
+    """dd_regions' count on records whose ray slots are None, and its
+    count in collect mode on the records as they are."""
+    regions = []
+    collected = ratgeom.dd_regions(recs, decided, bounding, regions.append)
+    assert collected == len(regions)
+    blind = [(None, *rv[1:]) for rv in recs]
+    return ratgeom.dd_regions(blind, decided, bounding, None), collected
+
+
+def _sign_cone_counts(a: Arrangement) -> int:
+    """The sign cones of _count_enumerate, each counted in both modes
+    from its own start records, coordinates flipped with the values; the
+    doubled sum of the counts."""
+    recs, base = ratgeom.dd_start(a.normals, a.dim, (1 << len(a.normals)) - 1)
+    flips = [(tuple(-x for x in r), [-v for v in vals], neg, pos, tight)
+             for r, vals, pos, neg, tight in recs]
+    total = 0
+    for rest in itertools.product((False, True), repeat=len(recs) - 1):
+        start = [f if s else rv
+                 for s, rv, f in zip((False, *rest), recs, flips)]
+        count, collected = _both_modes(start, base, 0)
+        assert count == collected
+        total += count
+    return 2 * total
+
+
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("cone", [ar.cone_F, ar.cone_C0], ids=["F", "C0"])
 def test_count_and_collect_agree(n, cone):
-    """Counting skips the rays of a last cut; collecting builds them."""
+    """Counting carries no ray coordinates and skips the rays of a last
+    cut; collecting builds every ray with its coordinates.  dd_regions
+    without collect counts from start records whose ray slots are None
+    (it would fail on reading one) and gets collect mode's count."""
     a, c = ar.build_A(n), cone(n)
-    assert ar.count_regions_in_cone(a, c) == len(routes.chambers_in_cone(a, c))
+    count = ar.count_regions_in_cone(a, c)
+    assert count == len(routes.chambers_in_cone(a, c))
+    facets = (1 << len(c.inequalities)) - 1
+    recs, base = ratgeom.dd_start(ar._split_rows(a, c), n, facets)
+    assert _both_modes(recs, base, facets) == (count, count)
+
+
+def test_count_mode_reads_no_coordinates_on_B63_sign_cones():
+    """Each of the 16 sign cones of B(6,3) that enumerate splits counts the
+    same from records without coordinates as in collect mode."""
+    a = ar.build_B(6, 3)
+    assert _sign_cone_counts(a) == ar.count_regions(a, "charpoly") == 332
+
+
+def test_count_mode_reads_no_coordinates_on_large_entries():
+    """Seeded arrangements in Q^5 and Q^6 with entries of about 2^45, every
+    normal v made orthogonal to a small lineality vector u as
+    (u·u)v − (v·u)u: rank d − 1, so dd_start gives d − 1 rays and the
+    ridge bound is d − 3.  Count and collect mode agree on every sign
+    cone, and the doubled sum is the charpoly count."""
+    rng = random.Random(45)
+    for _ in range(6):
+        dim = rng.choice((5, 6))
+        normals = [tuple(rng.choice((-1, 1)) * rng.randint(2 ** 30, 2 ** 45)
+                         for _ in range(dim)) for _ in range(dim + 3)]
+        u = [rng.randint(-2, 2) for _ in range(dim - 1)] + [1]
+        uu = ratgeom.dot(u, u)
+        a = Arrangement(dim, tuple(
+            tuple(uu * x - ratgeom.dot(v, u) * y for x, y in zip(v, u))
+            for v in normals))
+        assert ratgeom.rank(a.normals) == dim - 1
+        assert max(abs(x) for h in a.normals for x in h) > 2 ** 40
+        assert _sign_cone_counts(a) == ar.count_regions(a, "charpoly")
 
 
 @settings(max_examples=60, deadline=None)

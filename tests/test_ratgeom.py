@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from polycrep import ratgeom
+from polycrep.complexes import (_maximal_faces_of_mask, cone_rows,
+                                max_biconnected_masks)
 from polycrep.ratgeom import ConeH, ConeV
 
 import routes
@@ -350,6 +352,80 @@ def test_h_to_v_equals_the_projected_route():
         kinds[ratgeom.rank(h.inequalities) == d] += 1
         assert ratgeom.h_to_v(h) == routes.h_to_v_projected(h)
     assert min(kinds.values()) >= 60, kinds
+
+
+@pytest.fixture
+def pruned_pairs(monkeypatch):
+    """A counter of the plus/minus pairs that dd_cut's ridge pre-test
+    skips: pairs with fewer common decided tight rows than the ridge."""
+    counter = [0]
+    cut = ratgeom.dd_cut
+
+    def counting(rays, k, decided, todo, ridge):
+        bit = 1 << k
+        tights = [rv[4] & decided for rv in rays if rv[3] & bit]
+        for rp in rays:
+            if rp[2] & bit:
+                counter[0] += sum((rp[4] & t).bit_count() < ridge
+                                  for t in tights)
+        return cut(rays, k, decided, todo, ridge)
+
+    monkeypatch.setattr(ratgeom, "dd_cut", counting)
+    return counter
+
+
+def _degenerate(h: ConeH, rays) -> bool:
+    """Whether some ray is tight on more rows than the d − 1 it needs."""
+    d = h.ambient_dim
+    return any(sum(ratgeom.dot(a, r) == 0 for a in h.inequalities) > d - 1
+               for r in rays)
+
+
+def test_h_to_v_equals_brute_rays_on_projectivity_cones(pruned_pairs):
+    """On the n=5 projectivity cones, θ ≥ 0 and v_I ≥ 0 over the maximal
+    faces of each full complex, h_to_v gives the extreme rays that
+    brute force over the rank-4 row subsets gives.  Every one of these
+    cones has a ray tight on more than 4 rows, and the ridge pre-test
+    skips pairs."""
+    degenerate = 0
+    for k, mask in enumerate(max_biconnected_masks(5, full_only=True)):
+        h = ConeH(5, tuple(cone_rows(5, _maximal_faces_of_mask(mask, 5))))
+        want = routes.extreme_rays_brute(h)
+        assert ratgeom.h_to_v(h).generators == want
+        degenerate += _degenerate(h, want)
+    assert k + 1 == 76
+    assert degenerate == 76
+    assert pruned_pairs[0] > 0
+
+
+def test_h_to_v_equals_brute_rays_on_degenerate_cones(pruned_pairs):
+    """Seeded pointed cones in Q^5 and Q^6 with rows of entries −1..1,
+    oriented to be nonnegative at a point p, so that rays are often tight
+    on more than d − 1 rows; every other cone also gets a row a with
+    a·p = 0 and its negative, an implicit equality that cuts the cone to
+    a lower dimension.  h_to_v equals the brute-force extreme rays."""
+    rng = random.Random(5)
+    kinds = {"degenerate": 0, "lower": 0}
+    for k in range(40):
+        d = rng.choice((5, 6))
+        p = [1] + [rng.randint(-2, 2) for _ in range(d - 1)]
+        rows = []
+        for _ in range(rng.randint(d + 2, d + 5)):
+            a = [rng.randint(-1, 1) for _ in range(d)]
+            rows.append(a if ratgeom.dot(a, p) >= 0 else [-x for x in a])
+        if k % 2:
+            a = [0] + [rng.randint(-1, 1) for _ in range(d - 1)]
+            a[0] = -ratgeom.dot(a, p)
+            rows += [a, [-x for x in a]]
+        h = ConeH(d, tuple(map(tuple, rows)))
+        if ratgeom.rank(h.inequalities) < d:
+            continue
+        want = routes.extreme_rays_brute(h)
+        assert ratgeom.h_to_v(h).generators == want
+        kinds["degenerate"] += _degenerate(h, want)
+        kinds["lower"] += bool(want) and ratgeom.rank(want) < d
+    assert min(kinds.values()) >= 15, kinds
+    assert pruned_pairs[0] > 0
 
 
 # ---------------------------------------------------------------------------
