@@ -5,7 +5,7 @@ Modules:
     ratgeom       exact rational cones, dual descriptions, LP feasibility
     complexes     maximally-biconnected complexes and set partitions
     polygon_cones polygon-side orbit cones and their closed-form criteria
-    bunches       the bunch Φ_Δ of a complex, projectivity certificates
+    bunches       projectivity of a complex, certified by its faces
     hyper_cones   hyperpolygon-side orbit cones, Psi construction, census
     arrangements  hyperplane arrangements and exact region counting
     coxrelations  Cox-ring relation generators and exact point checks

@@ -12,48 +12,20 @@ sharing a common interior point.  Their intersection is cut out by θ ≥ 0
 and v_I ≥ 0 over the maximal faces I of Δ, the rows complexes.cone_rows
 writes for those faces, so `projectivity_witness` reads them off the
 complex and certifies the answer by the extreme rays of that cone, the
-closed GIT chamber of Δ when it is projective.  The second route, in
-tests/routes.py, builds the bunch, recovers the maximal parts from its own
-members and solves an exact rational LP on the same rows; the inverse map
-and the bunch axioms live there too.
+closed GIT chamber of Δ when it is projective.  The library builds no
+bunch: the Bunch value class, Φ_Δ itself (phi_from_complex) and the
+second route live in tests/routes.py.  That route builds the bunch,
+recovers the maximal parts from its own members and solves an exact
+rational LP on the same rows; the inverse map and the bunch axioms live
+there too.  The oracle's Ψ suite (crosscheck.psi_suite) finds Φ_Δ's
+members as part tuples, with no bunch either.
 """
 
 from __future__ import annotations
 
 from . import ratgeom
-from .complexes import (Complex, Partition, _maximal_faces_of_mask,
-                        _partition_masks, cone_rows, is_full,
+from .complexes import (Complex, _maximal_faces_of_mask, cone_rows, is_full,
                         is_maximal_biconnected)
-from .values import Value
-
-
-class Bunch(Value):
-    """A set of free polygon orbit cones, each named by its Partition."""
-
-    __slots__ = ("n", "cones")
-
-    def __init__(self, n: int, cones: frozenset):
-        for c in cones:
-            if c.n != n:
-                raise ValueError("ambient rank mismatch")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cones", cones)
-
-
-def _free_bunch(n: int, family: int) -> Bunch:
-    """The free cones ω_P, P a partition of [n] into >= 3 parts each in the
-    family mask."""
-    return Bunch(n, frozenset(
-        Partition(n, parts)
-        for parts in _partition_masks((1 << n) - 1, family, 3)))
-
-
-def phi_from_complex(d: Complex) -> Bunch:
-    """Φ_Δ: all free partitions of [n] whose parts are faces of Δ."""
-    phi = _free_bunch(d.n, d.family)
-    if not phi.cones:
-        raise ValueError("complex admits no free partition")
-    return phi
 
 
 def projectivity_witness(d: Complex):

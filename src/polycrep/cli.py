@@ -15,8 +15,9 @@ function, and `--format csv` imports csv: `complexes count` and
 complexes; `chambers count` arrangements; `resolutions census`
 hyper_cones; `cox verify` coxrelations; `oracle crosscheck` crosscheck.
 Each layer brings in the modules it imports in turn.  fractions (with
-decimal) loads only where a Fraction is built, which among the commands
-only `oracle crosscheck`'s feasible LPs and `cox verify` do.
+decimal) loads only where a Fraction is built, and no command builds
+one: every LP they run reads only the phase-1 verdict, and the Cox
+sample points are ints.
 """
 
 from __future__ import annotations

@@ -9,9 +9,12 @@ coefficient works too.  Tokens:
 
 The module generates the Plücker and σ relations, verifies the
 substitution identities of the map ι (z_i ↦ c_i y_i, w_i ↦ −c_i x_i) by
-exact expansion, and tests vanishing of every relation on exact rational
-sample points of the variety cut out by the three quadric equations
-Σc_i x_i² = Σc_i x_i y_i = Σc_i y_i² = 0.  The Z^n-grading of the
+exact expansion, and tests vanishing of every relation on exact sample
+points of the variety cut out by the three quadric equations
+Σc_i x_i² = Σc_i x_i y_i = Σc_i y_i² = 0.  A point's coordinates are
+ints, and Fractions only where a caller gives a non-integral one, so the
+seeded sample points, which are integral, are checked and evaluated in
+int arithmetic and fractions is not loaded.  The Z^n-grading of the
 variables is checked in the tests (tests/routes.py).
 """
 
@@ -20,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from fractions import Fraction
 
 from . import ratgeom
 from .values import Value
@@ -181,11 +183,24 @@ def iota_substitution_identities(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # exact sample points
 
+def _exact(v):
+    """A coordinate as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    from fractions import Fraction
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 class XPoint(Value):
+    """A point (x, y, c) of the variety of the three quadrics, its
+    coordinates ints, or Fractions where they are not integral, so that
+    an integral point is checked and evaluated in int arithmetic."""
+
     __slots__ = ("n", "x", "y", "c")
 
     def __init__(self, n: int, x: tuple, y: tuple, c: tuple):
-        x, y, c = (tuple(Fraction(v) for v in t) for t in (x, y, c))
+        x, y, c = (tuple(map(_exact, t)) for t in (x, y, c))
         if not len(x) == len(y) == len(c) == n:
             raise ValueError("length mismatch")
         for a, b in ((x, x), (x, y), (y, y)):
@@ -230,10 +245,9 @@ def sample_X_point(n: int, seed: int) -> XPoint:
 
 def _point_values(pt: XPoint) -> dict:
     """Every φ_ij = x_i y_j − x_j y_i (any i, j in [n]) and c_k at the point,
-    keyed by variable token; integral values are stored as ints."""
-    x, y, c = (tuple(v.numerator if v.denominator == 1 else v for v in t)
-               for t in (pt.x, pt.y, pt.c))
-    vals = {("c", k + 1): ck for k, ck in enumerate(c)}
+    keyed by variable token."""
+    x, y = pt.x, pt.y
+    vals = {("c", k + 1): ck for k, ck in enumerate(pt.c)}
     for i in range(pt.n):
         for j in range(pt.n):
             vals[("phi", i + 1, j + 1)] = x[i] * y[j] - x[j] * y[i]

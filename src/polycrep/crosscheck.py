@@ -18,9 +18,11 @@ cone lies in the H-form when its generator mask does.  Sharing changes
 what is computed, not what is compared: every ordered instance still
 meets its closed form.  relint_intersects is symmetric, so polygon_suite
 solves one LP per unordered pair and compares relint_disjoint_free(P, Q)
-and (Q, P) against it separately, as it does subset_free.  The oracle
-side reads no closed-form answer; the closed forms only choose, as
-before, which instances a suite visits.
+and (Q, P) against it separately, as it does subset_free.  psi_suite
+validates each complex and each orbit datum once and then meets every
+pair at the kernel psi_membership runs on it.  The oracle side reads no
+closed-form answer; the closed forms only choose, as before, which
+instances a suite visits.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from __future__ import annotations
 import functools
 import itertools
 
-from . import arrangements, bunches, hyper_cones, polygon_cones, ratgeom
-from .complexes import (Complex, cone_rows, enumerate_partitions, is_full,
-                        max_biconnected_masks)
+from . import arrangements, hyper_cones, polygon_cones, ratgeom
+from .complexes import (Complex, _partition_masks, cone_rows,
+                        enumerate_partitions, max_biconnected_masks)
 from .ratgeom import ConeH, ConeV
 
 MAX_ORACLE_N = 6  # run_all's error says why
@@ -187,35 +189,45 @@ def hyper_suite(n: int, max_k: int = 3) -> dict:
 
 
 def psi_suite(n: int, max_k: int = 3) -> dict:
-    """psi_membership vs the oracle 'some Φ_Δ cone is contained in ω',
-    over every maximally-biconnected complex and bounded free orbit data."""
+    """psi_membership's closed form vs the oracle 'some Φ_Δ cone is
+    contained in ω', over every maximally-biconnected complex and bounded
+    free orbit data.
+
+    Each datum and each complex is validated once, as psi_membership
+    validates them, and every pair then meets the closed form's own
+    kernel: contains_corner for a non-full complex, _psi_full for a full
+    one.  The oracle finds Φ_Δ's members by the part tuples of the
+    partitions of [n] into faces of Δ, indexing the free polygon cones by
+    theirs."""
     checked = mismatches = 0
     free_pc = _polygon_cones(n)
     data = _orbit_cones(n, max_k)
     corners = [_index(n).mask(rays) for rays in _corner_rays(n)]
-    partitions = [p for p, *_ in free_pc]
-    hyper = [hc for hc, *_ in data]
+    position = {p.parts: idx for idx, (p, *_) in enumerate(free_pc)}
+    facts = [hyper_cones._psi_facts(hc) for hc, *_ in data]
     # which free polygon cones each hyper cone contains
     contains = [sum(1 << idx for idx, (*_, gens) in enumerate(free_pc)
                     if not gens & ~inside)
                 for *_, inside in data]
-    for d in (Complex(n, m) for m in max_biconnected_masks(n)):
-        if is_full(d):
-            phi = bunches.phi_from_complex(d)
-            members = 0
-            for idx, c in enumerate(partitions):
-                if c in phi.cones:
-                    members |= 1 << idx
-            oracle_bits = [bool(members & cb) for cb in contains]
-        else:
-            i = next(j for j in range(1, n + 1)
-                     if not d.family >> (1 << (j - 1)) & 1)
-            oracle_bits = [not corners[i - 1] & ~inside
-                           for *_, inside in data]
-        for hc, oracle in zip(hyper, oracle_bits):
-            checked += 1
-            if hyper_cones.psi_membership(d, hc) != oracle:
+    ground = (1 << n) - 1
+    kernel = hyper_cones._psi_full
+    for fam in max_biconnected_masks(n):
+        i = hyper_cones._psi_corner(Complex(n, fam))
+        if i:
+            corner = corners[i - 1]
+            for hc, *_, inside in data:
+                checked += 1
+                if hyper_cones.contains_corner(hc, i) != (
+                        not corner & ~inside):
+                    mismatches += 1
+            continue
+        members = 0
+        for parts in _partition_masks(ground, fam, 3):
+            members |= 1 << position[parts]
+        for f, cb in zip(facts, contains):
+            if kernel(fam, n, f) != bool(members & cb):
                 mismatches += 1
+        checked += len(facts)
     return {"suite": "psi", "n": n, "max_k": max_k,
             "checked": checked, "mismatches": mismatches}
 

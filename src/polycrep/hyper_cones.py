@@ -112,26 +112,48 @@ def psi_membership(d: Complex, c: HyperCone) -> bool:
     cone of Φ_Δ — ω_P with P ⊆ Δ for K = ∅, and η_I with I a face of Δ of
     size ≤ n−2 for K ⊆ I ∈ P.
     """
-    if not is_free(c):
-        raise ValueError("requires a free hyper cone")
+    facts = _psi_facts(c)
     if c.n != d.n:
         raise ValueError("ground-set mismatch")
+    i = _psi_corner(d)
+    return contains_corner(c, i) if i else _psi_full(d.family, d.n, facts)
+
+
+def _psi_facts(c: HyperCone) -> tuple:
+    """What Ψ membership in a full complex reads of a free datum, found
+    once: (whether ω_{P,K} contains F, K, P's parts, the part holding K
+    or 0 when K = ∅ or no part holds it)."""
+    if not is_free(c):
+        raise ValueError("requires a free hyper cone")
+    parts = c.partition.parts
+    I = next((J for J in parts if not c.K & ~J), 0) if c.K else 0
+    return contains_F(c), c.K, parts, I
+
+
+def _psi_corner(d: Complex) -> int:
+    """The index i of the singleton a non-full Δ = ↓([n] minus {i})
+    misses, or 0 for a full Δ, once Δ is checked maximally biconnected."""
     if not is_maximal_biconnected(d):
         raise ValueError("requires a maximally-biconnected complex")
-    n, fam = d.n, d.family
-    if not is_full(d):
-        missing = [i for i in range(1, n + 1)
-                   if not fam >> (1 << (i - 1)) & 1]
-        if len(missing) != 1:
-            raise ValueError("non-full maximally-biconnected complex "
-                             "must miss exactly one singleton")
-        return contains_corner(c, missing[0])
-    if contains_F(c):
+    if is_full(d):
+        return 0
+    missing = [i for i in range(1, d.n + 1)
+               if not d.family >> (1 << (i - 1)) & 1]
+    if len(missing) != 1:
+        raise ValueError("non-full maximally-biconnected complex "
+                         "must miss exactly one singleton")
+    return missing[0]
+
+
+def _psi_full(family: int, n: int, facts: tuple) -> bool:
+    """Ψ membership of a free datum, given by its _psi_facts, in the full
+    maximally-biconnected complex with this family mask on [n]."""
+    has_F, K, parts, I = facts
+    if has_F:
         return True
-    if not c.K:
-        return all(fam >> J & 1 for J in c.partition.parts)
-    I = next(J for J in c.partition.parts if not c.K & ~J)
-    return I.bit_count() <= n - 2 and bool(fam >> I & 1)
+    if not K:
+        return all(family >> J & 1 for J in parts)
+    return I.bit_count() <= n - 2 and bool(family >> I & 1)
 
 
 def free_orbit_data(n: int, max_k: int | None = None) -> Iterator[HyperCone]:

@@ -20,9 +20,15 @@ divided by their gcd, since a region's count depends on the rays' signs
 and adjacency alone.  In both modes a plus/minus pair with fewer common
 tight rows than a ridge needs (r − 2, r the cone's dimension modulo its
 lineality) is never adjacent and is skipped before the adjacency scan
-(Fukuda & Prodon 1996).  fractions (and the decimal module it loads) is
-imported only where a Fraction is built: for a row with a non-integer
-entry, and for the point of a feasible LP.
+(Fukuda & Prodon 1996).
+
+The LP has one phase-1 kernel, _phase1, which returns its final integer
+tableau for a feasible system and None otherwise.  solve_eq_nonneg reads
+its point off that tableau; relint_intersects and the interior test of
+arrangements.count_regions_in_cone need only the verdict and build no
+point.  fractions (and the decimal module it loads) is imported only
+where a Fraction is built: for a row with a non-integer entry, and for
+the point solve_eq_nonneg returns.
 """
 
 from __future__ import annotations
@@ -427,15 +433,34 @@ def cone_dim(cone: ConeV) -> int:
 def solve_eq_nonneg(A, b) -> list | None:
     """A feasible point of {y >= 0 : A y = b}, or None.
 
-    A: list of rows (length-n rationals), b: list of rationals.  Phase-1
-    simplex with artificial variables and Bland's rule (deterministic,
-    guaranteed to terminate).
+    A: list of rows (length-n rationals), b: list of rationals.  The point
+    is the basic solution at which _phase1 ends, as Fractions."""
+    end = _phase1(A, b)
+    if end is None:
+        return None
+    T, basis, D = end
+    from fractions import Fraction
+    n = len(A[0]) if A else 0
+    y = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            y[bi] = Fraction(T[i][-1], D)
+    return y
 
-    Fraction-free: each equation is scaled to integers, and the tableau is
-    an integer matrix T standing for T / D, D the last pivot (Bareiss,
-    Edmonds).  Every entry of T is a minor of the initial integer tableau,
-    so the update (T[i][j]·pv − T[i][e]·T[r][j]) // D is exact, and D > 0
-    keeps every sign of the true tableau.
+
+def _phase1(A, b):
+    """Whether {y >= 0 : A y = b} is feasible: None if not, and if so the
+    final integer tableau T, its basis and the divisor D, from which
+    solve_eq_nonneg reads its point; a caller that needs only the verdict
+    builds no Fraction.
+
+    Phase-1 simplex with artificial variables and Bland's rule
+    (deterministic, guaranteed to terminate).  Fraction-free: each
+    equation is scaled to integers, and the tableau is an integer matrix T
+    standing for T / D, D the last pivot (Bareiss, Edmonds).  Every entry
+    of T is a minor of the initial integer tableau, so the update
+    (T[i][j]·pv − T[i][e]·T[r][j]) // D is exact, and D > 0 keeps every
+    sign of the true tableau.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -487,12 +512,7 @@ def solve_eq_nonneg(A, b) -> list | None:
 
     if cost[-1] != 0:
         return None
-    from fractions import Fraction
-    y = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            y[bi] = Fraction(T[i][-1], D)
-    return y
+    return T, basis, D
 
 
 def _pivot_row(row, prow, e, pv, D) -> list:
@@ -524,5 +544,5 @@ def relint_intersects(a: ConeV, b: ConeV) -> bool:
     # lam = 1 + lam', mu = 1 + mu':  A lam' - B mu' = sum(b) - sum(a)
     A = [[g[i] for g in ga] + [-g[i] for g in gb] for i in range(d)]
     rhs = [sum(g[i] for g in gb) - sum(g[i] for g in ga) for i in range(d)]
-    return solve_eq_nonneg(A, rhs) is not None
+    return _phase1(A, rhs) is not None
 

@@ -8,7 +8,8 @@ other fails when either is wrong:
 * arrangements: split all of C_0 and report a point per chamber
   (chambers_in_cone), and read a chamber's complex off that point
   (chamber_to_complex), where the census splits one cone per S_n-orbit;
-* bunches: the bunch axioms (is_bunch), the inverse of phi_from_complex
+* bunches: the Bunch value class and Φ_Δ as one (phi_from_complex), the
+  bunch axioms (is_bunch), the inverse of phi_from_complex
   (complex_from_bunch), Φ_θ from a character (bunch_from_theta), and an
   exact LP on the bunch itself for projectivity
   (projectivity_witness_lp), where the library reads the complex's faces;
@@ -31,17 +32,17 @@ from fractions import Fraction
 
 from polycrep import ratgeom
 from polycrep.arrangements import Arrangement, _split_rows
-from polycrep.bunches import Bunch, _free_bunch, phi_from_complex
-from polycrep.complexes import (Complex, _check_range, _closure,
+from polycrep.complexes import (Complex, Partition, _check_range, _closure,
                                 _complement_image, _count_downsets,
                                 _iter_downset_masks, _mask_is_full,
-                                _maximal_faces_of_mask, _splits_every_pair,
-                                _tables, cone_rows, family_mask, is_full,
-                                is_maximal_biconnected)
+                                _maximal_faces_of_mask, _partition_masks,
+                                _splits_every_pair, _tables, cone_rows,
+                                family_mask, is_full, is_maximal_biconnected)
 from polycrep.coxrelations import XPoint, _evaluate, _point_values
 from polycrep.polygon_cones import is_free
 from polycrep.ratgeom import (ConeH, ConeV, _kernel_from_rref, dd_regions,
                               dd_start, dot, primitive, ray_sum, row_reduce)
+from polycrep.values import Value
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,35 @@ def chamber_to_complex(a: Arrangement, theta):
 
 # ---------------------------------------------------------------------------
 # bunches
+
+class Bunch(Value):
+    """A set of free polygon orbit cones, each named by its Partition."""
+
+    __slots__ = ("n", "cones")
+
+    def __init__(self, n: int, cones: frozenset):
+        for c in cones:
+            if c.n != n:
+                raise ValueError("ambient rank mismatch")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cones", cones)
+
+
+def _free_bunch(n: int, family: int) -> Bunch:
+    """The free cones ω_P, P a partition of [n] into >= 3 parts each in the
+    family mask."""
+    return Bunch(n, frozenset(
+        Partition(n, parts)
+        for parts in _partition_masks((1 << n) - 1, family, 3)))
+
+
+def phi_from_complex(d: Complex) -> Bunch:
+    """Φ_Δ: all free partitions of [n] whose parts are faces of Δ."""
+    phi = _free_bunch(d.n, d.family)
+    if not phi.cones:
+        raise ValueError("complex admits no free partition")
+    return phi
+
 
 def is_bunch(phi: Bunch) -> bool:
     """Pairwise-meeting interiors plus upward closure under refinement.

@@ -197,7 +197,7 @@ def test_complex_bunch_roundtrip(n):
     seen = set()
     for m in max_biconnected_masks(n, full_only=True):
         d = cx.Complex(n, m)
-        phi = bunches.phi_from_complex(d)
+        phi = routes.phi_from_complex(d)
         assert routes.complex_from_bunch(phi) == d
         seen.add(phi)
     lam = cx.count_max_biconnected(n)

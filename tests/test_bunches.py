@@ -8,10 +8,10 @@ import pytest
 
 from polycrep import (arrangements as ar, bunches, complexes as cx,
                       polygon_cones as pc)
-from polycrep.bunches import Bunch
 from polycrep.complexes import Complex, Partition, mask_of
 
 import routes
+from routes import Bunch
 
 
 def size2_complex(n):
@@ -29,7 +29,7 @@ def weight(theta, part):
 
 
 def test_phi_from_complex_size2():
-    phi = bunches.phi_from_complex(size2_complex(5))
+    phi = routes.phi_from_complex(size2_complex(5))
     # 1 all-singleton + 10 one-pair + 15 two-pair partitions
     assert len(phi.cones) == 26
     assert routes.is_bunch(phi)
@@ -103,12 +103,12 @@ def test_is_bunch_matches_pairwise_definition():
 def test_phi_requires_free_partition():
     with pytest.raises(ValueError):
         # non-full complex: no partition of [n] into faces exists
-        bunches.phi_from_complex(
+        routes.phi_from_complex(
             Complex.from_faces(5, (frozenset({2, 3, 4, 5}),)))
 
 
 def test_removing_minimal_cone_breaks_maximality():
-    phi = bunches.phi_from_complex(size2_complex(5))
+    phi = routes.phi_from_complex(size2_complex(5))
     coarse = next(c for c in phi.cones if len(c.parts) == 3)
     smaller = Bunch(5, phi.cones - {coarse})
     assert routes.is_bunch(smaller)
@@ -118,7 +118,7 @@ def test_removing_minimal_cone_breaks_maximality():
 def test_every_maximal_bunch_contains_singletons_cone():
     sing = singletons_cone(5)
     for m in cx.max_biconnected_masks(5, full_only=True):
-        assert sing in bunches.phi_from_complex(Complex(5, m)).cones
+        assert sing in routes.phi_from_complex(Complex(5, m)).cones
 
 
 def test_phi_from_complex_matches_definition():
@@ -138,9 +138,9 @@ def test_phi_from_complex_matches_definition():
             if all(d.family >> part & 1 for part in p.parts))
         if not want:
             with pytest.raises(ValueError):
-                bunches.phi_from_complex(d)
+                routes.phi_from_complex(d)
             continue
-        assert bunches.phi_from_complex(d).cones == want
+        assert routes.phi_from_complex(d).cones == want
 
 
 def test_bunch_from_theta_matches_definition():
@@ -160,7 +160,7 @@ def test_bunch_from_theta_matches_definition():
 
 def test_bunch_from_theta_ones():
     phi = routes.bunch_from_theta((1, 1, 1, 1, 1), 5)
-    assert phi == bunches.phi_from_complex(size2_complex(5))
+    assert phi == routes.phi_from_complex(size2_complex(5))
     assert routes.is_maximal_bunch(phi)
 
 
@@ -211,7 +211,7 @@ def test_projectivity_n5_all_true():
 def test_projectivity_routes_agree_n5():
     for m in cx.max_biconnected_masks(5, full_only=True):
         d = Complex(5, m)
-        phi = bunches.phi_from_complex(d)
+        phi = routes.phi_from_complex(d)
         dd = bunches.projectivity_witness(d)
         lp = routes.projectivity_witness_lp(phi)
         assert (dd is None) == (lp is None)
@@ -227,7 +227,7 @@ def test_projectivity_routes_agree_n6_sample():
     full = [Complex(6, m) for m in cx.max_biconnected_masks(6, full_only=True)]
     nonprojective = 0
     for d in random.Random(2640).sample(full, 600):
-        phi = bunches.phi_from_complex(d)
+        phi = routes.phi_from_complex(d)
         witness = bunches.projectivity_witness(d)
         assert (witness is None) == (
             routes.projectivity_witness_lp(phi) is None)

@@ -79,6 +79,9 @@ STREAMED = [
      "82d960c9fd1279b65be1faf0af62c0bfdedcc9ed17240c366a78623d5fd2c4bf"),
     (["oracle", "crosscheck", "--n", "5"], 4,
      "62eea03858aaa7c1ea9b03cb968940c53c0c2f4e409992fe3b63ef410ffe8c68"),
+    # the largest n the oracle accepts, about 3.5 s
+    (["oracle", "crosscheck", "--n", "6"], 4,
+     "3be8a5cff2b9693959b311d74e771e64e1f0e32ee52308767c40947424d11225"),
 ]
 
 
@@ -305,13 +308,16 @@ def test_complexes_commands_load_only_complexes(command):
      "--at-ray", "1,1,1,1,1"],
     ["chambers", "count", "--arrangement", "A", "--n", "5",
      "--method", "charpoly"],
-    ["bunches", "classify", "--n", "5"]],
+    ["bunches", "classify", "--n", "5"],
+    ["oracle", "crosscheck", "--n", "4", "--max-k", "3"],
+    ["cox", "verify", "--n", "8", "--samples", "25"]],
     ids=["census", "census-records", "in-cone", "at-ray", "charpoly",
-         "classify"])
+         "classify", "oracle", "cox"])
 def test_exact_commands_build_no_fraction(argv):
     # every number here is an integer: fractions, and the decimal module
-    # it imports, load only where a Fraction is built (oracle crosscheck's
-    # feasible LPs)
+    # it imports, load only where a Fraction is built, and no command
+    # builds one (the oracle's LPs read only the phase-1 verdict, and the
+    # Cox sample points are ints)
     assert not _modules_added(argv) & {"fractions", "decimal"}
 
 

@@ -112,6 +112,25 @@ def test_invalid_point_rejected():
         cx.XPoint(5, (1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (1, 1, 1, 1, 1))
 
 
+def test_point_coordinates_are_ints_where_integral():
+    """An integral coordinate is stored as an int, also when given as a
+    Fraction, so the point equals and hashes as the int-built one; a
+    Fraction is kept only where a coordinate is not integral."""
+    pt = cx.sample_X_point(6, 3)
+    assert all(type(v) is int for t in (pt.x, pt.y, pt.c) for v in t)
+    again = cx.XPoint(6, *(tuple(Fraction(v) for v in t)
+                           for t in (pt.x, pt.y, pt.c)))
+    assert all(type(v) is int for t in (again.x, again.y, again.c)
+               for v in t)
+    assert again == pt and hash(again) == hash(pt)
+    halved = cx.XPoint(6, pt.x, pt.y, tuple(Fraction(v, 2) for v in pt.c))
+    assert any(type(v) is Fraction for v in halved.c)
+    assert all(type(v) is int for v in halved.c if v.denominator == 1)
+    assert cx.verify_relations_vanish(halved)
+    with pytest.raises(ValueError, match="quadrics"):
+        cx.XPoint(6, pt.x, pt.y, (Fraction(pt.c[0], 2),) + pt.c[1:])
+
+
 def test_mutated_point_fails_relations():
     for n in (5, 6, 7, 8):
         pt = cx.sample_X_point(n, 1)
@@ -143,13 +162,13 @@ def _unchecked_point(n, x, y, c):
 def test_non_integral_point_verifies():
     for n in (5, 8):
         pt = cx.sample_X_point(n, 2)
-        x = tuple(v / 3 for v in pt.x)
-        y = tuple(v / 3 for v in pt.y)
+        x = tuple(Fraction(v, 3) for v in pt.x)
+        y = tuple(Fraction(v, 3) for v in pt.y)
         scaled = cx.XPoint(n, x, y, pt.c)  # the quadrics are homogeneous
         assert cx.verify_relations_vanish(scaled)
         value = routes.evaluate(cx.phi(1, 2), scaled)
         assert isinstance(value, Fraction)
-        assert value == (pt.x[0] * pt.y[1] - pt.x[1] * pt.y[0]) / 9
+        assert value == Fraction(pt.x[0] * pt.y[1] - pt.x[1] * pt.y[0], 9)
         bad = _unchecked_point(n, x, y, (pt.c[0] + 1,) + pt.c[1:])
         assert not cx.verify_relations_vanish(bad)
 

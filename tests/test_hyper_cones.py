@@ -287,10 +287,9 @@ def test_segre_construction():
 
 def test_psi_restricted_to_K_empty_recovers_phi():
     """For full complexes, the K=∅ members of Ψ_Δ are exactly Φ_Δ."""
-    from polycrep import bunches
     for m in itertools.islice(max_biconnected_masks(5, full_only=True), 10):
         d = Complex(5, m)
-        phi = bunches.phi_from_complex(d)
+        phi = routes.phi_from_complex(d)
         for c in hc.free_orbit_data(5, 0):
             in_psi = hc.psi_membership(d, c)
             in_phi = c.partition in phi.cones

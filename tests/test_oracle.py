@@ -85,20 +85,45 @@ def test_hyper_suite_checks_each_corner(monkeypatch, datum, i):
 
 @pytest.mark.parametrize("full", [True, False])
 def test_psi_suite_checks_each_pair(monkeypatch, full):
+    """psi_suite meets each (complex, datum) pair through the kernel that
+    psi_membership runs on it: _psi_full on the datum's facts for a full
+    complex, contains_corner at the missing index for a non-full one."""
     d = next(Complex(4, m) for m in max_biconnected_masks(4)
              if is_full(Complex(4, m)) == full)
-    _wrong_once(monkeypatch, hyper_cones, "psi_membership", (d, DATA4[7]))
+    if full:
+        _wrong_once(monkeypatch, hyper_cones, "_psi_full",
+                    (d.family, 4, hyper_cones._psi_facts(DATA4[7])))
+    else:
+        _wrong_once(monkeypatch, hyper_cones, "contains_corner",
+                    (DATA4[7], hyper_cones._psi_corner(d)))
     assert crosscheck.psi_suite(4, 3)["mismatches"] == 1
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_psi_kernels_equal_psi_membership(n):
+    """The kernels psi_suite calls, on facts found once per datum and the
+    corner found once per complex, give psi_membership's answer on every
+    (complex, free datum) pair."""
+    data = list(hyper_cones.free_orbit_data(n))
+    facts = [hyper_cones._psi_facts(c) for c in data]
+    for m in max_biconnected_masks(n):
+        d = Complex(n, m)
+        i = hyper_cones._psi_corner(d)
+        for c, f in zip(data, facts):
+            got = (hyper_cones.contains_corner(c, i) if i
+                   else hyper_cones._psi_full(m, n, f))
+            assert got == hyper_cones.psi_membership(d, c), (m, c)
 
 
 def test_run_all_computes_each_object_once(monkeypatch):
     """From cold caches, run_all(4, 3) makes at most 117 DD conversions
     and 63 LPs: one H-form per cone, one LP per unordered pair (274 and 84
-    when each suite built its own)."""
+    when each suite built its own).  The LPs are counted at the phase-1
+    kernel, which every LP runs, and some must run."""
     for f in vars(crosscheck).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
-    calls = dict.fromkeys(("h_to_v", "solve_eq_nonneg"), 0)
+    calls = dict.fromkeys(("h_to_v", "_phase1"), 0)
     for name in calls:
         def counted(*args, _right=getattr(ratgeom, name), _name=name):
             calls[_name] += 1
@@ -106,4 +131,5 @@ def test_run_all_computes_each_object_once(monkeypatch):
         monkeypatch.setattr(ratgeom, name, counted)
     reports = crosscheck.run_all(4, 3)
     assert [r["mismatches"] for r in reports] == [0] * 4
-    assert calls["h_to_v"] <= 117 and calls["solve_eq_nonneg"] <= 63, calls
+    assert calls["h_to_v"] <= 117, calls
+    assert 1 <= calls["_phase1"] <= 63, calls

@@ -527,3 +527,21 @@ def test_integer_simplex_on_rational_systems(system):
     assert (got is None) == (_fraction_simplex(A, b) is None)
     if got is not None:
         _check_solution(A, b, got)
+
+
+big_entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lp_systems(st.one_of(big_entries,
+                            st.builds(Fraction, big_entries,
+                                      st.integers(1, 12)))))
+def test_phase1_verdict_is_solve_eq_nonneg_feasibility(system):
+    """The verdict that relint_intersects and count_regions_in_cone read
+    is the feasibility of solve_eq_nonneg, whose point, when there is one,
+    satisfies A·y = b and y >= 0 exactly."""
+    A, b = system
+    got = ratgeom.solve_eq_nonneg(A, b)
+    assert (ratgeom._phase1(A, b) is not None) == (got is not None)
+    if got is not None:
+        _check_solution(A, b, got)

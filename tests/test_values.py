@@ -8,11 +8,12 @@ import pytest
 
 from polycrep import coxrelations
 from polycrep.arrangements import Arrangement
-from polycrep.bunches import Bunch
 from polycrep.complexes import Complex, Partition
 from polycrep.hyper_cones import HyperCone
 from polycrep.ratgeom import ConeH, ConeV
 from polycrep.values import Value
+
+from routes import Bunch
 
 P4 = Partition(4, (0b0001, 0b0010, 0b1100))
 VALUES = {
