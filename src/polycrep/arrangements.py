@@ -287,8 +287,8 @@ def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
     count = ratgeom.dd_regions(rays, base, facets, None)
     if not count:
         raise ValueError("zero cone")
-    if ratgeom._phase1([*zip(*F), (1,) * len(F)],
-                       [0] * a.dim + [1]) is not None:
+    if ratgeom.phase1([*zip(*F), (1,) * len(F)],
+                      [0] * a.dim + [1]) is not None:
         raise ValueError("cone has no interior")
     return count
 

@@ -19,8 +19,8 @@ what is computed, not what is compared: every ordered instance still
 meets its closed form.  relint_intersects is symmetric, so polygon_suite
 solves one LP per unordered pair and compares relint_disjoint_free(P, Q)
 and (Q, P) against it separately, as it does subset_free.  psi_suite
-validates each complex and each orbit datum once and then meets every
-pair at the kernel psi_membership runs on it.  The oracle side reads no
+checks each complex and each orbit datum once and then meets every pair
+at the Ψ_Δ kernel, hyper_cones._psi.  The oracle side reads no
 closed-form answer; the closed forms only choose, as before, which
 instances a suite visits.
 """
@@ -189,45 +189,44 @@ def hyper_suite(n: int, max_k: int = 3) -> dict:
 
 
 def psi_suite(n: int, max_k: int = 3) -> dict:
-    """psi_membership's closed form vs the oracle 'some Φ_Δ cone is
-    contained in ω', over every maximally-biconnected complex and bounded
-    free orbit data.
+    """Ψ_Δ membership vs the oracle 'some Φ_Δ cone is contained in ω',
+    over every maximally-biconnected complex and bounded free orbit data.
 
-    Each datum and each complex is validated once, as psi_membership
-    validates them, and every pair then meets the closed form's own
-    kernel: contains_corner for a non-full complex, _psi_full for a full
-    one.  The oracle finds Φ_Δ's members by the part tuples of the
-    partitions of [n] into faces of Δ, indexing the free polygon cones by
-    theirs."""
+    The closed form checks each datum once (_psi_faces) and each complex
+    once (_psi_corner), then meets every pair at its kernel, _psi.  The
+    oracle finds a non-full Δ's missing singleton i from the family mask
+    and tests C_i ⊆ ω; for a full Δ it finds Φ_Δ's members by the part
+    tuples of the partitions of [n] into faces of Δ, indexing the free
+    polygon cones by theirs."""
     checked = mismatches = 0
     free_pc = _polygon_cones(n)
     data = _orbit_cones(n, max_k)
     corners = [_index(n).mask(rays) for rays in _corner_rays(n)]
     position = {p.parts: idx for idx, (p, *_) in enumerate(free_pc)}
-    facts = [hyper_cones._psi_facts(hc) for hc, *_ in data]
+    hyper = [hc for hc, *_ in data]
+    faces = [hyper_cones._psi_faces(hc) for hc in hyper]
     # which free polygon cones each hyper cone contains
     contains = [sum(1 << idx for idx, (*_, gens) in enumerate(free_pc)
                     if not gens & ~inside)
                 for *_, inside in data]
     ground = (1 << n) - 1
-    kernel = hyper_cones._psi_full
+    psi = hyper_cones._psi
     for fam in max_biconnected_masks(n):
         i = hyper_cones._psi_corner(Complex(n, fam))
-        if i:
-            corner = corners[i - 1]
-            for hc, *_, inside in data:
-                checked += 1
-                if hyper_cones.contains_corner(hc, i) != (
-                        not corner & ~inside):
-                    mismatches += 1
-            continue
-        members = 0
-        for parts in _partition_masks(ground, fam, 3):
-            members |= 1 << position[parts]
-        for f, cb in zip(facts, contains):
-            if kernel(fam, n, f) != bool(members & cb):
+        missing = next((j for j in range(1, n + 1)
+                        if not fam >> (1 << (j - 1)) & 1), 0)
+        if missing:
+            corner = corners[missing - 1]
+            oracle = [not corner & ~inside for *_, inside in data]
+        else:
+            members = 0
+            for parts in _partition_masks(ground, fam, 3):
+                members |= 1 << position[parts]
+            oracle = [bool(members & cb) for cb in contains]
+        for hc, f, want in zip(hyper, faces, oracle):
+            if psi(fam, i, hc, f) != want:
                 mismatches += 1
-        checked += len(facts)
+        checked += len(hyper)
     return {"suite": "psi", "n": n, "max_k": max_k,
             "checked": checked, "mismatches": mismatches}
 

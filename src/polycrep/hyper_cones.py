@@ -4,7 +4,7 @@
 partition P as in polygon_cones and K a subset mask, so that every test
 below is a few mask operations.  The module provides the combinatorial
 membership test for orbit data, the corner-cone and orthant containment
-criteria, the C_0 slice, the Ψ_Δ membership test, and the census that
+criteria, the C_0 slice, the Ψ_Δ membership kernel, and the census that
 pairs every maximally-biconnected complex, as its family mask, with an
 exact witness character when it is projective and None when it is not.
 
@@ -104,30 +104,19 @@ def meet_C0(c: HyperCone) -> Partition:
     return eta(I, c.n)
 
 
-def psi_membership(d: Complex, c: HyperCone) -> bool:
-    """Membership of ω_{P,K} in Ψ_Δ.
-
-    Non-full Δ (all subsets avoiding one index i): cones containing C_i.
-    Full Δ: cones containing F, or whose C_0 slice contains a free polygon
-    cone of Φ_Δ — ω_P with P ⊆ Δ for K = ∅, and η_I with I a face of Δ of
-    size ≤ n−2 for K ⊆ I ∈ P.
-    """
-    facts = _psi_facts(c)
-    if c.n != d.n:
-        raise ValueError("ground-set mismatch")
-    i = _psi_corner(d)
-    return contains_corner(c, i) if i else _psi_full(d.family, d.n, facts)
-
-
-def _psi_facts(c: HyperCone) -> tuple:
-    """What Ψ membership in a full complex reads of a free datum, found
-    once: (whether ω_{P,K} contains F, K, P's parts, the part holding K
-    or 0 when K = ∅ or no part holds it)."""
+def _psi_faces(c: HyperCone) -> int | None:
+    """What Ψ_Δ membership for a full Δ asks of a free datum, found once
+    per datum: the family mask of the faces Δ must have — none when
+    ω_{P,K} contains F, P's parts when K = ∅, else the part I holding K —
+    or None when #I > n − 2, so that ω_{P,K} is in no full Ψ_Δ."""
     if not is_free(c):
         raise ValueError("requires a free hyper cone")
-    parts = c.partition.parts
-    I = next((J for J in parts if not c.K & ~J), 0) if c.K else 0
-    return contains_F(c), c.K, parts, I
+    if contains_F(c):
+        return 0
+    if not c.K:
+        return sum(1 << J for J in c.partition.parts)
+    I = next(J for J in c.partition.parts if not c.K & ~J)
+    return 1 << I if I.bit_count() <= c.n - 2 else None
 
 
 def _psi_corner(d: Complex) -> int:
@@ -145,15 +134,18 @@ def _psi_corner(d: Complex) -> int:
     return missing[0]
 
 
-def _psi_full(family: int, n: int, facts: tuple) -> bool:
-    """Ψ membership of a free datum, given by its _psi_facts, in the full
-    maximally-biconnected complex with this family mask on [n]."""
-    has_F, K, parts, I = facts
-    if has_F:
-        return True
-    if not K:
-        return all(family >> J & 1 for J in parts)
-    return I.bit_count() <= n - 2 and bool(family >> I & 1)
+def _psi(family: int, i: int, c: HyperCone, faces: int | None) -> bool:
+    """Membership of ω_{P,K} in Ψ_Δ, for Δ given by its family mask and
+    _psi_corner index i, and c by its _psi_faces.
+
+    Non-full Δ (all subsets avoiding i): cones containing C_i.  Full Δ:
+    cones containing F, or whose C_0 slice contains a free polygon cone of
+    Φ_Δ — ω_P with P ⊆ Δ for K = ∅, and η_I with I a face of Δ of size
+    ≤ n−2 for K ⊆ I ∈ P.
+    """
+    if i:
+        return contains_corner(c, i)
+    return faces is not None and family & faces == faces
 
 
 def free_orbit_data(n: int, max_k: int | None = None) -> Iterator[HyperCone]:

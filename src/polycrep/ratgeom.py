@@ -22,13 +22,13 @@ tight rows than a ridge needs (r − 2, r the cone's dimension modulo its
 lineality) is never adjacent and is skipped before the adjacency scan
 (Fukuda & Prodon 1996).
 
-The LP has one phase-1 kernel, _phase1, which returns its final integer
-tableau for a feasible system and None otherwise.  solve_eq_nonneg reads
-its point off that tableau; relint_intersects and the interior test of
-arrangements.count_regions_in_cone need only the verdict and build no
-point.  fractions (and the decimal module it loads) is imported only
-where a Fraction is built: for a row with a non-integer entry, and for
-the point solve_eq_nonneg returns.
+The LP is one phase-1 kernel, phase1, which returns its final integer
+tableau for a feasible system and None otherwise.  The library reads only
+its verdict (relint_intersects and the interior test of
+arrangements.count_regions_in_cone) and builds no point; the tests' second
+routes read a point off the tableau.  fractions (and the decimal module it
+loads) is imported only where a Fraction is built, for a row with a
+non-integer entry.
 """
 
 from __future__ import annotations
@@ -430,29 +430,12 @@ def cone_dim(cone: ConeV) -> int:
 # ---------------------------------------------------------------------------
 # exact LP feasibility (phase-1 simplex, Bland's rule)
 
-def solve_eq_nonneg(A, b) -> list | None:
-    """A feasible point of {y >= 0 : A y = b}, or None.
-
-    A: list of rows (length-n rationals), b: list of rationals.  The point
-    is the basic solution at which _phase1 ends, as Fractions."""
-    end = _phase1(A, b)
-    if end is None:
-        return None
-    T, basis, D = end
-    from fractions import Fraction
-    n = len(A[0]) if A else 0
-    y = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            y[bi] = Fraction(T[i][-1], D)
-    return y
-
-
-def _phase1(A, b):
+def phase1(A, b) -> tuple | None:
     """Whether {y >= 0 : A y = b} is feasible: None if not, and if so the
-    final integer tableau T, its basis and the divisor D, from which
-    solve_eq_nonneg reads its point; a caller that needs only the verdict
-    builds no Fraction.
+    final integer tableau T, its basis and the divisor D, whose basic
+    solution (y[basis[i]] = T[i][-1] / D where basis[i] < n, 0 elsewhere)
+    is a feasible point.  A: list of rows (length-n rationals), b: list of
+    rationals.
 
     Phase-1 simplex with artificial variables and Bland's rule
     (deterministic, guaranteed to terminate).  Fraction-free: each
@@ -544,5 +527,5 @@ def relint_intersects(a: ConeV, b: ConeV) -> bool:
     # lam = 1 + lam', mu = 1 + mu':  A lam' - B mu' = sum(b) - sum(a)
     A = [[g[i] for g in ga] + [-g[i] for g in gb] for i in range(d)]
     rhs = [sum(g[i] for g in gb) - sum(g[i] for g in ga) for i in range(d)]
-    return _phase1(A, rhs) is not None
+    return phase1(A, rhs) is not None
 

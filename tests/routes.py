@@ -18,7 +18,12 @@ other fails when either is wrong:
   per downset (count_max_biconnected_plain), where the library sums over
   orbits;
 * coxrelations: the Z^n-grading of a polynomial and its value at a point;
-* ratgeom: A x >= rhs over free-sign x by the phase-1 simplex, H-to-V
+* hyper_cones: Ψ_Δ membership with its argument checks (psi_membership),
+  where the oracle checks each complex and datum once and runs the
+  kernel per pair;
+* ratgeom: a feasible point of {y >= 0 : A y = b} read off the phase-1
+  tableau (solve_eq_nonneg), where the library reads only the verdict,
+  A x >= rhs over free-sign x by the phase-1 simplex, H-to-V
   conversion that always projects onto the row space (h_to_v_projected),
   where the library runs a pointed cone's rows as they are, and a pointed
   cone's extreme rays as the kernel lines of its rank-(d−1) row subsets
@@ -30,7 +35,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from polycrep import ratgeom
+from polycrep import hyper_cones, ratgeom
 from polycrep.arrangements import Arrangement, _split_rows
 from polycrep.complexes import (Complex, Partition, _check_range, _closure,
                                 _complement_image, _count_downsets,
@@ -299,7 +304,34 @@ def evaluate(p: dict, pt: XPoint):
 
 
 # ---------------------------------------------------------------------------
+# hyper_cones
+
+def psi_membership(d: Complex, c: hyper_cones.HyperCone) -> bool:
+    """Membership of ω_{P,K} in Ψ_Δ, checking both arguments first: c
+    free, one ground set, Δ maximally biconnected.  The suite checks each
+    once and runs hyper_cones._psi per pair."""
+    faces = hyper_cones._psi_faces(c)
+    if c.n != d.n:
+        raise ValueError("ground-set mismatch")
+    return hyper_cones._psi(d.family, hyper_cones._psi_corner(d), c, faces)
+
+
+# ---------------------------------------------------------------------------
 # ratgeom
+
+def solve_eq_nonneg(A, b) -> list | None:
+    """A feasible point of {y >= 0 : A y = b}, or None: the basic solution
+    at which ratgeom.phase1 ends, as Fractions."""
+    end = ratgeom.phase1(A, b)
+    if end is None:
+        return None
+    T, basis, D = end
+    y = [Fraction(0)] * (len(A[0]) if A else 0)
+    for i, bi in enumerate(basis):
+        if bi < len(y):
+            y[bi] = Fraction(T[i][-1], D)
+    return y
+
 
 def solve_ge(A, rhs) -> tuple | None:
     """A point x (free sign) with A x >= rhs, or None."""
@@ -311,7 +343,7 @@ def solve_ge(A, rhs) -> tuple | None:
         s = [0] * m
         s[i] = -1
         rows.append(a + [-x for x in a] + s)
-    y = ratgeom.solve_eq_nonneg(rows, list(rhs))
+    y = solve_eq_nonneg(rows, list(rhs))
     if y is None:
         return None
     return tuple(y[j] - y[n + j] for j in range(n))

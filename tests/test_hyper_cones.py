@@ -92,18 +92,18 @@ def test_psi_membership_basics():
     # containing F is always enough
     c = HyperCone(5, part(5, {1, 2}, {3, 4}, {5}), mask_of({1, 2, 3, 4}, 5))
     assert hc.contains_F(c)
-    assert hc.psi_membership(full, c)
+    assert routes.psi_membership(full, c)
     # K empty: membership of the partition in the complex
     c = HyperCone(5, singletons(5), 0)
-    assert hc.psi_membership(full, c)
+    assert routes.psi_membership(full, c)
     c = HyperCone(5, part(5, {1, 2, 3}, {4}, {5}), 0)
-    assert not hc.psi_membership(full, c)  # {1,2,3} is not a face
+    assert not routes.psi_membership(full, c)  # {1,2,3} is not a face
     # non-full complex: corner containment
     nonfull = Complex.from_faces(5, (frozenset({2, 3, 4, 5}),))
     c = HyperCone(5, part(5, {1}, {2, 3}, {4, 5}), mask_of({2, 3}, 5))
     assert hc.contains_corner(c, 1)
-    assert hc.psi_membership(nonfull, c)
-    assert not hc.psi_membership(
+    assert routes.psi_membership(nonfull, c)
+    assert not routes.psi_membership(
         Complex.from_faces(5, (frozenset({1, 3, 4, 5}),)), c)
 
 
@@ -112,10 +112,11 @@ def test_psi_membership_validates_its_arguments():
         frozenset(q) for q in itertools.combinations(range(1, 6), 2)))
     free = HyperCone(5, singletons(5), 0)
     with pytest.raises(ValueError):
-        hc.psi_membership(Complex.from_faces(5, (frozenset({1, 2}),)), free)
+        routes.psi_membership(Complex.from_faces(5, (frozenset({1, 2}),)),
+                              free)
     with pytest.raises(ValueError):
-        hc.psi_membership(full, HyperCone(5, part(5, {1, 2}, {3, 4, 5}),
-                                          0))
+        routes.psi_membership(full, HyperCone(5, part(5, {1, 2}, {3, 4, 5}),
+                                              0))
 
 
 def test_psi_membership_rejects_mixed_ground_sets():
@@ -125,10 +126,10 @@ def test_psi_membership_rejects_mixed_ground_sets():
         frozenset(q) for q in itertools.combinations(range(1, 6), 2)))
     cone6 = HyperCone(6, part(6, {4, 5, 6}, {1}, {2}, {3}), 0)
     with pytest.raises(ValueError, match="ground-set mismatch"):
-        hc.psi_membership(full5, cone6)
+        routes.psi_membership(full5, cone6)
     full6 = Complex(6, next(max_biconnected_masks(6, full_only=True)))
     with pytest.raises(ValueError, match="ground-set mismatch"):
-        hc.psi_membership(full6, HyperCone(5, singletons(5), 0))
+        routes.psi_membership(full6, HyperCone(5, singletons(5), 0))
 
 
 def test_corner_cone_forms():
@@ -291,6 +292,6 @@ def test_psi_restricted_to_K_empty_recovers_phi():
         d = Complex(5, m)
         phi = routes.phi_from_complex(d)
         for c in hc.free_orbit_data(5, 0):
-            in_psi = hc.psi_membership(d, c)
+            in_psi = routes.psi_membership(d, c)
             in_phi = c.partition in phi.cones
             assert in_psi == in_phi

@@ -23,12 +23,6 @@ EXCEPTIONS = {
     ("complexes", "Complex.from_faces"),
     ("complexes", "Complex.maximal_faces"),
     ("complexes", "Complex.member"),
-    # public checks whose library callers need less than they give: the
-    # oracle's Ψ suite validates each complex and datum once and calls
-    # the kernels behind psi_membership, and every library LP needs only
-    # the verdict of the phase-1 kernel behind solve_eq_nonneg's point
-    ("hyper_cones", "psi_membership"),
-    ("ratgeom", "solve_eq_nonneg"),
 }
 
 

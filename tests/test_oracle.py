@@ -15,6 +15,8 @@ from polycrep.complexes import (Complex, enumerate_partitions, is_full,
                                 max_biconnected_masks)
 from polycrep.ratgeom import ConeV
 
+import routes
+
 
 def test_polygon_suite_exhaustive_n5():
     report = crosscheck.polygon_suite(5)
@@ -85,34 +87,49 @@ def test_hyper_suite_checks_each_corner(monkeypatch, datum, i):
 
 @pytest.mark.parametrize("full", [True, False])
 def test_psi_suite_checks_each_pair(monkeypatch, full):
-    """psi_suite meets each (complex, datum) pair through the kernel that
-    psi_membership runs on it: _psi_full on the datum's facts for a full
-    complex, contains_corner at the missing index for a non-full one."""
+    """psi_suite meets each (complex, datum) pair at the Ψ_Δ kernel: _psi
+    on the datum's faces for a full complex, contains_corner at the
+    missing index for a non-full one."""
     d = next(Complex(4, m) for m in max_biconnected_masks(4)
              if is_full(Complex(4, m)) == full)
     if full:
-        _wrong_once(monkeypatch, hyper_cones, "_psi_full",
-                    (d.family, 4, hyper_cones._psi_facts(DATA4[7])))
+        _wrong_once(monkeypatch, hyper_cones, "_psi",
+                    (d.family, 0, DATA4[7], hyper_cones._psi_faces(DATA4[7])))
     else:
         _wrong_once(monkeypatch, hyper_cones, "contains_corner",
                     (DATA4[7], hyper_cones._psi_corner(d)))
     assert crosscheck.psi_suite(4, 3)["mismatches"] == 1
 
 
+def test_psi_suite_finds_the_missing_singleton_itself(monkeypatch):
+    """The oracle reads a non-full complex's missing singleton off its
+    family mask, so a wrong index from the closed form's _psi_corner on
+    one complex gives mismatches."""
+    d = next(Complex(4, m) for m in max_biconnected_masks(4)
+             if not is_full(Complex(4, m)))
+    right = hyper_cones._psi_corner
+
+    def wrong(c):
+        i = right(c)
+        return i % 4 + 1 if c == d else i
+
+    monkeypatch.setattr(hyper_cones, "_psi_corner", wrong)
+    assert crosscheck.psi_suite(4, 3)["mismatches"] >= 1
+
+
 @pytest.mark.parametrize("n", [4, 5])
-def test_psi_kernels_equal_psi_membership(n):
-    """The kernels psi_suite calls, on facts found once per datum and the
-    corner found once per complex, give psi_membership's answer on every
+def test_psi_kernel_equals_psi_membership(n):
+    """The kernel psi_suite calls, on faces found once per datum and the
+    corner found once per complex, gives psi_membership's answer on every
     (complex, free datum) pair."""
     data = list(hyper_cones.free_orbit_data(n))
-    facts = [hyper_cones._psi_facts(c) for c in data]
+    faces = [hyper_cones._psi_faces(c) for c in data]
     for m in max_biconnected_masks(n):
         d = Complex(n, m)
         i = hyper_cones._psi_corner(d)
-        for c, f in zip(data, facts):
-            got = (hyper_cones.contains_corner(c, i) if i
-                   else hyper_cones._psi_full(m, n, f))
-            assert got == hyper_cones.psi_membership(d, c), (m, c)
+        for c, f in zip(data, faces):
+            got = hyper_cones._psi(m, i, c, f)
+            assert got == routes.psi_membership(d, c), (m, c)
 
 
 def test_run_all_computes_each_object_once(monkeypatch):
@@ -123,7 +140,7 @@ def test_run_all_computes_each_object_once(monkeypatch):
     for f in vars(crosscheck).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
-    calls = dict.fromkeys(("h_to_v", "_phase1"), 0)
+    calls = dict.fromkeys(("h_to_v", "phase1"), 0)
     for name in calls:
         def counted(*args, _right=getattr(ratgeom, name), _name=name):
             calls[_name] += 1
@@ -132,4 +149,4 @@ def test_run_all_computes_each_object_once(monkeypatch):
     reports = crosscheck.run_all(4, 3)
     assert [r["mismatches"] for r in reports] == [0] * 4
     assert calls["h_to_v"] <= 117, calls
-    assert 1 <= calls["_phase1"] <= 63, calls
+    assert 1 <= calls["phase1"] <= 63, calls

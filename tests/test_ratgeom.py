@@ -29,7 +29,7 @@ def contains_point(cone: ConeV, x) -> bool:
         return False
     gens = cone.generators
     A = [[g[i] for g in gens] for i in range(cone.ambient_dim)]
-    return ratgeom.solve_eq_nonneg(A, list(x)) is not None
+    return routes.solve_eq_nonneg(A, list(x)) is not None
 
 
 def test_primitive():
@@ -105,15 +105,15 @@ def test_relint_errors():
 
 def test_solve_eq_nonneg():
     # x1 + x2 = 2, x1 - x2 = 0 -> x = (1, 1)
-    sol = ratgeom.solve_eq_nonneg([(1, 1), (1, -1)], [2, 0])
+    sol = routes.solve_eq_nonneg([(1, 1), (1, -1)], [2, 0])
     assert sol == [1, 1]
-    assert ratgeom.solve_eq_nonneg([(1, 1)], [-1]) is None
+    assert routes.solve_eq_nonneg([(1, 1)], [-1]) is None
 
 
 def test_solve_eq_nonneg_breaks_ratio_ties_by_basis_index():
     # a degenerate system where Bland's leaving rule decides the vertex
     A = [(0, -2, -2, -2), (-1, 2, 1, -1), (-1, -2, -1, 0)]
-    assert ratgeom.solve_eq_nonneg(A, [-6, -2, -2]) == [1, 0, 1, 2]
+    assert routes.solve_eq_nonneg(A, [-6, -2, -2]) == [1, 0, 1, 2]
 
 
 def test_solve_ge():
@@ -143,9 +143,9 @@ def test_kernel_basis():
     lambda: ratgeom.rank([[1, 2], [3]]),
     lambda: ratgeom.kernel_basis([[1, 1, 1]], 2),
     lambda: ratgeom.kernel_basis([[1, 1], [1]], 2),
-    lambda: ratgeom.solve_eq_nonneg([[1, 1]], [1, -5]),
-    lambda: ratgeom.solve_eq_nonneg([[1, 1], [1, 0]], [1]),
-    lambda: ratgeom.solve_eq_nonneg([[1, 2], [3]], [1, 2]),
+    lambda: routes.solve_eq_nonneg([[1, 1]], [1, -5]),
+    lambda: routes.solve_eq_nonneg([[1, 1], [1, 0]], [1]),
+    lambda: routes.solve_eq_nonneg([[1, 2], [3]], [1, 2]),
 ], ids=["row_reduce-ragged", "rank-ragged", "kernel-dim", "kernel-ragged",
         "solve-long-b", "solve-short-b", "solve-ragged"])
 def test_linear_algebra_refuses_bad_shapes(call):
@@ -432,8 +432,8 @@ def test_h_to_v_equals_brute_rays_on_degenerate_cones(pruned_pairs):
 # the fraction-free simplex against the all-Fraction one it replaced
 
 def _fraction_simplex(A, b):
-    """Phase-1 simplex with Bland's rule over Fractions, as solve_eq_nonneg
-    computed it before its tableau became an integer matrix."""
+    """Phase-1 simplex with Bland's rule over Fractions, as the library's
+    LP computed it before its tableau became an integer matrix."""
     m = len(A)
     n = len(A[0]) if m else 0
     T = []
@@ -513,7 +513,7 @@ def _check_solution(A, b, y):
 @given(lp_systems(entries))
 def test_integer_simplex_returns_the_fraction_simplex_point(system):
     A, b = system
-    got = ratgeom.solve_eq_nonneg(A, b)
+    got = routes.solve_eq_nonneg(A, b)
     assert got == _fraction_simplex(A, b)
     if got is not None:
         _check_solution(A, b, got)
@@ -523,7 +523,7 @@ def test_integer_simplex_returns_the_fraction_simplex_point(system):
 @given(lp_systems(st.one_of(entries, rationals)))
 def test_integer_simplex_on_rational_systems(system):
     A, b = system
-    got = ratgeom.solve_eq_nonneg(A, b)
+    got = routes.solve_eq_nonneg(A, b)
     assert (got is None) == (_fraction_simplex(A, b) is None)
     if got is not None:
         _check_solution(A, b, got)
@@ -538,10 +538,13 @@ big_entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
                                       st.integers(1, 12)))))
 def test_phase1_verdict_is_solve_eq_nonneg_feasibility(system):
     """The verdict that relint_intersects and count_regions_in_cone read
-    is the feasibility of solve_eq_nonneg, whose point, when there is one,
-    satisfies A·y = b and y >= 0 exactly."""
+    is the feasibility of solve_eq_nonneg and of the all-Fraction simplex,
+    and solve_eq_nonneg's point, when there is one, satisfies A·y = b and
+    y >= 0 exactly."""
     A, b = system
-    got = ratgeom.solve_eq_nonneg(A, b)
-    assert (ratgeom._phase1(A, b) is not None) == (got is not None)
+    got = routes.solve_eq_nonneg(A, b)
+    feasible = ratgeom.phase1(A, b) is not None
+    assert feasible == (got is not None)
+    assert feasible == (_fraction_simplex(A, b) is not None)
     if got is not None:
         _check_solution(A, b, got)
