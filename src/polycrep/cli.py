@@ -17,21 +17,50 @@ hyper_cones; `cox verify` coxrelations; `oracle crosscheck` crosscheck.
 Each layer brings in the modules it imports in turn.  fractions (with
 decimal) loads only where a Fraction is built, and no command builds
 one: every LP they run reads only the phase-1 verdict, and the Cox
-sample points are ints.
+sample points are ints.  json never loads: the one-line answers and the
+streams are written here, as json.dumps(obj, sort_keys=True) would write
+them.  Besides the command's layers, a process loads only what cli
+imports at its top: argparse (with gettext, and locale once a parser
+is built), itertools, os and sys.
+
+The top-level parser registers all six command groups, so usage, help and
+errors read the same whatever argv holds, but main builds the parsers of
+only one group's commands: the group that the first group name in argv
+names.  build_parser() with no argument builds every group's.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 
 
+def _json_text(s) -> str:
+    """Text as json.dumps writes it, for text that needs no escape."""
+    if (type(s) is str and s.isascii() and s.isprintable()
+            and '"' not in s and "\\" not in s):
+        return f'"{s}"'
+    raise TypeError(f"no JSON encoding here for {s!r}")
+
+
+def _json(v) -> str:
+    """A value as json.dumps writes it, for the values commands emit: an
+    int, a bool, None, or text that needs no escape."""
+    if v is None:
+        return "null"
+    if type(v) is bool:
+        return "true" if v else "false"
+    if type(v) is int:
+        return str(v)
+    return _json_text(v)
+
+
 def _emit(obj: dict, fmt: str):
-    if fmt == "json":
-        print(json.dumps(obj, sort_keys=True))
+    if fmt == "json":  # as json.dumps(obj, sort_keys=True) writes it
+        print("{" + ", ".join(f"{_json_text(k)}: {_json(v)}"
+                              for k, v in sorted(obj.items())) + "}")
     elif fmt == "csv":
         import csv
         keys = sorted(obj)
@@ -182,9 +211,14 @@ def cmd_oracle_crosscheck(args) -> int:
 
 
 def _nonnegative(text: str) -> int:
-    if int(text) < 0:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer") from None
+    if value < 0:
         raise argparse.ArgumentTypeError(f"{text} is below 0")
-    return int(text)
+    return value
 
 
 def _integers(text: str) -> list:
@@ -212,13 +246,7 @@ def _global_options(top: bool) -> argparse.ArgumentParser:
     return g
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="polycrep",
-                                parents=[_global_options(True)])
-    sub = p.add_subparsers(dest="command", required=True)
-    common = [_global_options(False)]
-
-    cx = sub.add_parser("complexes").add_subparsers(dest="sub", required=True)
+def _fill_complexes(cx, common):
     c = cx.add_parser("count", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--full-only", action="store_true")
@@ -228,15 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--full-only", action="store_true")
     c.set_defaults(func=cmd_complexes_enumerate)
 
-    rs = sub.add_parser("resolutions").add_subparsers(dest="sub",
-                                                      required=True)
+
+def _fill_resolutions(rs, common):
     c = rs.add_parser("census", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--records", action="store_true",
                    help="stream one NDJSON record per complex")
     c.set_defaults(func=cmd_resolutions_census)
 
-    ch = sub.add_parser("chambers").add_subparsers(dest="sub", required=True)
+
+def _fill_chambers(ch, common):
     c = ch.add_parser("count", parents=common)
     c.add_argument("--arrangement", choices=("A", "B"), required=True)
     c.add_argument("--n", type=int, required=True)
@@ -248,28 +277,56 @@ def build_parser() -> argparse.ArgumentParser:
                    default="enumerate")
     c.set_defaults(func=cmd_chambers_count)
 
-    bn = sub.add_parser("bunches").add_subparsers(dest="sub", required=True)
+
+def _fill_bunches(bn, common):
     c = bn.add_parser("classify", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.set_defaults(func=cmd_bunches_classify)
 
-    co = sub.add_parser("cox").add_subparsers(dest="sub", required=True)
+
+def _fill_cox(co, common):
     c = co.add_parser("verify", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--samples", type=_nonnegative, default=100)
     c.set_defaults(func=cmd_cox_verify)
 
-    orc = sub.add_parser("oracle").add_subparsers(dest="sub", required=True)
+
+def _fill_oracle(orc, common):
     c = orc.add_parser("crosscheck", parents=common)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--max-k", type=_nonnegative, default=3)
     c.set_defaults(func=cmd_oracle_crosscheck)
+
+
+# each command group, in the order usage lists them, and the function that
+# adds its commands' parsers
+GROUPS = {"complexes": _fill_complexes, "resolutions": _fill_resolutions,
+          "chambers": _fill_chambers, "bunches": _fill_bunches,
+          "cox": _fill_cox, "oracle": _fill_oracle}
+
+
+def build_parser(fill=tuple(GROUPS)) -> argparse.ArgumentParser:
+    """The parser with every group registered, and the command parsers of
+    the groups named in `fill` (all of them by default).  Top-level usage,
+    help and errors read the same either way; parsing anything after a
+    group's name needs that group filled."""
+    p = argparse.ArgumentParser(prog="polycrep",
+                                parents=[_global_options(True)])
+    sub = p.add_subparsers(dest="command", required=True)
+    common = [_global_options(False)]
+    for name, filler in GROUPS.items():
+        group = sub.add_parser(name)
+        if name in fill:
+            filler(group.add_subparsers(dest="sub", required=True), common)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the command's group is the first group name in argv: no global option
+    # takes one as its value
+    args = build_parser([a for a in argv if a in GROUPS][:1]).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

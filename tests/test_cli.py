@@ -1,5 +1,6 @@
 """CLI dispatch, formats, exit codes, and golden outputs."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -297,7 +298,7 @@ def test_complexes_commands_load_only_complexes(command):
     assert "polycrep.complexes" in added
     assert {m for m in added if m.startswith("polycrep")} <= {
         "polycrep", "polycrep.cli", "polycrep.complexes", "polycrep.values"}
-    assert not added & {"fractions", "csv"}
+    assert not added & {"fractions", "csv", "json"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -317,8 +318,9 @@ def test_exact_commands_build_no_fraction(argv):
     # every number here is an integer: fractions, and the decimal module
     # it imports, load only where a Fraction is built, and no command
     # builds one (the oracle's LPs read only the phase-1 verdict, and the
-    # Cox sample points are ints)
-    assert not _modules_added(argv) & {"fractions", "decimal"}
+    # Cox sample points are ints); nor does json, since the CLI writes its
+    # JSON lines itself
+    assert not _modules_added(argv) & {"fractions", "decimal", "json"}
 
 
 def test_chambers_count_loads_no_other_layer():
@@ -328,6 +330,16 @@ def test_chambers_count_loads_no_other_layer():
     assert not added & {f"polycrep.{m}" for m in (
         "bunches", "coxrelations", "crosscheck", "hyper_cones",
         "polygon_cones")}
+
+
+def test_cli_import_does_not_load_json():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys; before = set(sys.modules); import polycrep.cli; "
+             "print(sorted(set(sys.modules) - before))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True)
+    assert "'json'" not in res.stdout, res.stdout
 
 
 # polycrep.cli loads each layer in the command that runs it; crosscheck
@@ -435,6 +447,19 @@ def test_negative_counts_are_usage_errors(argv, capsys):
     assert out.out == "" and "below 0" in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cox", "verify", "--n", "5", "--samples", "x"],
+    ["oracle", "crosscheck", "--n", "5", "--max-k", "x"]])
+def test_non_integer_counts_are_usage_errors(argv, capsys):
+    # the message names the value, not the helper that parsed it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "'x' is not an integer" in out.err
+    assert "_nonnegative" not in out.err
+
+
 @pytest.mark.parametrize("ray", ["1,x", "1,,1", ""])
 def test_malformed_ray_is_usage_error(ray, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -477,3 +502,94 @@ def test_oracle_crosscheck_cli(capsys):
     assert len(lines) == 4
     for line in lines:
         assert json.loads(line)["mismatches"] == 0
+
+
+# every dict shape a command emits, with None, both bools, 0, a negative
+# int and λ(8)
+EMITTED = [
+    {"arrangement": "A", "m": None, "method": "enumerate", "n": 5,
+     "regions": 81},
+    {"count": 229809982112, "full_only": False, "n": 8},
+    {"count": 229809982104, "full_only": True, "n": 8},
+    {"n": 4, "nonprojective": 0, "projective": -12, "total": -12},
+    {"failures": 0, "identities": "ok", "n": 8, "samples": 25},
+    {"checked": 70, "max_k": 1, "mismatches": 0, "n": 4,
+     "suite": "orbit-membership"},
+    {},
+]
+
+
+@pytest.mark.parametrize("obj", EMITTED)
+def test_emit_writes_what_json_dumps_writes(obj, capsys):
+    cli._emit(obj, "json")
+    assert capsys.readouterr().out == json.dumps(obj, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("obj", [{"n": 1.5}, {"s": 'a"b'}, {"s": "a\\b"},
+                                 {"s": "é"}, {"s": "a\nb"}, {1: 2}])
+def test_emit_refuses_what_it_cannot_write(obj):
+    with pytest.raises(TypeError):
+        cli._emit(obj, "json")
+
+
+@pytest.mark.parametrize("line", [g[1] for g in GOLDEN])
+def test_golden_lines_are_what_json_dumps_writes(line, capsys):
+    obj = json.loads(line)
+    assert json.dumps(obj, sort_keys=True) == line
+    cli._emit(obj, "json")
+    assert capsys.readouterr().out == line + "\n"
+
+
+def _subcommands(parser):
+    """The parsers of parser's subcommands by name."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+HELP = [["--help"]] + [
+    [group, *leaf, "--help"]
+    for group, gp in _subcommands(cli.build_parser()).items()
+    for leaf in [[]] + [[name] for name in _subcommands(gp)]]
+
+
+def _exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return out.out, out.err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", HELP + [
+    ["nonsense"],
+    ["complexes"],
+    ["chambers", "count", "--arrangement", "Z", "--n", "5"],
+    ["--seed", "chambers", "count"],
+    ["--format", "xml", "complexes", "count", "--n", "5"]],
+    ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, capsys):
+    # main fills only the named group's commands; help, usage and every
+    # error still read as the full parser writes them
+    assert (_exit(cli.main, argv, capsys)
+            == _exit(cli.build_parser().parse_args, argv, capsys))
+
+
+@pytest.mark.parametrize("argv,filled", [
+    (["complexes", "count", "--n", "5"], ["complexes"]),
+    (["--seed", "3", "cox", "verify", "--n", "5", "--samples", "1"], ["cox"]),
+    (["--help"], [])])
+def test_main_fills_only_the_named_group(argv, filled, monkeypatch, capsys):
+    seen = []
+
+    def spy(name, filler):
+        def fill(sub, common):
+            seen.append(name)
+            filler(sub, common)
+        return fill
+
+    for name, filler in cli.GROUPS.items():
+        monkeypatch.setitem(cli.GROUPS, name, spy(name, filler))
+    try:
+        assert cli.main(argv) == 0
+    except SystemExit as exc:
+        assert exc.code == 0
+    assert seen == filled
