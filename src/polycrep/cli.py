@@ -20,21 +20,27 @@ one: every LP they run reads only the phase-1 verdict, and the Cox
 sample points are ints.  json never loads: the one-line answers and the
 streams are written here, as json.dumps(obj, sort_keys=True) would write
 them.  Besides the command's layers, a process loads only what cli
-imports at its top: argparse (with gettext, and locale once a parser
-is built), itertools, os and sys.
+imports at its top: itertools, os, sys and types.
 
-The top-level parser registers all six command groups, so usage, help and
-errors read the same whatever argv holds, but main builds the parsers of
-only one group's commands: the group that the first group name in argv
-names.  build_parser() with no argument builds every group's.
+One table, COMMANDS with GLOBAL_OPTIONS, declares every command and its
+options.  main reads a command line of the form `[global options] group
+command [options]` itself, each option a long flag written out in full
+and its value, if it takes one, the next token, which does not start
+with "-"; it builds no parser, and argparse (with gettext and locale)
+never loads.  Every other command line (help, a usage error, a bad or
+missing value, an abbreviation, `--flag=value`) goes to the argparse
+parser that build_parser makes from the same table.  It registers all
+six command groups, so usage, help and errors read the same whatever
+argv holds, and main has it build the commands of only the first group
+argv names; build_parser() with no argument builds every group's.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import os
 import sys
+import types
 
 
 def _json_text(s) -> str:
@@ -210,14 +216,20 @@ def cmd_oracle_crosscheck(args) -> int:
     return 0 if bad == 0 else 1
 
 
+def _usage_error(message: str):
+    """argparse's error for a bad option value: argparse loads only here,
+    on the way to its usage message."""
+    import argparse
+    return argparse.ArgumentTypeError(message)
+
+
 def _nonnegative(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer") from None
+        raise _usage_error(f"{text!r} is not an integer") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is below 0")
+        raise _usage_error(f"{text} is below 0")
     return value
 
 
@@ -225,108 +237,149 @@ def _integers(text: str) -> list:
     try:
         return [int(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise _usage_error(
             f"{text!r} is not a comma-separated list of integers") from None
 
 
-def _global_options(top: bool) -> argparse.ArgumentParser:
-    """The options every command takes, before or after its name.  Only the
-    top-level copy has defaults, so a command-level copy that is not given
-    leaves the top-level value in place."""
-    g = argparse.ArgumentParser(add_help=False)
+# An option: (flag, kind, default, required, help).  kind is the converter
+# of its value, the tuple of its choices, or None for a switch, which takes
+# no value and is False unless given.
+GLOBAL_OPTIONS = (
+    ("--format", ("json", "csv", "plain"), "json", False, None),
+    ("--seed", int, 0, False, None),
+    ("--parallelism", int, 1, False,
+     "accepted; no command uses worker processes"),
+)
+_N = ("--n", int, None, True, None)
+_FULL_ONLY = ("--full-only", None, False, False, None)
 
-    def default(value):
-        return value if top else argparse.SUPPRESS
-
-    g.add_argument("--format", choices=("json", "csv", "plain"),
-                   default=default("json"))
-    g.add_argument("--seed", type=int, default=default(0))
-    g.add_argument("--parallelism", type=int, default=default(1),
-                   help="accepted; no command uses worker processes")
-    return g
-
-
-def _fill_complexes(cx, common):
-    c = cx.add_parser("count", parents=common)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--full-only", action="store_true")
-    c.set_defaults(func=cmd_complexes_count)
-    c = cx.add_parser("enumerate", parents=common)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--full-only", action="store_true")
-    c.set_defaults(func=cmd_complexes_enumerate)
-
-
-def _fill_resolutions(rs, common):
-    c = rs.add_parser("census", parents=common)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--records", action="store_true",
-                   help="stream one NDJSON record per complex")
-    c.set_defaults(func=cmd_resolutions_census)
-
-
-def _fill_chambers(ch, common):
-    c = ch.add_parser("count", parents=common)
-    c.add_argument("--arrangement", choices=("A", "B"), required=True)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--m", type=int)
-    c.add_argument("--in-cone", choices=("F", "C0"))
-    c.add_argument("--at-ray", type=_integers,
-                   help="comma-separated integer coordinates")
-    c.add_argument("--method", choices=("enumerate", "charpoly"),
-                   default="enumerate")
-    c.set_defaults(func=cmd_chambers_count)
+# Each command group, in the order usage lists them, and its commands: the
+# function that runs each and the options it takes besides the global
+# ones, which every command takes before or after its name.
+COMMANDS = {
+    "complexes": {"count": (cmd_complexes_count, (_N, _FULL_ONLY)),
+                  "enumerate": (cmd_complexes_enumerate, (_N, _FULL_ONLY))},
+    "resolutions": {"census": (cmd_resolutions_census, (_N, (
+        "--records", None, False, False,
+        "stream one NDJSON record per complex")))},
+    "chambers": {"count": (cmd_chambers_count, (
+        ("--arrangement", ("A", "B"), None, True, None),
+        _N,
+        ("--m", int, None, False, None),
+        ("--in-cone", ("F", "C0"), None, False, None),
+        ("--at-ray", _integers, None, False,
+         "comma-separated integer coordinates"),
+        ("--method", ("enumerate", "charpoly"), "enumerate", False, None)))},
+    "bunches": {"classify": (cmd_bunches_classify, (_N,))},
+    "cox": {"verify": (cmd_cox_verify, (
+        _N, ("--samples", _nonnegative, 100, False, None)))},
+    "oracle": {"crosscheck": (cmd_oracle_crosscheck, (
+        _N, ("--max-k", _nonnegative, 3, False, None)))},
+}
 
 
-def _fill_bunches(bn, common):
-    c = bn.add_parser("classify", parents=common)
-    c.add_argument("--n", type=int, required=True)
-    c.set_defaults(func=cmd_bunches_classify)
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
-def _fill_cox(co, common):
-    c = co.add_parser("verify", parents=common)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--samples", type=_nonnegative, default=100)
-    c.set_defaults(func=cmd_cox_verify)
+def _add_options(parser, options, defaults=True):
+    """Add options, declared as in COMMANDS, to an argparse parser."""
+    import argparse
+    for flag, kind, default, required, help in options:
+        kw = ({"action": "store_true"} if kind is None else
+              {"choices": kind} if type(kind) is tuple else {"type": kind})
+        parser.add_argument(
+            flag, default=default if defaults else argparse.SUPPRESS,
+            required=required, help=help, **kw)
 
 
-def _fill_oracle(orc, common):
-    c = orc.add_parser("crosscheck", parents=common)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--max-k", type=_nonnegative, default=3)
-    c.set_defaults(func=cmd_oracle_crosscheck)
-
-
-# each command group, in the order usage lists them, and the function that
-# adds its commands' parsers
-GROUPS = {"complexes": _fill_complexes, "resolutions": _fill_resolutions,
-          "chambers": _fill_chambers, "bunches": _fill_bunches,
-          "cox": _fill_cox, "oracle": _fill_oracle}
-
-
-def build_parser(fill=tuple(GROUPS)) -> argparse.ArgumentParser:
-    """The parser with every group registered, and the command parsers of
-    the groups named in `fill` (all of them by default).  Top-level usage,
-    help and errors read the same either way; parsing anything after a
-    group's name needs that group filled."""
-    p = argparse.ArgumentParser(prog="polycrep",
-                                parents=[_global_options(True)])
+def build_parser(fill=tuple(COMMANDS)):
+    """The argparse parser of COMMANDS, with every group registered and the
+    command parsers of the groups named in `fill` (all of them by default).
+    Top-level usage, help and errors read the same either way; parsing
+    anything after a group's name needs that group filled.  The global
+    options' command-level copies have no defaults, so one not given after
+    the command leaves the top-level value in place."""
+    import argparse
+    p = argparse.ArgumentParser(prog="polycrep")
+    _add_options(p, GLOBAL_OPTIONS)
     sub = p.add_subparsers(dest="command", required=True)
-    common = [_global_options(False)]
-    for name, filler in GROUPS.items():
-        group = sub.add_parser(name)
-        if name in fill:
-            filler(group.add_subparsers(dest="sub", required=True), common)
+    for group, commands in COMMANDS.items():
+        gp = sub.add_parser(group)
+        if group not in fill:
+            continue
+        leaves = gp.add_subparsers(dest="sub", required=True)
+        for name, (func, options) in commands.items():
+            c = leaves.add_parser(name)
+            _add_options(c, GLOBAL_OPTIONS, defaults=False)
+            _add_options(c, options)
+            c.set_defaults(func=func)
     return p
+
+
+def _read(argv):
+    """The namespace build_parser().parse_args(argv) gives, for an argv of
+    the form `[global options] group command [options]` in which every
+    option is a long flag written out in full, with its value, if it takes
+    one, in the next token, a token that does not start with "-".  None for
+    any other argv, and for one whose value fails its converter or choices
+    or that lacks a required option: argparse parses those, and writes
+    their help or usage error.  Needs no argparse."""
+    values = {_dest(o[0]): o[2] for o in GLOBAL_OPTIONS}
+    options = {o[0]: o for o in GLOBAL_OPTIONS}
+    path = []  # the group and the command, as read
+    func, own = None, ()  # the command's function and its own options
+    tokens = iter(argv)
+    for token in tokens:
+        option = options.get(token)
+        if option is None:  # the group, then the command
+            if not path and token in COMMANDS:
+                options = {}  # no option comes between the two
+            elif len(path) == 1 and token in COMMANDS[path[0]]:
+                func, own = COMMANDS[path[0]][token]
+                values.update((_dest(o[0]), o[2]) for o in own)
+                options = {o[0]: o for o in GLOBAL_OPTIONS + own}
+            else:
+                return None
+            path.append(token)
+            continue
+        flag, kind = option[:2]
+        if kind is None:
+            values[_dest(flag)] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if type(kind) is tuple:
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except Exception:
+                # argparse calls the converter again, and writes the usage
+                # error or raises what it raises
+                return None
+        values[_dest(flag)] = value
+    # a required option has no default
+    if len(path) < 2 or any(o[3] and values[_dest(o[0])] is None
+                            for o in own):
+        return None
+    group, name = path
+    return types.SimpleNamespace(command=group, sub=name, func=func,
+                                 **values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # the command's group is the first group name in argv: no global option
-    # takes one as its value
-    args = build_parser([a for a in argv if a in GROUPS][:1]).parse_args(argv)
+    args = _read(argv)
+    if args is None:
+        # help, a usage error or an unusual form: argparse parses it, with
+        # the commands of one group only, the first group name in argv (no
+        # global option takes one as its value)
+        args = build_parser([a for a in argv if a in COMMANDS][:1]
+                            ).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -1,7 +1,9 @@
 """CLI dispatch, formats, exit codes, and golden outputs."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -10,6 +12,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polycrep import cli, hyper_cones
 
@@ -272,6 +275,10 @@ def test_closed_pipe_exits_1_without_traceback(argv):
     assert b"Traceback" not in err, err.decode()
 
 
+# what argparse loads: a command line that main reads itself loads none
+NO_PARSER = {"argparse", "gettext", "locale"}
+
+
 def _modules_added(argv) -> set:
     """The modules that importing polycrep.cli and running one command add
     to a fresh interpreter."""
@@ -298,7 +305,7 @@ def test_complexes_commands_load_only_complexes(command):
     assert "polycrep.complexes" in added
     assert {m for m in added if m.startswith("polycrep")} <= {
         "polycrep", "polycrep.cli", "polycrep.complexes", "polycrep.values"}
-    assert not added & {"fractions", "csv", "json"}
+    assert not added & ({"fractions", "csv", "json"} | NO_PARSER)
 
 
 @pytest.mark.parametrize("argv", [
@@ -319,8 +326,9 @@ def test_exact_commands_build_no_fraction(argv):
     # it imports, load only where a Fraction is built, and no command
     # builds one (the oracle's LPs read only the phase-1 verdict, and the
     # Cox sample points are ints); nor does json, since the CLI writes its
-    # JSON lines itself
-    assert not _modules_added(argv) & {"fractions", "decimal", "json"}
+    # JSON lines itself; nor argparse, since main reads these argvs itself
+    assert not _modules_added(argv) & ({"fractions", "decimal", "json"}
+                                       | NO_PARSER)
 
 
 def test_chambers_count_loads_no_other_layer():
@@ -332,14 +340,26 @@ def test_chambers_count_loads_no_other_layer():
         "polygon_cones")}
 
 
-def test_cli_import_does_not_load_json():
+def _modules_imported() -> str:
+    """The modules importing polycrep.cli adds to a fresh interpreter."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     probe = ("import sys; before = set(sys.modules); import polycrep.cli; "
              "print(sorted(set(sys.modules) - before))")
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src},
-                         check=True)
-    assert "'json'" not in res.stdout, res.stdout
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          check=True).stdout
+
+
+def test_cli_import_does_not_load_json():
+    imported = _modules_imported()
+    assert "'json'" not in imported, imported
+
+
+def test_cli_import_does_not_load_argparse():
+    # argparse loads only when main hands an argv to it: help, a usage
+    # error or an unusual form
+    imported = _modules_imported()
+    assert "'argparse'" not in imported, imported
 
 
 # polycrep.cli loads each layer in the command that runs it; crosscheck
@@ -574,22 +594,233 @@ def test_main_parses_as_the_full_parser(argv, capsys):
 
 
 @pytest.mark.parametrize("argv,filled", [
-    (["complexes", "count", "--n", "5"], ["complexes"]),
-    (["--seed", "3", "cox", "verify", "--n", "5", "--samples", "1"], ["cox"]),
-    (["--help"], [])])
+    (["complexes", "count", "--n", "5"], []),
+    (["--seed", "3", "cox", "verify", "--n", "5", "--samples", "1"], []),
+    (["--help"], [[]]),
+    (["complexes", "count", "--n", "5", "--full"], [["complexes"]])])
 def test_main_fills_only_the_named_group(argv, filled, monkeypatch, capsys):
+    # filled: for each parser main builds, the groups it has the commands
+    # of.  An argv main reads itself builds none; one it hands to argparse
+    # builds one, with the commands of the first group it names, if any
     seen = []
+    build = cli.build_parser
 
-    def spy(name, filler):
-        def fill(sub, common):
-            seen.append(name)
-            filler(sub, common)
-        return fill
+    def spy(*fill):
+        parser = build(*fill)
+        seen.append([group for group, gp in _subcommands(parser).items()
+                     if any(isinstance(a, argparse._SubParsersAction)
+                            for a in gp._actions)])
+        return parser
 
-    for name, filler in cli.GROUPS.items():
-        monkeypatch.setitem(cli.GROUPS, name, spy(name, filler))
+    monkeypatch.setattr(cli, "build_parser", spy)
     try:
         assert cli.main(argv) == 0
     except SystemExit as exc:
         assert exc.code == 0
     assert seen == filled
+
+
+# sha256 of repr((stdout, stderr, exit code)) of main, in an 80-column
+# terminal, as taken before main read any argv itself; argparse's wording
+# differs between Python versions, so they hold for 3.11 only
+PINNED = [(argv, digest) for argv, digest in zip(HELP, [
+    "877c3bf21c156ceafa97a3ac1e07f086ea928bb2456636f02295c58085cb0f85",
+    "c52045e8eb28243dee9388154aa1ae1a21849458a730eb775ba8e4b51146a5ae",
+    "ee77c08d0a6a2d47e31fa80afc798eced2f502db2dc3fc2dc9816c9cfca73ba2",
+    "8abbba4b02a9903230b8b6234b6f287bb5f1c996fc9b2beffa8a5c21240e5f3f",
+    "b9eaedf01a1df79fa6b4730f6e85fbd3430e027b317d5e8d46cc64b0a3c2d844",
+    "64733fc499594c2e3c3c13c142246877eb4a771a83ae47d44a020e9c8a4f5ddc",
+    "da0c116cdcb4486a836a5fe49e3ec9e3fc603807b261793dd204d059b7534796",
+    "8dcecede014a6de8f2656c601de2467f09be6dca9de1d624cd4d5696791c67ca",
+    "c14b88072717387354998eb5fd71d948a5059467ad5f21705201ac8afebf0bb2",
+    "80edce778af6f7df8ec80ef83ec365240be90db826ed7b3cf6b05b69432d32b2",
+    "196194faa95a934310cc317add6e5a2d67aeda3fece30fb866d575dffa268104",
+    "09315a9bd50dcf9842d13f1c7bd0d280f8d23eaa719880976aa1f599febcdc18",
+    "bedd0ca57901f7671e84f402db84004afde51225c82b0f3f6c6ba97a17436079",
+    "4ffddc02d3e597e9e6bad24a650df99f14e235c0db6dcf1544d586a0c862e1c7",
+], strict=True)] + [
+    (["nonsense"],
+     "7aa172675477874c67ae7b689938293265db97ccc63db2fe41e3485514464ca6"),
+    (["complexes"],
+     "a3214a0dbef63b8c663ed048c969271687cc0cb5e5d4e67c53eaab3cfb75b134"),
+    (["chambers", "count", "--arrangement", "Z", "--n", "5"],
+     "8dec454eda113a0e69e2ee803824d0c44838c1a1b6ea0cbf9dcf44ed030ecc4f"),
+    (["--seed", "chambers", "count"],
+     "092c73403e3b2790230dd0ca8b1c4b69cc96f003b39199e788e5aa78cbf7ace0"),
+    (["--format", "xml", "complexes", "count", "--n", "5"],
+     "1e75f137823a5c479c6fc9d63eabaccfd7478be195ee13bf3828828b0548ba24"),
+    (["cox", "verify", "--n", "5", "--samples", "-3"],
+     "6a95a504a9e5dd907a3d70a04dcdae49744e56049a5082b28985401f76d8e261"),
+    (["oracle", "crosscheck", "--n", "5", "--max-k", "-1"],
+     "dc379b23e0e6f88f76e6c6d4a37499b0f545b67bf8a8d278ef9cd3e9454ee44e"),
+    (["cox", "verify", "--n", "5", "--samples", "x"],
+     "a394dbed37061e04d66278ea3c47f944488a5ce765a221efff7b6dbee5ccde5c"),
+    (["oracle", "crosscheck", "--n", "5", "--max-k", "x"],
+     "23da2b704500460f578729b2a87121093baaee67f8690677bbc99356fe387b4a"),
+    (["chambers", "count", "--arrangement", "A", "--n", "5",
+      "--at-ray", "1,x"],
+     "dd0e7150af669b6f705830dd0d855a42b1394ea0a88112d7db56b96ad25a4cfc"),
+    (["chambers", "count", "--arrangement", "A", "--n", "5",
+      "--at-ray", "1,,1"],
+     "f01db6ccbfb6f1de15a30b6b5fc37ec1f81c6e694deb792eafc8752e7ae4f96b"),
+    (["chambers", "count", "--arrangement", "A", "--n", "5", "--at-ray", ""],
+     "24fb09b9bfd017c1cefd35b0ad9da246e82a542589f2bdb0a07801208c62cf95"),
+    # forms main hands to argparse: a missing required option, --flag=value,
+    # an option the command does not take, a global option between group
+    # and command, the end of options, -h before the command
+    (["complexes", "count"],
+     "d55599cb967cf5e2b38b9285e535b174ceee1d6d189d94580238da1ad5a57a5f"),
+    (["complexes", "count", "--n=x"],
+     "d19890ce724d53c12246e9c5191e337bce48580309c1fbb8f91ec41be3063a03"),
+    (["complexes", "count", "--n", "5", "--records"],
+     "65a9e30442eea1bb872e321adc7874ac7dce956037a15a74e15ba2912b485eef"),
+    (["complexes", "--seed", "3", "count", "--n", "5"],
+     "b7e8a80e147490cbf4b1ee2bdf34d5d43c37b7e52eac1e7bd2ed9173fb0eb58d"),
+    (["complexes", "count", "--n", "5", "--", "6"],
+     "327c0d76abc62c848264580eea0845613d03cf9895b0662e7c9fb9e4693e61c5"),
+    (["-h", "cox", "verify"],
+     "877c3bf21c156ceafa97a3ac1e07f086ea928bb2456636f02295c58085cb0f85"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="digests of Python 3.11's argparse text")
+@pytest.mark.parametrize("argv,digest", PINNED,
+                         ids=[repr(" ".join(p[0])) for p in PINNED])
+def test_help_and_usage_errors_are_pinned(argv, digest, monkeypatch,
+                                          capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    written = _exit(cli.main, argv, capsys)
+    assert hashlib.sha256(repr(written).encode()).hexdigest() == digest, (
+        written)
+
+
+def _parsed(parser, argv):
+    """vars() of what parser makes of argv; None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _typed(values):
+    """values with each value's type beside it: True == 1, but a switch
+    must be True."""
+    if values is None:
+        return None
+    return {k: (type(v), v) for k, v in values.items()}
+
+
+FULL_PARSER = cli.build_parser()
+# every option of the table by its flag
+OPTIONS = {o[0]: o for o in cli.GLOBAL_OPTIONS} | {
+    o[0]: o for commands in cli.COMMANDS.values()
+    for _, options in commands.values() for o in options}
+# values argparse converts or refuses as int() does, or that it does not
+# take as values at all
+VALUES = ["5", "0", "-5", "1_000", "-1_000", " 5", "\u0663", "", "x", "1,1,1",
+          "-1,1", "1,,1", "A", "B", "C0", "F", "json", "plain", "xml",
+          "charpoly", "cox"]
+HOSTILE = ["--ar", "--full", "--n=5", "-h", "--help", "--", "--nn",
+           "nonsense"]
+TOKENS = (sorted(OPTIONS) + list(cli.COMMANDS) + sorted(
+    {name for commands in cli.COMMANDS.values() for name in commands})
+    + VALUES + HOSTILE)
+
+
+def _good_value(draw, flag):
+    """A value the flag takes; int() takes " 5", "1_000" and "\u0663" too."""
+    kind = OPTIONS[flag][1]
+    return draw(st.sampled_from(
+        list(kind) if type(kind) is tuple else
+        ["1,1,1", "1,-1,0"] if kind is cli._integers else
+        ["5", "0", " 5", "1_000", "\u0663"]))
+
+
+# kinds of fault a command line is given at most one of; most have none
+FAULTS = ["none"] * 4 + ["value", "token", "between", "required", "names",
+                         "switch"]
+
+
+@st.composite
+def command_lines(draw):
+    """`[global options] group command [options]` with repeats, each value
+    one its flag takes, or that with one fault: any value for a flag, a
+    table or hostile token anywhere, a global option between group and
+    command, the required options left out, an unknown group or command,
+    a switch given a value or a last flag given none."""
+    def options(flags):
+        out = []
+        for flag in draw(st.lists(st.sampled_from(flags), max_size=3)):
+            out.append(flag)
+            if OPTIONS[flag][1] is not None:
+                out.append(_good_value(draw, flag))
+        return out
+
+    fault = draw(st.sampled_from(FAULTS))
+    globals_ = [o[0] for o in cli.GLOBAL_OPTIONS]
+    group = draw(st.sampled_from(list(cli.COMMANDS)))
+    name = draw(st.sampled_from(list(cli.COMMANDS[group])))
+    own = cli.COMMANDS[group][name][1]
+    required = [] if fault == "required" else [
+        t for o in own if o[3] for t in (o[0], _good_value(draw, o[0]))]
+    head = options(globals_)
+    argv = (head + [group] + (options(globals_) if fault == "between" else [])
+            + [name] + required + options([o[0] for o in own] + globals_))
+    valued = [i for i in range(1, len(argv))
+              if argv[i - 1] in OPTIONS and OPTIONS[argv[i - 1]][1]]
+    if fault == "value" and valued:
+        argv[draw(st.sampled_from(valued))] = draw(st.sampled_from(VALUES))
+    elif fault == "token":
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(TOKENS)))
+    elif fault == "names":
+        argv[len(head) + draw(st.integers(0, 1))] = draw(
+            st.sampled_from(TOKENS))
+    elif fault == "switch":
+        argv += draw(st.sampled_from([["--full-only", "5"], ["--records", "x"],
+                                      ["--n"], ["--format"], ["--at-ray"]]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(command_lines(),
+                 st.lists(st.sampled_from(TOKENS), max_size=10)))
+@example(["complexes", "count", "--n", " 5", "--n", "\u0663"])
+@example(["complexes", "count", "--n", "1_000", "--full-only",
+          "--full-only", "--seed", "2"])
+@example(["--seed", "1", "cox", "verify", "--n", "5", "--seed", "2"])
+@example(["complexes", "--seed", "1", "count", "--n", "5"])
+@example(["complexes", "count", "--n", "-5"])
+@example(["complexes", "count", "--n", "-1_000"])
+@example(["chambers", "count", "--arrangement", "A", "--n", "5", "--at-ray",
+          "-1,1"])
+@example(["complexes", "count", "--n", ""])
+def test_reader_agrees_with_argparse(argv):
+    # main reads an argv itself only where argparse reads it the same way
+    read = cli._read(argv)
+    assert read is None or _typed(vars(read)) == _typed(
+        _parsed(FULL_PARSER, argv))
+
+
+def _bench_command_lines() -> list:
+    """The CLI argvs the benchmark's workloads run (bench/workloads.py)."""
+    root = pathlib.Path(cli.__file__).resolve().parents[2]
+    probe = ("import json, workloads\n"
+             "print(json.dumps([p.argv[2:] for w in workloads.WORKLOADS"
+             ".values() for p in w(0) if p.argv[:2] == ['-m', 'polycrep.cli']"
+             "]))\n")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, cwd=root / "bench", check=True)
+    return json.loads(res.stdout)
+
+
+def test_reader_takes_every_documented_command_line():
+    bench = _bench_command_lines()
+    assert len(bench) == 17
+    for argv in [g[0] for g in GOLDEN] + [s[0] for s in STREAMED] + bench:
+        read = cli._read(argv)
+        assert read is not None, argv
+        assert _typed(vars(read)) == _typed(_parsed(FULL_PARSER, argv))
