@@ -20,7 +20,7 @@ one: every LP they run reads only the phase-1 verdict, and the Cox
 sample points are ints.  json never loads: the one-line answers and the
 streams are written here, as json.dumps(obj, sort_keys=True) would write
 them.  Besides the command's layers, a process loads only what cli
-imports at its top: itertools, os, sys and types.
+imports at its top: os, sys and types.
 
 One table, COMMANDS with GLOBAL_OPTIONS, declares every command and its
 options.  main reads a command line of the form `[global options] group
@@ -28,16 +28,12 @@ command [options]` itself, each option a long flag written out in full
 and its value, if it takes one, the next token, which does not start
 with "-"; it builds no parser, and argparse (with gettext and locale)
 never loads.  Every other command line (help, a usage error, a bad or
-missing value, an abbreviation, `--flag=value`) goes to the argparse
-parser that build_parser makes from the same table.  It registers all
-six command groups, so usage, help and errors read the same whatever
-argv holds, and main has it build the commands of only the first group
-argv names; build_parser() with no argument builds every group's.
+missing value, an abbreviation, `--flag=value`) goes to the one whole
+argparse parser that build_parser makes from the same table.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import sys
 import types
@@ -103,20 +99,15 @@ def _write_ndjson(n: int, rows, records: bool):
     sort_keys=True) writes it: the complex's maximal faces in member-tuple
     order and, for records, its kind and witness.  The maximal-face kernel
     gives each face's rank in that order, and the text of every rank is
-    made once per stream.  The tables are built after the first row, so a
-    generator's own range check on n runs first."""
+    made once per stream."""
     from . import complexes
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return
     text = [str([i + 1 for i in range(n) if s >> i & 1])
             for s in complexes._face_order(n)[0]]
     ranks = complexes._maximal_face_ranks
     tail = '], "n": %d}' % n
     write = sys.stdout.write
     chunk = []
-    for fam, witness in itertools.chain((first,), rows):
+    for fam, witness in rows:
         line = ('{"maximal_faces": [' + ", ".join([text[r] for r in
                                                    ranks(fam, n)]) + tail)
         if records:
@@ -293,22 +284,17 @@ def _add_options(parser, options, defaults=True):
             required=required, help=help, **kw)
 
 
-def build_parser(fill=tuple(COMMANDS)):
-    """The argparse parser of COMMANDS, with every group registered and the
-    command parsers of the groups named in `fill` (all of them by default).
-    Top-level usage, help and errors read the same either way; parsing
-    anything after a group's name needs that group filled.  The global
-    options' command-level copies have no defaults, so one not given after
-    the command leaves the top-level value in place."""
+def build_parser():
+    """The argparse parser of COMMANDS.  The global options' command-level
+    copies have no defaults, so one not given after the command leaves the
+    top-level value in place."""
     import argparse
     p = argparse.ArgumentParser(prog="polycrep")
     _add_options(p, GLOBAL_OPTIONS)
     sub = p.add_subparsers(dest="command", required=True)
     for group, commands in COMMANDS.items():
-        gp = sub.add_parser(group)
-        if group not in fill:
-            continue
-        leaves = gp.add_subparsers(dest="sub", required=True)
+        leaves = sub.add_parser(group).add_subparsers(dest="sub",
+                                                      required=True)
         for name, (func, options) in commands.items():
             c = leaves.add_parser(name)
             _add_options(c, GLOBAL_OPTIONS, defaults=False)
@@ -374,12 +360,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _read(argv)
-    if args is None:
-        # help, a usage error or an unusual form: argparse parses it, with
-        # the commands of one group only, the first group name in argv (no
-        # global option takes one as its value)
-        args = build_parser([a for a in argv if a in COMMANDS][:1]
-                            ).parse_args(argv)
+    if args is None:  # help, a usage error or an unusual form
+        args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -511,9 +511,9 @@ def _partition_masks(ground: int, family: int, min_parts: int) -> list:
 def enumerate_partitions(ground: int, n: int,
                          min_parts: int = 1) -> Iterator[Partition]:
     """Set partitions of the subset mask ground of [n] with >= min_parts
-    parts, the one-block partition first."""
+    parts, the one-block partition first; ground is checked at the call."""
     if not 0 < ground < 1 << n:
         raise ValueError("ground must be a nonempty subset mask of [n]")
     # -1 has every bit set: the family of all subsets, whatever n is
-    for parts in _partition_masks(ground, -1, min_parts):
-        yield Partition(n, parts)
+    return (Partition(n, parts)
+            for parts in _partition_masks(ground, -1, min_parts))

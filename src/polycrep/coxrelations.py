@@ -27,13 +27,16 @@ import random
 from . import ratgeom
 from .values import Value
 
-# The relations, ι and the sampler all take n >= MIN_N.
+# The relations, ι and the sampler all take MIN_N <= n <= MAX_N.  There
+# are C(n, 4) Plücker relations, and their memory grows about as n⁴, so
+# a request far past MAX_N could not finish.
 MIN_N = 4
+MAX_N = 40
 
 
 def _check_n(n: int):
-    if n < MIN_N:
-        raise ValueError(f"n >= {MIN_N} required")
+    if not MIN_N <= n <= MAX_N:
+        raise ValueError(f"n={n} outside supported range {MIN_N}..{MAX_N}")
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ def orbit_membership_suite(n: int, max_k: int = 3) -> dict:
     checked = mismatches = 0
     bits = [1 << j for j in range(n)]
     for p in enumerate_partitions((1 << n) - 1, n, min_parts=2):
-        for size in range(0, max_k + 1):
+        for size in range(0, min(n, max_k) + 1):  # K ⊆ [n]
             for K in map(sum, itertools.combinations(bits, size)):
                 ok = hyper_cones.in_omega_X_free(p, K)
                 checked += 1

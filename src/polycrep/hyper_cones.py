@@ -151,8 +151,9 @@ def _psi(family: int, i: int, c: HyperCone, faces: int | None) -> bool:
 def free_orbit_data(n: int, max_k: int | None = None) -> Iterator[HyperCone]:
     """All free hyper cones on [n], optionally with #K bounded."""
     bits = [1 << j for j in range(n)]
+    top = n if max_k is None else min(n, max_k)  # K ⊆ [n]
     for p in enumerate_partitions((1 << n) - 1, n, min_parts=2):
-        for size in range(0, (max_k if max_k is not None else n) + 1):
+        for size in range(0, top + 1):
             for K in map(sum, itertools.combinations(bits, size)):
                 if in_omega_X_free(p, K):
                     yield HyperCone(n, p, K)
@@ -196,14 +197,14 @@ def census(n: int) -> Iterator[tuple]:
     Non-full complexes, ↓([n] minus {i}), are always projective (corner
     chambers, witness _corner_witness); a full complex is projective exactly
     when some arrangement chamber inside C_0 induces it, and that chamber's
-    interior point is the witness.
+    interior point is the witness.  n is checked, and the witnesses found,
+    at the call; the walk runs as the result is read.
     """
     _check_range(n)
     bank = _projective_bank(n)
     bank.update((_closure(n, ((1 << n) - 1 ^ 1 << (i - 1),)),
                  _corner_witness(n, i)) for i in range(1, n + 1))
-    for inm in max_biconnected_masks(n):
-        yield inm, bank.get(inm)
+    return ((inm, bank.get(inm)) for inm in max_biconnected_masks(n))
 
 
 def census_counts(n: int) -> dict:

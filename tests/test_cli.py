@@ -243,10 +243,13 @@ def test_charpoly_beyond_bound_fails_fast(capsys):
                                    "--records"],
                                   ["resolutions", "census", "--n", "-1",
                                    "--records"],
-                                  ["oracle", "crosscheck", "--n", "7"]])
+                                  ["oracle", "crosscheck", "--n", "7"],
+                                  ["cox", "verify", "--n", "1000",
+                                   "--samples", "1"]])
 def test_enumeration_beyond_range_fails_fast(argv, capsys):
     # λ(8) = 229 809 982 112 complexes: the walk is refused before it
-    # starts; the oracle's Ψ check, λ(7) × 6840 of them, already at n=7
+    # starts; the oracle's Ψ check, λ(7) × 6840 of them, already at n=7;
+    # the C(1000, 4) Plücker relations before the first is built
     t0 = time.monotonic()
     assert cli.main(argv) == 1
     assert time.monotonic() - t0 < 3
@@ -434,7 +437,8 @@ def test_cox_verify_minimum_and_large_n(capsys):
     assert cli.main(["cox", "verify", "--n", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["failures"] == 0
     assert cli.main(["cox", "verify", "--n", "3", "--samples", "0"]) == 1
-    assert "error: n >= 4" in capsys.readouterr().err
+    assert ("error: n=3 outside supported range 4..40"
+            in capsys.readouterr().err)
     assert cli.main(["cox", "verify", "--n", "20", "--samples", "3"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "n": 20, "samples": 3, "failures": 0, "identities": "ok"}
@@ -587,8 +591,7 @@ def _exit(parse, argv, capsys):
     ["--format", "xml", "complexes", "count", "--n", "5"]],
     ids=" ".join)
 def test_main_parses_as_the_full_parser(argv, capsys):
-    # main fills only the named group's commands; help, usage and every
-    # error still read as the full parser writes them
+    # help, usage and every error read as the full parser writes them
     assert (_exit(cli.main, argv, capsys)
             == _exit(cli.build_parser().parse_args, argv, capsys))
 
@@ -596,20 +599,20 @@ def test_main_parses_as_the_full_parser(argv, capsys):
 @pytest.mark.parametrize("argv,filled", [
     (["complexes", "count", "--n", "5"], []),
     (["--seed", "3", "cox", "verify", "--n", "5", "--samples", "1"], []),
-    (["--help"], [[]]),
-    (["complexes", "count", "--n", "5", "--full"], [["complexes"]])])
+    (["--help"], [list(cli.COMMANDS)]),
+    (["complexes", "count", "--n", "5", "--full"], [list(cli.COMMANDS)])])
 def test_main_fills_only_the_named_group(argv, filled, monkeypatch, capsys):
     # filled: for each parser main builds, the groups it has the commands
     # of.  An argv main reads itself builds none; one it hands to argparse
-    # builds one, with the commands of the first group it names, if any
+    # (help, or the abbreviation --full) builds one, with every group's
     seen = []
     build = cli.build_parser
 
-    def spy(*fill):
-        parser = build(*fill)
+    def spy():
+        parser = build()
         seen.append([group for group, gp in _subcommands(parser).items()
-                     if any(isinstance(a, argparse._SubParsersAction)
-                            for a in gp._actions)])
+                     if _subcommands(gp).keys() == cli.COMMANDS[group].keys()
+                     ])
         return parser
 
     monkeypatch.setattr(cli, "build_parser", spy)

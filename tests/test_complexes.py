@@ -603,6 +603,6 @@ def test_enumerate_partitions_matches_restricted_growth():
             assert len(got) == len(set(got))
             assert all(len(p) >= min_parts for p in got)
             assert set(got) == {p for p in reference if len(p) >= min_parts}
-    for ground in (0, 1 << n, (1 << n) + 1, 1 << (n + 3)):
-        with pytest.raises(ValueError):
-            list(cx.enumerate_partitions(ground, n))
+    for ground in (0, 1 << n, (1 << n) + 1, 1 << (n + 3), -1):
+        with pytest.raises(ValueError):  # at the call
+            cx.enumerate_partitions(ground, n)

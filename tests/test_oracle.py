@@ -7,6 +7,7 @@ so the suites' shared LPs and incidence masks still check every instance.
 """
 
 import random
+import time
 
 import pytest
 
@@ -150,3 +151,15 @@ def test_run_all_computes_each_object_once(monkeypatch):
     assert [r["mismatches"] for r in reports] == [0] * 4
     assert calls["h_to_v"] <= 117, calls
     assert 1 <= calls["phase1"] <= 63, calls
+
+
+def test_run_all_clamps_max_k_to_n():
+    """K ⊆ [n], so a bound on #K above n is n: the same checks, found as
+    fast, with max_k echoed as given."""
+    t0 = time.monotonic()
+    huge = crosscheck.run_all(4, 10**18)
+    assert time.monotonic() - t0 < 3
+    for got, want in zip(huge, crosscheck.run_all(4, 4), strict=True):
+        assert got.pop("max_k", 10**18) == 10**18
+        want.pop("max_k", None)
+        assert got == want
