@@ -1,2 +1,2 @@
-from .cli import main
-raise SystemExit(main())
+from .cli import run
+run()

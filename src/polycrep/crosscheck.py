@@ -107,7 +107,8 @@ def _polygon_cones(n: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _orbit_cones(n: int, max_k: int) -> tuple:
     """(ω_{P,K}, its ConeV, its H-form by DD, the mask of the indexed
-    vectors in it) per free orbit datum with #K ≤ max_k."""
+    vectors in it) per free orbit datum with #K ≤ max_k.  Callers pass
+    max_k clamped to n (K ⊆ [n]), so each set of data is cached once."""
     index = _index(n)
     out = []
     for hc in hyper_cones.free_orbit_data(n, max_k):
@@ -162,7 +163,7 @@ def hyper_suite(n: int, max_k: int = 3) -> dict:
     f_cone = ConeV(n, tuple(f_rays))
     c0_rows = arrangements.cone_C0(n).inequalities
     wants = {}  # meet_C0 partition -> canonical generators of its cone
-    for hc, v, h, inside in _orbit_cones(n, max_k):
+    for hc, v, h, inside in _orbit_cones(n, min(n, max_k)):
         for i, corner in enumerate(corners, 1):
             checked += 1
             if hyper_cones.contains_corner(hc, i) != (not corner & ~inside):
@@ -200,7 +201,7 @@ def psi_suite(n: int, max_k: int = 3) -> dict:
     polygon cones by theirs."""
     checked = mismatches = 0
     free_pc = _polygon_cones(n)
-    data = _orbit_cones(n, max_k)
+    data = _orbit_cones(n, min(n, max_k))
     corners = [_index(n).mask(rays) for rays in _corner_rays(n)]
     position = {p.parts: idx for idx, (p, *_) in enumerate(free_pc)}
     hyper = [hc for hc, *_ in data]

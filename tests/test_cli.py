@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -404,18 +405,48 @@ def test_import_leaves_typing_out():
     assert res.stdout.strip() == "False"
 
 
-def test_python_dash_m_polycrep():
+@pytest.mark.parametrize("module", ["polycrep", "polycrep.cli"])
+def test_python_dash_m_polycrep(module):
+    # both process entries go through cli.run: the answer, a computation
+    # error and a usage error keep their exit codes
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    res = subprocess.run([sys.executable, "-m", "polycrep", "complexes",
+    res = subprocess.run([sys.executable, "-m", module, "complexes",
                           "count", "--n", "5"], capture_output=True,
                          text=True, env=env)
     assert res.returncode == 0
     assert res.stdout.strip() == GOLDEN[0][1]
-    res = subprocess.run([sys.executable, "-m", "polycrep", "complexes",
+    res = subprocess.run([sys.executable, "-m", module, "complexes",
                           "count", "--n", "99"], capture_output=True,
                          text=True, env=env)
     assert res.returncode == 1 and "error:" in res.stderr
+    res = subprocess.run([sys.executable, "-m", module, "complexes",
+                          "count"], capture_output=True, text=True, env=env)
+    assert res.returncode == 2 and "usage:" in res.stderr
+
+
+@pytest.mark.parametrize("module", ["polycrep", "polycrep.cli"])
+def test_process_entry_freezes_the_collector(module):
+    # once the answer is written, run freezes every object the process
+    # holds, so the collections of interpreter finalization skip them
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+             "sys.argv[1:] = ['complexes', 'count', '--n', '5']\n"
+             f"runpy.run_module({module!r}, run_name='__main__')\n")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [GOLDEN[0][1], "True"]
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # tests and library callers run main in their own process: main must
+    # not pin their objects
+    before = gc.get_freeze_count()
+    assert cli.main(["complexes", "count", "--n", "5"]) == 0
+    assert capsys.readouterr().out.strip() == GOLDEN[0][1]
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("argv", [

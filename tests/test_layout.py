@@ -16,8 +16,6 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "polycrep"
 
 EXCEPTIONS = {
-    # the console entry point: pyproject's [project.scripts] calls it
-    ("cli", "main"),
     # the element-set reader interface of Complex: how a reader names a
     # complex by its faces, which the library itself reads as masks
     ("complexes", "Complex.from_faces"),

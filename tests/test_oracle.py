@@ -163,3 +163,17 @@ def test_run_all_clamps_max_k_to_n():
         assert got.pop("max_k", 10**18) == 10**18
         want.pop("max_k", None)
         assert got == want
+
+
+def test_orbit_cones_cached_once_per_clamped_bound():
+    """Every max_k >= n names the same orbit data, so it builds one cache
+    entry; the reports still echo max_k as given."""
+    crosscheck._orbit_cones.cache_clear()
+    five = crosscheck.run_all(5, 5)
+    six = crosscheck.run_all(5, 6)
+    assert crosscheck._orbit_cones.cache_info().currsize == 1
+    assert [r.get("max_k") for r in six] == [None, 6, 6, 6]
+    for a, b in zip(five, six, strict=True):
+        a.pop("max_k", None)
+        b.pop("max_k", None)
+        assert a == b
