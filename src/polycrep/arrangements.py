@@ -72,8 +72,7 @@ class Arrangement(Value):
     __slots__ = ("dim", "normals")
 
     def __init__(self, dim: int, normals: tuple):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "normals", tuple(sorted(
+        Value.__init__(self, dim, tuple(sorted(
             {_normal(v, dim) for v in normals})))
 
 

@@ -72,8 +72,7 @@ class Partition(Value):
             seen |= p
         if seen >> n:
             raise ValueError("part outside ground range")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "parts", parts)
+        Value.__init__(self, n, parts)
 
     @property
     def ground(self) -> int:
@@ -98,8 +97,7 @@ class Complex(Value):
         for i, lacking in enumerate(_lacking(n)):
             if family >> (1 << i) & lacking & ~family:
                 raise ValueError("family mask is not downward closed")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "family", family)
+        Value.__init__(self, n, family)
 
     @classmethod
     def from_faces(cls, n: int, faces) -> Complex:

@@ -209,10 +209,7 @@ class XPoint(Value):
         for a, b in ((x, x), (x, y), (y, y)):
             if sum(ci * ai * bi for ci, ai, bi in zip(c, a, b)) != 0:
                 raise ValueError("point does not satisfy the quadrics")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "c", c)
+        Value.__init__(self, n, x, y, c)
 
 
 def sample_X_point(n: int, seed: int) -> XPoint:

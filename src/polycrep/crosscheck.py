@@ -236,17 +236,13 @@ def orbit_membership_suite(n: int, max_k: int = 3) -> dict:
     """in_omega_X_free consistency: every accepted orbit datum generates a
     top-dimensional cone."""
     checked = mismatches = 0
-    bits = [1 << j for j in range(n)]
-    for p in enumerate_partitions((1 << n) - 1, n, min_parts=2):
-        for size in range(0, min(n, max_k) + 1):  # K ⊆ [n]
-            for K in map(sum, itertools.combinations(bits, size)):
-                ok = hyper_cones.in_omega_X_free(p, K)
-                checked += 1
-                if ok:
-                    gens = hyper_cones.generators_hyper(
-                        hyper_cones.HyperCone(n, p, K))
-                    if ratgeom.cone_dim(ConeV(n, tuple(gens))) != n:
-                        mismatches += 1
+    for p, K in hyper_cones.orbit_data(n, max_k):
+        checked += 1
+        if hyper_cones.in_omega_X_free(p, K):
+            gens = hyper_cones.generators_hyper(
+                hyper_cones.HyperCone(n, p, K))
+            if ratgeom.cone_dim(ConeV(n, tuple(gens))) != n:
+                mismatches += 1
     return {"suite": "orbit-membership", "n": n, "max_k": max_k,
             "checked": checked, "mismatches": mismatches}
 

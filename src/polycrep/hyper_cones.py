@@ -44,9 +44,7 @@ class HyperCone(Value):
             raise ValueError("partition range mismatch")
         if K < 0 or K >> n:
             raise ValueError("K outside [n]")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "K", K)
+        Value.__init__(self, n, partition, K)
 
 
 def generators_hyper(c: HyperCone) -> list:
@@ -148,15 +146,21 @@ def _psi(family: int, i: int, c: HyperCone, faces: int | None) -> bool:
     return faces is not None and family & faces == faces
 
 
-def free_orbit_data(n: int, max_k: int | None = None) -> Iterator[HyperCone]:
-    """All free hyper cones on [n], optionally with #K bounded."""
+def orbit_data(n: int, max_k: int | None = None) -> Iterator[tuple]:
+    """Every orbit datum (P, K) on [n], free or not: P a partition of [n]
+    into at least two parts, K ⊆ [n], optionally with #K bounded."""
     bits = [1 << j for j in range(n)]
     top = n if max_k is None else min(n, max_k)  # K ⊆ [n]
     for p in enumerate_partitions((1 << n) - 1, n, min_parts=2):
         for size in range(0, top + 1):
             for K in map(sum, itertools.combinations(bits, size)):
-                if in_omega_X_free(p, K):
-                    yield HyperCone(n, p, K)
+                yield p, K
+
+
+def free_orbit_data(n: int, max_k: int | None = None) -> Iterator[HyperCone]:
+    """All free hyper cones on [n], optionally with #K bounded."""
+    return (HyperCone(n, p, K) for p, K in orbit_data(n, max_k)
+            if in_omega_X_free(p, K))
 
 
 # ---------------------------------------------------------------------------

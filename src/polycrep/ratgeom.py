@@ -81,21 +81,27 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _vector_set(dim: int, vectors, noun: str) -> tuple:
+    """The vectors made primitive, zeros dropped, deduplicated and sorted:
+    the canonical set of a cone's generators or inequalities."""
+    out = set()
+    for v in vectors:
+        if len(v) != dim:
+            raise ValueError(f"{noun} has wrong dimension")
+        p = primitive(v)
+        if any(p):
+            out.add(p)
+    return tuple(sorted(out))
+
+
 class ConeV(Value):
     """Cone given by generators; canonical form has primitive sorted rays."""
 
     __slots__ = ("ambient_dim", "generators")
 
     def __init__(self, ambient_dim: int, generators: tuple):
-        gens = []
-        for g in generators:
-            if len(g) != ambient_dim:
-                raise ValueError("generator has wrong dimension")
-            p = primitive(g)
-            if any(p):
-                gens.append(p)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "generators", tuple(sorted(set(gens))))
+        Value.__init__(self, ambient_dim,
+                       _vector_set(ambient_dim, generators, "generator"))
 
 
 class ConeH(Value):
@@ -104,15 +110,8 @@ class ConeH(Value):
     __slots__ = ("ambient_dim", "inequalities")
 
     def __init__(self, ambient_dim: int, inequalities: tuple):
-        ineqs = []
-        for a in inequalities:
-            if len(a) != ambient_dim:
-                raise ValueError("inequality has wrong dimension")
-            p = primitive(a)
-            if any(p):
-                ineqs.append(p)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "inequalities", tuple(sorted(set(ineqs))))
+        Value.__init__(self, ambient_dim,
+                       _vector_set(ambient_dim, inequalities, "inequality"))
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +120,10 @@ class ConeH(Value):
 def row_reduce(rows):
     """Fraction-free RREF over Q of integer rows.
 
-    Returns (reduced_rows, pivot_columns); reduced rows are primitive integer
-    vectors with positive leading entry, so the output is a canonical form of
-    the row space.
+    Returns (reduced_rows, pivot_columns).  Each reduced row is
+    canon_normal's form of itself, a primitive integer vector whose first
+    nonzero entry, at its pivot column, is positive, so the output is a
+    canonical form of the row space.
     """
     m = [list(r) for r in rows]
     if not m:
@@ -145,28 +145,14 @@ def row_reduce(rows):
         for i in range(len(m)):
             if i != r and m[i][c]:
                 a, b = m[r][c], m[i][c]
-                m[i] = [a * x - b * y for x, y in zip(m[i], m[r])]
-                g = 0
-                for x in m[i]:
-                    g = gcd(g, x)
-                if g > 1:
-                    m[i] = [x // g for x in m[i]]
+                row = [a * x - b * y for x, y in zip(m[i], m[r])]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivs.append(c)
         r += 1
         if r == len(m):
             break
-    out = []
-    for i in range(r):
-        row = m[i]
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        if g:
-            row = [x // g for x in row]
-        if row[pivs[i]] < 0:
-            row = [-x for x in row]
-        out.append(tuple(row))
-    return tuple(out), tuple(pivs)
+    return tuple(map(canon_normal, m[:r])), tuple(pivs)
 
 
 def rank(rows) -> int:

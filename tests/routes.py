@@ -96,8 +96,7 @@ class Bunch(Value):
         for c in cones:
             if c.n != n:
                 raise ValueError("ambient rank mismatch")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cones", cones)
+        Value.__init__(self, n, cones)
 
 
 def _free_bunch(n: int, family: int) -> Bunch:

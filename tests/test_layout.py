@@ -192,3 +192,12 @@ def test_one_cone_row_builder():
     assert callers == ["arrangements.chamber_orbits", "complexes.cone_rows"]
     defined = {node.name for _, node in _definitions(modules)}
     assert not defined & {"_cone_rows", "_psi_member"}
+
+
+def test_no_generated_code():
+    """The library runs only the code it is written in: no module calls
+    exec, eval or compile, by name or as an attribute (builtins.exec)."""
+    calls = {mod: sorted({"exec", "eval", "compile"}
+                         & set(_called_names(tree)))
+             for mod, tree in _modules().items()}
+    assert not any(calls.values()), calls

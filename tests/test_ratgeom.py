@@ -131,6 +131,57 @@ def test_row_reduce_canonical():
     assert rref == ((1, 2, 0), (0, 0, 1))
 
 
+def _rank_over_q(rows) -> int:
+    """The rank by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32))
+def test_row_reduce_is_a_canonical_form_of_the_row_space(seed):
+    """Seeded integer rows, some of them dependent: another basis of the
+    same row space (rows scaled, shuffled, one added to another, a zero
+    row appended) reduces to the same output; each reduced row is its own
+    canon_normal with its first nonzero entry at its pivot; and there is
+    one row per unit of rank."""
+    rng = random.Random(seed)
+    d, k = rng.randint(1, 5), rng.randint(1, 5)
+    big = rng.random() < 0.3
+    entry = (lambda: rng.randint(-2 ** 70, 2 ** 70)) if big else (
+        lambda: rng.randint(-4, 4))
+    gens = [[entry() for _ in range(d)] for _ in range(rng.randint(1, k))]
+    rows = [[sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(d)]
+            for coeffs in ([rng.randint(-2, 2) for _ in gens]
+                           for _ in range(k))]
+    rref, pivs = ratgeom.row_reduce(rows)
+
+    other = [[s * x for x in row]
+             for s, row in zip(rng.choices((-3, -2, -1, 2, 3), k=k), rows)]
+    rng.shuffle(other)
+    if len(other) > 1:
+        i, j = rng.sample(range(len(other)), 2)
+        other[i] = [x + y for x, y in zip(other[i], other[j])]
+    other.append([0] * d)
+    assert ratgeom.row_reduce(other) == (rref, pivs)
+
+    assert len(rref) == len(pivs) == _rank_over_q(rows)
+    assert list(pivs) == sorted(set(pivs))
+    for row, p in zip(rref, pivs):
+        assert ratgeom.canon_normal(row) == row
+        assert next(c for c, x in enumerate(row) if x) == p
+
+
 def test_kernel_basis():
     kb = ratgeom.kernel_basis([(1, 1, 1)], 3)
     assert len(kb) == 2

@@ -62,3 +62,43 @@ def test_cones_of_either_kind_differ():
     assert _fields(v) == _fields(h)
     assert v != h and h != v
     assert len({v, h}) == 2
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
+def test_methods_come_from_the_base(make, monkeypatch):
+    """No class has an __eq__ or __hash__ of its own, and each stores its
+    fields through Value.__init__, once per instance."""
+    cls = type(make())
+    assert cls.__eq__ is Value.__eq__ and cls.__hash__ is Value.__hash__
+    stored = []
+    base_init = Value.__init__
+
+    def spy(self, *fields):
+        stored.append(fields)
+        base_init(self, *fields)
+
+    monkeypatch.setattr(Value, "__init__", spy)
+    a = make()
+    assert stored == [_fields(a)]
+
+
+def test_wrong_field_count_is_refused():
+    p = Partition.__new__(Partition)
+    for fields in ((), (4,), (4, (1,), 0)):
+        with pytest.raises(TypeError):
+            Value.__init__(p, *fields)
+
+
+class One(Value):
+    """A one-field value class; pickle finds it by its module-level name."""
+
+    __slots__ = ("k",)
+
+
+def test_one_field_value():
+    """A one-field value compares, hashes and pickles as its 1-tuple."""
+    a, b, c = One(5), One(5), One(6)
+    assert a == b != c and a != 5 and a != (5,)
+    assert hash(a) == hash((5,)) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+    assert repr(a) == "One(k=5)"
