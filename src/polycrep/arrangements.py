@@ -292,41 +292,62 @@ def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
     return count
 
 
-def chamber_orbits(n: int) -> list:
-    """One (θ, orbit size) per S_n-orbit of the chambers of A(n) inside C_0.
+def _sorted_pieces(n: int, collect) -> None:
+    """Split the sorted cone W: θ_1 ≥ … ≥ θ_n ≥ 0 inside C_0 by A(n), and
+    hand each piece to collect(rays, θ, fam, runs): its ray records (ray
+    first), θ the ray_sum of its rays, fam = family_mask(θ), and the
+    lengths of the runs of adjacent elements whose exchange fixes fam.
 
     A(n) and C_0 are S_n-invariant.  A chamber's complex is a threshold
     family, so its interchangeable elements form runs in the weight order,
-    and exactly one chamber of each orbit meets the interior of the sorted
-    cone W: θ_1 ≥ … ≥ θ_n ≥ 0.  Inside W, C_0 is the one inequality
-    θ_1 ≤ Σ_{j>1} θ_j.  The regions of A(n) inside W ∩ C_0 are those
-    chambers' W-pieces, split from W's simplicial rays with C_0's row
-    bounding, as in count_regions_in_cone, though θ_i = θ_{i+1} is no
-    hyperplane of A(n): a bounding row need not be.  θ, the ray_sum of a
-    piece's extreme rays, is strictly decreasing and off every hyperplane.
-    The chamber's stabiliser is the product of the symmetric groups on the
-    runs of adjacent elements whose exchange fixes family_mask(θ); the
-    orbit size is n!/|Stab|.
+    and exactly one chamber C of each orbit meets the interior of W.
+    Inside W, C_0 is the one inequality θ_1 ≤ Σ_{j>1} θ_j.  The regions of
+    A(n) inside W ∩ C_0 are those chambers' W-pieces P = C̄ ∩ W, split from
+    W's simplicial rays with C_0's row bounding, as in
+    count_regions_in_cone, though θ_i = θ_{i+1} is no hyperplane of A(n):
+    a bounding row need not be.  The records' rows are W's n − 1 rows
+    θ_i − θ_{i+1}, θ_n, C_0's row, then A(n)'s normals.  θ is strictly
+    decreasing and off every hyperplane, and C's stabiliser is the product
+    of the symmetric groups on the runs.
     """
     a = build_A(n)
     facets = [tuple(1 if j == i else -1 if j == i + 1 else 0
                     for j in range(n)) for i in range(n - 1)]
     facets.append(tuple(1 if j == n - 1 else 0 for j in range(n)))
     facets.append(v_I(1, n))
-    out = []
 
-    def collect(rays):
+    def piece(rays):
         theta = ray_sum(rv[0] for rv in rays)
         fam = family_mask(theta, n)
-        stab = run = 1
+        runs = []
+        run = 1
         for i in range(n - 1):
-            run = run + 1 if _swap_adjacent(fam, n, i) == fam else 1
-            stab *= run
-        out.append((theta, factorial(n) // stab))
+            if _swap_adjacent(fam, n, i) == fam:
+                run += 1
+            else:
+                runs.append(run)
+                run = 1
+        runs.append(run)
+        collect(rays, theta, fam, runs)
 
     bounding = (1 << len(facets)) - 1
     ratgeom.dd_regions(*ratgeom.dd_start((*facets, *a.normals), n, bounding),
-                       bounding, collect)
+                       bounding, piece)
+
+
+def chamber_orbits(n: int) -> list:
+    """One (θ, orbit size) per S_n-orbit of the chambers of A(n) inside C_0:
+    per W-piece of _sorted_pieces, its ray_sum θ and n!/|Stab|, Stab the
+    product of the symmetric groups on its runs."""
+    out = []
+
+    def collect(rays, theta, fam, runs):
+        stab = 1
+        for run in runs:
+            stab *= factorial(run)
+        out.append((theta, factorial(n) // stab))
+
+    _sorted_pieces(n, collect)
     return out
 
 

@@ -313,7 +313,10 @@ def _orbits(masks, n: int) -> Iterator[tuple]:
     [n] meet, once.  orbit maps each member to a permutation p (0-based)
     with tuple(w[j] for j in p) carrying the first member's witness θ to
     that member's: the walk exchanges adjacent elements, which generate
-    S_n, and swaps p[i], p[i+1] along with _swap_adjacent(f, n, i)."""
+    S_n, and swaps p[i], p[i+1] along with f's elements i+1 and i+2.  It
+    reads _swap_tables once and exchanges as _swap_adjacent does, inline."""
+    swaps = [(i, 1 << i, first, second, ~(first | second))
+             for i, (first, second) in enumerate(_swap_tables(n))]
     seen = set()
     for fam in masks:
         if fam in seen:
@@ -323,8 +326,9 @@ def _orbits(masks, n: int) -> Iterator[tuple]:
         while todo:
             f = todo.pop()
             p = orbit[f]
-            for i in range(n - 1):
-                g = _swap_adjacent(f, n, i)
+            for i, step, first, second, rest in swaps:
+                g = (f & rest | (f & first) << step
+                     | (f & second) >> step)
                 if g not in orbit:
                     orbit[g] = (*p[:i], p[i + 1], p[i], *p[i + 2:])
                     todo.append(g)

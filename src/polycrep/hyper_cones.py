@@ -8,13 +8,23 @@ criteria, the C_0 slice, the Ψ_Δ membership kernel, and the census that
 pairs every maximally-biconnected complex, as its family mask, with an
 exact witness character when it is projective and None when it is not.
 
-The census works by S_n-orbits of GIT chambers: arrangements.chamber_orbits
-splits only the sorted cone θ_1 ≥ … ≥ θ_n inside C_0, one chamber per
-orbit.  The counts add up the orbit sizes, and the census expands each
-representative's bunches.projectivity_witness over its orbit, walked by
-complexes._orbits.  The second routes, which the tests compare it with,
-split all of C_0 (arrangements.count_regions_in_cone, and chambers_in_cone
-in tests/routes.py) and walk every complex.
+The census works by S_n-orbits of GIT chambers: arrangements._sorted_pieces
+splits only the sorted cone W: θ_1 ≥ … ≥ θ_n inside C_0, which meets one
+chamber C per orbit in its W-piece P = C̄ ∩ W.  The counts add up the orbit
+sizes (arrangements.chamber_orbits).  The census witness of C, the ray_sum
+of the extreme rays of C̄, comes from P's rays, with no conversion of C̄ to
+rays: with S the stabiliser of C, the product of the symmetric groups on
+the runs the split reads, C̄ = ∪_{σ∈S} σP, so ext(C̄) is the S-orbit of
+the rays of P extreme in C̄, those on which the hyperplanes of A(n)
+through them have rank n − 1 (tested only for the rays on a wall
+θ_i = θ_{i+1} of W, once per ray), and the witness is
+primitive(Σ_r Σ_{v∈S·r} v), whose inner sum is, within each run,
+|S·r| × (r's sum over the run) / (the run's length).  complexes._orbits
+then carries it over C's orbit.  The second routes, which the tests
+compare it with, split all of C_0 (arrangements.count_regions_in_cone,
+and chambers_in_cone in tests/routes.py), walk every complex, and certify
+each representative's complex by bunches.projectivity_witness, its own
+double description.
 
 All closed forms here are cross-validated against the ratgeom oracle in the
 test suite; any disagreement is a test failure, not a warning.
@@ -24,10 +34,12 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
+from math import factorial
+from operator import itemgetter
 
-from . import arrangements, bunches, polygon_cones
+from . import arrangements, polygon_cones, ratgeom
 from .complexes import (Complex, Partition, _check_range, _closure,
-                        _orbits, count_max_biconnected,
+                        _orbits, cone_rows, count_max_biconnected,
                         enumerate_partitions, family_mask, is_full,
                         is_maximal_biconnected, max_biconnected_masks)
 from .polygon_cones import eta
@@ -174,22 +186,72 @@ def _corner_witness(n: int, i: int) -> tuple:
     return tuple(theta)
 
 
+def _chamber_ray(ray, normals) -> bool:
+    """Whether a ray of a chamber's W-piece is extreme in the closed chamber
+    C̄: exactly when the hyperplanes of A(n) through it, normals the rows
+    of A(n), have rank n − 1.  C̄ is cut out by those normals, each with
+    the sign it takes on C, so this does not depend on the chamber."""
+    return ratgeom.rank([h for h in normals
+                         if ratgeom.dot(h, ray) == 0]) == len(ray) - 1
+
+
 def _projective_bank(n: int) -> dict:
     """family mask -> chamber witness θ, over the chambers of 𝒜 in C_0,
-    from one chamber R per S_n-orbit.
+    from the W-pieces of arrangements._sorted_pieces, one per S_n-orbit.
 
-    R's witness w_R is the projectivity witness of its complex.  σR has
-    extreme rays σ·(those of R), so its witness is σ·w_R, and its family
-    mask is σ applied to R's: complexes._orbits walks the orbit of R's
-    mask and gives each member the permutation p with σ·w_R =
-    tuple(w_R[j] for j in p)."""
-    reps = (family_mask(theta, n)
-            for theta, _ in arrangements.chamber_orbits(n))
+    A chamber C with W-piece P = C̄ ∩ W and stabiliser S, the product of
+    the symmetric groups on its runs, has C̄ = ∪_{σ∈S} σP: sorting a point
+    of C moves it into W, and the one chamber of its orbit meeting W is C.
+    An extreme ray of C̄ lies in some σP and is extreme there, so ext(C̄)
+    is the S-orbit of the rays of P that are extreme in C̄, and distinct
+    rays of P, all sorted, have disjoint orbits.  A ray of P on no wall
+    θ_i = θ_{i+1} of W is tight only on hyperplanes of A(n), so it is
+    extreme in C̄; one on such a wall is kept when _chamber_ray says so,
+    found once per ray.  The witness, the ray_sum of ext(C̄), is then
+    primitive(Σ_r Σ_{v∈S·r} v), and within a run of length L the inner sum
+    is |S·r| times r's sum over the run, divided by L, at every element of
+    the run.  It is the projectivity witness of C's complex (the tests
+    compare the two).
+
+    σC has extreme rays σ·(those of C), so its witness is σ·w_C, and its
+    family mask is σ applied to C's: complexes._orbits walks the orbit of
+    C's mask and gives each member the permutation p with σ·w_C =
+    tuple(w_C[j] for j in p)."""
+    normals = cone_rows(n, range(1 << n - 1))
+    extreme = {}
+    reps = {}
+
+    def collect(rays, theta, fam, runs):
+        spans = []
+        start = 0
+        for run in runs:
+            spans.append((start, start + run))
+            start += run
+        total = [0] * n
+        for r, *_ in rays:
+            if any(x == y for x, y in zip(r, r[1:])):
+                keep = extreme.get(r)
+                if keep is None:
+                    keep = extreme[r] = _chamber_ray(r, normals)
+                if not keep:
+                    continue
+            size = 1
+            for s, e in spans:
+                size *= factorial(e - s)
+                for _, same in itertools.groupby(r[s:e]):
+                    size //= factorial(len(tuple(same)))
+            for s, e in spans:
+                share = size * sum(r[s:e]) // (e - s)
+                for j in range(s, e):
+                    total[j] += share
+        reps[fam] = ratgeom.primitive(total)
+
+    arrangements._sorted_pieces(n, collect)
     bank = {}
     for fam, orbit in _orbits(reps, n):
-        w = bunches.projectivity_witness(Complex(n, fam))
+        w = reps[fam]
         for member, p in orbit.items():
-            bank[member] = tuple(w[j] for j in p)
+            bank[member] = itemgetter(*p)(w)  # n >= 4 indices: a tuple
     return bank
 
 

@@ -335,6 +335,18 @@ def test_exact_commands_build_no_fraction(argv):
                                        | NO_PARSER)
 
 
+@pytest.mark.parametrize("argv", [
+    ["resolutions", "census", "--n", "5"],
+    ["resolutions", "census", "--n", "5", "--records"]],
+    ids=["census", "census-records"])
+def test_census_loads_no_bunches(argv):
+    # the census builds its witnesses from the chamber split's rays, with
+    # no projectivity certificate per complex
+    added = _modules_added(argv)
+    assert "polycrep.hyper_cones" in added
+    assert "polycrep.bunches" not in added
+
+
 def test_chambers_count_loads_no_other_layer():
     added = _modules_added(["chambers", "count", "--arrangement", "A",
                             "--n", "4"])

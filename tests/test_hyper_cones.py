@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from polycrep import arrangements, hyper_cones as hc, polygon_cones, ratgeom
+from polycrep import (arrangements, bunches, hyper_cones as hc,
+                      polygon_cones, ratgeom)
 from polycrep.complexes import (Complex, Partition, _mask_is_full,
                                 _splits_every_pair, cone_rows, family_mask,
                                 mask_of, max_biconnected_masks)
@@ -230,6 +231,33 @@ def test_orbit_bank_equals_full_split(n, reps, chambers):
                                           arrangements.cone_C0(n))
     assert len(split) == chambers
     assert hc._projective_bank(n) == {family_mask(t, n): t for t in split}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_bank_witness_is_projectivity_witness(n):
+    """The census witness of each orbit representative, assembled from its
+    W-piece's rays, is the projectivity witness of its complex, the ray_sum
+    of the extreme rays of the closed chamber by its own double
+    description (134 of them at n = 7)."""
+    bank = hc._projective_bank(n)
+    for theta, _ in arrangements.chamber_orbits(n):
+        fam = family_mask(theta, n)
+        assert bank[fam] == bunches.projectivity_witness(Complex(n, fam))
+
+
+def test_bank_needs_the_extreme_ray_filter(monkeypatch):
+    """Keeping every ray of a W-piece, extreme in the closed chamber or
+    not, moves the witnesses away from those of the full split of C_0."""
+    n = 5
+    split = routes.chambers_in_cone(arrangements.build_A(n),
+                                    arrangements.cone_C0(n))
+    want = {family_mask(t, n): t for t in split}
+    assert hc._projective_bank(n) == want
+    monkeypatch.setattr(hc, "_chamber_ray", lambda ray, normals: True)
+    bank = hc._projective_bank(n)
+    assert bank.keys() == want.keys()
+    changed = sum(bank[fam] != want[fam] for fam in want)
+    assert changed > len(want) // 2, changed
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -123,15 +123,26 @@ def test_one_double_description_driver():
 def test_one_orbit_walk():
     """complexes._orbits is the one walk over an S_n-orbit of family
     masks: the λ orbit sum, the census witness bank and `bunches classify`
-    share it, and only chamber_orbits, which reads stabilisers off runs,
-    exchanges elements itself."""
+    share it.  Besides _swap_adjacent, the walk, which reads the swap
+    tables once, and arrangements._sorted_pieces, which reads stabilisers
+    off runs, are the only ones that exchange elements."""
     modules = _modules()
     callers = sorted(f"{mod}.{node.name}"
                      for mod, node in _definitions(modules)
-                     if "_swap_adjacent" in _called_names(node))
-    assert callers == ["arrangements.chamber_orbits", "complexes._orbits"]
+                     if {"_swap_adjacent", "_swap_tables"}
+                     & set(_called_names(node)))
+    assert callers == ["arrangements._sorted_pieces", "complexes._orbits",
+                       "complexes._swap_adjacent"]
     defined = {node.name for _, node in _definitions(modules)}
     assert "enumerate_max_biconnected" not in defined
+
+
+def test_census_runs_no_projectivity_certificate():
+    """The census bank assembles each witness from the rays of the
+    chamber-orbit split: hyper_cones converts no cone to rays and runs no
+    projectivity certificate, which stays the independent route."""
+    called = set(_called_names(_modules()["hyper_cones"]))
+    assert not called & {"h_to_v", "projectivity_witness"}
 
 
 def test_one_maximal_face_kernel():
@@ -183,13 +194,14 @@ def test_subsets_are_masks():
 
 def test_one_cone_row_builder():
     """complexes.cone_rows writes θ >= 0 and v_I >= 0 for the orthant, C_0,
-    ω_P, A(n) and Φ_Δ's common part; only chamber_orbits, whose sorted cone
-    has rows θ_i − θ_{i+1} of another form, calls v_I besides it.  The
-    per-module row builders and the unchecked Ψ test are gone."""
+    ω_P, A(n) and Φ_Δ's common part; only arrangements._sorted_pieces,
+    whose sorted cone has rows θ_i − θ_{i+1} of another form, calls v_I
+    besides it.  The per-module row builders and the unchecked Ψ test are
+    gone."""
     modules = _modules()
     callers = sorted(name for name, node in _functions(modules).items()
                      if "v_I" in _called_names(node))
-    assert callers == ["arrangements.chamber_orbits", "complexes.cone_rows"]
+    assert callers == ["arrangements._sorted_pieces", "complexes.cone_rows"]
     defined = {node.name for _, node in _definitions(modules)}
     assert not defined & {"_cone_rows", "_psi_member"}
 
