@@ -227,7 +227,7 @@ def max_biconnected_masks(n: int, full_only: bool = False) -> Iterator[int]:
     down, up, compdown, compup = _tables(n)
     masks = _mask_dfs(_pair_reps(n), (down, compdown), (compup, up))
     if full_only:
-        return (m for m in masks if _mask_is_full(m, n))
+        return filter(_fullness_test(n), masks)
     return masks
 
 
@@ -240,10 +240,16 @@ def _iter_downset_masks(n: int, inside: int = -1) -> Iterator[int]:
     return _mask_dfs(items, (down, zero), (zero, up))
 
 
+def _fullness_test(n: int):
+    """The test whether a family mask on [n] holds every singleton, its
+    singleton mask built once, for a walk to apply to every mask."""
+    singletons = sum(1 << (1 << i) for i in range(n))
+    return lambda inm: inm & singletons == singletons
+
+
 def _mask_is_full(inm: int, n: int) -> bool:
     """Whether the family mask holds every singleton."""
-    singletons = sum(1 << (1 << i) for i in range(n))
-    return inm & singletons == singletons
+    return _fullness_test(n)(inm)
 
 
 def family_mask(theta, n: int) -> int:

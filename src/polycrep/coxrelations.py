@@ -1,21 +1,24 @@
 """Symbolic generators of the Cox-ring presentation and exact checks.
 
 Polynomials are sparse dicts {monomial: coefficient} over tokenized graded
-variables; monomials are sorted tuples of variable tokens.  The
+variables; monomials are sorted tuples of variable tokens.  Every
+polynomial is built by poly from its list of (coeff, monomial) terms,
+which are known in closed form; no polynomial is ever multiplied.  The
 generators have integer coefficients (±1 and 2); a caller's Fraction
 coefficient works too.  Tokens:
-("phi", i, j) with i < j (antisymmetry is normalized at construction),
+("phi", i, j), always with i < j (_phi writes φ_ji as −φ_ij),
 ("c", k), ("x", i), ("y", i), ("z", i), ("w", i).
 
 The module generates the Plücker and σ relations, verifies the
 substitution identities of the map ι (z_i ↦ c_i y_i, w_i ↦ −c_i x_i) by
-exact expansion, and tests vanishing of every relation on exact sample
-points of the variety cut out by the three quadric equations
-Σc_i x_i² = Σc_i x_i y_i = Σc_i y_i² = 0.  A point's coordinates are
-ints, and Fractions only where a caller gives a non-integral one, so the
-seeded sample points, which are integral, are checked and evaluated in
-int arithmetic and fractions is not loaded.  The Z^n-grading of the
-variables is checked in the tests (tests/routes.py).
+rewriting each monomial's tokens, and tests vanishing of every relation
+on exact sample points of the variety cut out by the three quadric
+equations Σc_i x_i² = Σc_i x_i y_i = Σc_i y_i² = 0.  A point's
+coordinates are ints, and Fractions only where a caller gives a
+non-integral one, so the seeded sample points, which are integral, are
+checked and evaluated in int arithmetic and fractions is not loaded.
+The Z^n-grading of the variables is checked in the tests
+(tests/routes.py).
 """
 
 from __future__ import annotations
@@ -60,40 +63,10 @@ def _add_term(p, coeff, mono):
         p.pop(mono, None)
 
 
-def p_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for mono, c in b.items():
-        _add_term(out, c, mono)
-    return out
-
-
-def p_scale(a: dict, s) -> dict:
-    return {m: c * s for m, c in a.items()} if s else {}
-
-
-def p_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            _add_term(out, ca * cb, tuple(sorted(ma + mb)))
-    return out
-
-
-def p_sub(a: dict, b: dict) -> dict:
-    return p_add(a, p_scale(b, -1))
-
-
-def phi(i: int, j: int) -> dict:
-    """φ_{i,j} normalized: φ_{j,i} = −φ_{i,j}, φ_{i,i} = 0."""
-    if i == j:
-        return {}
-    if i < j:
-        return poly((1, (("phi", i, j),)))
-    return poly((-1, (("phi", j, i),)))
-
-
-def var(name: str, *idx) -> dict:
-    return poly((1, ((name, *idx),)))
+def _phi(i: int, j: int) -> tuple:
+    """φ_{i,j} as (sign, token), the token's indices ascending:
+    φ_{j,i} = −φ_{i,j}, and φ_{i,i} has sign 0."""
+    return (i < j) - (i > j), ("phi", min(i, j), max(i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -102,12 +75,10 @@ def var(name: str, *idx) -> dict:
 def plucker_relations(n: int) -> list:
     """φ_{ij}φ_{kl} − φ_{ik}φ_{jl} + φ_{il}φ_{jk} over i<j<k<l."""
     _check_n(n)
-    out = []
-    for i, j, k, l in itertools.combinations(range(1, n + 1), 4):
-        out.append(p_add(p_sub(p_mul(phi(i, j), phi(k, l)),
-                               p_mul(phi(i, k), phi(j, l))),
-                         p_mul(phi(i, l), phi(j, k))))
-    return out
+    return [poly((1, (("phi", i, j), ("phi", k, l))),
+                 (-1, (("phi", i, k), ("phi", j, l))),
+                 (1, (("phi", i, l), ("phi", j, k))))
+            for i, j, k, l in itertools.combinations(range(1, n + 1), 4)]
 
 
 def sigma_relations(n: int) -> list:
@@ -116,10 +87,11 @@ def sigma_relations(n: int) -> list:
     out = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            s = {}
+            terms = []
             for k in range(1, n + 1):
-                s = p_add(s, p_mul(p_mul(phi(i, k), phi(j, k)), var("c", k)))
-            out.append(s)
+                (si, ti), (sj, tj) = _phi(i, k), _phi(j, k)
+                terms.append((si * sj, (ti, tj, ("c", k))))
+            out.append(poly(*terms))
     return out
 
 
@@ -130,55 +102,44 @@ def iota(p: dict) -> dict:
     """Apply z_i ↦ c_i y_i, w_i ↦ −c_i x_i to every monomial."""
     out = {}
     for mono, coeff in p.items():
-        term = poly((coeff, ()))
+        tokens = []
         for t in mono:
             if t[0] == "z":
-                term = p_mul(term, p_mul(var("c", t[1]), var("y", t[1])))
+                tokens += [("c", t[1]), ("y", t[1])]
             elif t[0] == "w":
-                term = p_mul(term, p_scale(p_mul(var("c", t[1]),
-                                                 var("x", t[1])), -1))
+                coeff = -coeff
+                tokens += [("c", t[1]), ("x", t[1])]
             else:
-                term = p_mul(term, poly((1, (t,))))
-        out = p_add(out, term)
+                tokens.append(t)
+        _add_term(out, coeff, tuple(sorted(tokens)))
     return out
 
 
-def j_generators(n: int) -> list:
-    """The three quadrics Σc_i x_i², Σc_i x_i y_i, Σc_i y_i²."""
-    qs = []
-    for a, b in (("x", "x"), ("x", "y"), ("y", "y")):
-        s = {}
-        for i in range(1, n + 1):
-            s = p_add(s, p_mul(p_mul(var("c", i), var(a, i)), var(b, i)))
-        qs.append(s)
-    return qs
+def _sum_over(n: int, *terms) -> dict:
+    """Σ_{i=1..n} of the terms (coeff, names), names one letter per
+    variable: (2, "cxy") is 2 c_i x_i y_i."""
+    return poly(*((coeff, tuple((name, i) for name in names))
+                  for i in range(1, n + 1) for coeff, names in terms))
 
 
 def iota_substitution_identities(n: int) -> bool:
-    """Exact expansion of ι on the six moment-map generator families."""
+    """Exact expansion of ι on the six moment-map generator families:
+    Σ y_i z_i, Σ x_i w_i, Σ x_i z_i, Σ y_i w_i and Σ (x_i z_i − y_i w_i)
+    go to the quadrics Σc_i y_i², −Σc_i x_i², Σc_i x_i y_i, −Σc_i x_i y_i
+    and 2Σc_i x_i y_i, and each x_i z_i + y_i w_i to zero."""
     _check_n(n)
-    jxx, jxy, jyy = j_generators(n)
-
-    def s(a, b):
-        out = {}
-        for i in range(1, n + 1):
-            out = p_add(out, p_mul(var(a, i), var(b, i)))
-        return out
-
     checks = [
-        (iota(s("y", "z")), jyy),
-        (iota(s("x", "w")), p_scale(jxx, -1)),
-        (iota(s("x", "z")), jxy),
-        (iota(s("y", "w")), p_scale(jxy, -1)),
-        (iota(p_sub(s("x", "z"), s("y", "w"))), p_scale(jxy, 2)),
+        (((1, "yz"),), (1, "cyy")),
+        (((1, "xw"),), (-1, "cxx")),
+        (((1, "xz"),), (1, "cxy")),
+        (((1, "yw"),), (-1, "cxy")),
+        (((1, "xz"), (-1, "yw")), (2, "cxy")),
     ]
-    for got, expect in checks:
-        if got != expect:
+    for terms, quadric in checks:
+        if iota(_sum_over(n, *terms)) != _sum_over(n, quadric):
             return False
     for i in range(1, n + 1):
-        pair = p_add(p_mul(var("x", i), var("z", i)),
-                     p_mul(var("y", i), var("w", i)))
-        if iota(pair):
+        if iota(poly((1, (("x", i), ("z", i))), (1, (("y", i), ("w", i))))):
             return False
     return True
 
@@ -244,12 +205,12 @@ def sample_X_point(n: int, seed: int) -> XPoint:
 
 
 def _point_values(pt: XPoint) -> dict:
-    """Every φ_ij = x_i y_j − x_j y_i (any i, j in [n]) and c_k at the point,
-    keyed by variable token."""
+    """Every φ_ij = x_i y_j − x_j y_i (i < j, the only φ tokens) and c_k at
+    the point, keyed by variable token."""
     x, y = pt.x, pt.y
     vals = {("c", k + 1): ck for k, ck in enumerate(pt.c)}
     for i in range(pt.n):
-        for j in range(pt.n):
+        for j in range(i + 1, pt.n):
             vals[("phi", i + 1, j + 1)] = x[i] * y[j] - x[j] * y[i]
     return vals
 

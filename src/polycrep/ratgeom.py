@@ -118,14 +118,15 @@ class ConeH(Value):
 # integer linear algebra (fraction-free)
 
 def row_reduce(rows):
-    """Fraction-free RREF over Q of integer rows.
+    """Fraction-free RREF over Q of rational rows, each first scaled to
+    an integer row.
 
     Returns (reduced_rows, pivot_columns).  Each reduced row is
     canon_normal's form of itself, a primitive integer vector whose first
     nonzero entry, at its pivot column, is positive, so the output is a
     canonical form of the row space.
     """
-    m = [list(r) for r in rows]
+    m = [list(_integer_row(r)) for r in rows]
     if not m:
         return (), ()
     d = len(m[0])

@@ -57,6 +57,8 @@ GOLDEN = [
      '{"n": 6, "nonprojective": 962, "projective": 1678, "total": 2640}'),
     (["--seed", "3", "cox", "verify", "--n", "8", "--samples", "25"],
      '{"failures": 0, "identities": "ok", "n": 8, "samples": 25}'),
+    (["cox", "verify", "--n", "40", "--samples", "1"],
+     '{"failures": 0, "identities": "ok", "n": 40, "samples": 1}'),
 ]
 
 

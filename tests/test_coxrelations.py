@@ -1,5 +1,6 @@
 """Cox-ring relation generators, grading, iota identities, point checks."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -35,30 +36,31 @@ def test_sigma_degrees_and_shape():
 
 
 def test_phi_normalization():
-    assert cx.phi(2, 1) == cx.p_scale(cx.phi(1, 2), -1)
-    assert cx.phi(3, 3) == {}
+    sign, token = cx._phi(1, 2)
+    assert cx._phi(2, 1) == (-sign, token)
+    assert cx._phi(3, 3)[0] == 0
 
 
 def test_degree_errors():
     with pytest.raises(routes.InhomogeneousError):
-        routes.degree_of(cx.p_add(cx.phi(1, 2), cx.var("c", 1)), 5)
+        routes.degree_of(cx.poly((1, (("phi", 1, 2),)), (1, (("c", 1),))),
+                         5)
     with pytest.raises(ValueError):
         routes.degree_of({}, 5)
 
 
 def test_product_degrees_add():
-    a = cx.phi(1, 2)
-    b = cx.var("c", 3)
-    da = routes.degree_of(a, 5)
-    db = routes.degree_of(b, 5)
-    dab = routes.degree_of(cx.p_mul(a, b), 5)
+    a = ("phi", 1, 2)
+    b = ("c", 3)
+    da = routes.degree_of(cx.poly((1, (a,))), 5)
+    db = routes.degree_of(cx.poly((1, (b,))), 5)
+    dab = routes.degree_of(cx.poly((1, (a, b))), 5)
     assert dab == tuple(x + y for x, y in zip(da, db))
 
 
 def test_z_w_degrees_make_moment_generators_homogeneous():
     for i in (1, 3):
-        pair = cx.p_add(cx.p_mul(cx.var("x", i), cx.var("z", i)),
-                        cx.p_mul(cx.var("y", i), cx.var("w", i)))
+        pair = cx.poly((1, (("x", i), ("z", i))), (1, (("y", i), ("w", i))))
         assert routes.degree_of(pair, 5) == (0,) * 5
 
 
@@ -67,9 +69,71 @@ def test_iota_identities():
         assert cx.iota_substitution_identities(n)
 
 
+# sha256 of repr([list(r.items()) for r in plucker + sigma]): the terms,
+# their coefficients and their order, as the relations were first written
+RELATION_DIGESTS = {
+    8: "ca250c0f9bc0d8e909e9bcbfa489e1b1667843cfaa204d14eeab7ba16217268c",
+    12: "e10862a559e3b5ca4a9b1734f459698ee9ccb205751b77733dc9d74d08aacaca",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RELATION_DIGESTS))
+def test_relation_lists_are_pinned(n):
+    rels = cx.plucker_relations(n) + cx.sigma_relations(n)
+    digest = hashlib.sha256(repr([list(r.items()) for r in rels]).encode())
+    assert digest.hexdigest() == RELATION_DIGESTS[n]
+
+
+VARIABLES = [(name, i) for name in "xyzwc" for i in (1, 2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5),
+                          st.lists(st.sampled_from(VARIABLES), max_size=4)),
+                max_size=6),
+       st.lists(st.integers(-9, 9), min_size=len(VARIABLES),
+                max_size=len(VARIABLES)))
+def test_iota_is_the_substitution_at_every_point(terms, values):
+    """ι(p) at (x, y, c) equals p at z_i = c_i y_i, w_i = −c_i x_i: ι by
+    evaluation, where the library rewrites tokens."""
+    p = cx.poly(*terms)
+    vals = dict(zip(VARIABLES, values))
+    substituted = dict(vals)
+    for i in (1, 2, 3):
+        substituted["z", i] = vals["c", i] * vals["y", i]
+        substituted["w", i] = -vals["c", i] * vals["x", i]
+    assert cx._evaluate(cx.iota(p), vals) == cx._evaluate(p, substituted)
+
+
+def test_iota_identities_catch_a_lost_w_sign(monkeypatch):
+    """An ι with w_i ↦ +c_i x_i fails the identities."""
+    iota = cx.iota
+
+    def unsigned_w(p):
+        return iota({m: c * (-1) ** sum(t[0] == "w" for t in m)
+                     for m, c in p.items()})
+
+    monkeypatch.setattr(cx, "iota", unsigned_w)
+    assert not cx.iota_substitution_identities(6)
+
+
+def test_relations_catch_a_lost_phi_sign(monkeypatch):
+    """With φ_ji written as +φ_ij the σ relations no longer vanish on X."""
+    pt = cx.sample_X_point(6, 0)
+    phi = cx._phi
+    monkeypatch.setattr(cx, "_phi", lambda i, j: (abs(phi(i, j)[0]),
+                                                  phi(i, j)[1]))
+    cx._relations.cache_clear()
+    try:
+        assert not cx.verify_relations_vanish(pt)
+    finally:
+        cx._relations.cache_clear()
+    monkeypatch.undo()
+    assert cx.verify_relations_vanish(pt)
+
+
 def test_iota_on_single_pair():
-    p = cx.p_add(cx.p_mul(cx.var("x", 2), cx.var("z", 2)),
-                 cx.p_mul(cx.var("y", 2), cx.var("w", 2)))
+    p = cx.poly((1, (("x", 2), ("z", 2))), (1, (("y", 2), ("w", 2))))
     assert cx.iota(p) == {}
 
 
@@ -166,7 +230,7 @@ def test_non_integral_point_verifies():
         y = tuple(Fraction(v, 3) for v in pt.y)
         scaled = cx.XPoint(n, x, y, pt.c)  # the quadrics are homogeneous
         assert cx.verify_relations_vanish(scaled)
-        value = routes.evaluate(cx.phi(1, 2), scaled)
+        value = routes.evaluate(cx.poly((1, (("phi", 1, 2),))), scaled)
         assert isinstance(value, Fraction)
         assert value == Fraction(pt.x[0] * pt.y[1] - pt.x[1] * pt.y[0], 9)
         bad = _unchecked_point(n, x, y, (pt.c[0] + 1,) + pt.c[1:])
@@ -176,9 +240,10 @@ def test_non_integral_point_verifies():
 def test_evaluate_rejects_unknown_variables():
     pt = cx.sample_X_point(5, 0)
     with pytest.raises(ValueError):
-        routes.evaluate(cx.var("x", 1), pt)
-    assert routes.evaluate(cx.p_scale(cx.phi(2, 1), Fraction(1, 2)), pt) == \
-        Fraction(pt.x[1] * pt.y[0] - pt.x[0] * pt.y[1], 2)
+        routes.evaluate(cx.poly((1, (("x", 1),))), pt)
+    sign, token = cx._phi(2, 1)
+    assert routes.evaluate(cx.poly((sign * Fraction(1, 2), (token,))), pt) \
+        == Fraction(pt.x[1] * pt.y[0] - pt.x[0] * pt.y[1], 2)
 
 
 def test_mutating_returned_relations_leaves_the_check_intact():

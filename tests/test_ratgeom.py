@@ -1,5 +1,6 @@
 """Exact cone kernel: dual descriptions, LP feasibility, canonical forms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -187,6 +188,26 @@ def test_kernel_basis():
     assert len(kb) == 2
     for v in kb:
         assert sum(v) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.lists(st.fractions(-20, 20, max_denominator=12), min_size=d,
+             max_size=d), min_size=1, max_size=4)))
+@example([[Fraction(1, 2), 1, 0], [1, Fraction(1, 3), 1]])
+def test_rational_rows_reduce_as_their_integer_scalings(rows):
+    """Rows with Fraction entries have the kernel and rank of the rows
+    scaled to integers, and each kernel vector annihilates them exactly."""
+    d = len(rows[0])
+    scaled = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        scaled.append([int(x * den) for x in row])
+    kb = ratgeom.kernel_basis(rows, d)
+    assert kb == ratgeom.kernel_basis(scaled, d)
+    assert ratgeom.rank(rows) == ratgeom.rank(scaled) == _rank_over_q(rows)
+    for v in kb:
+        assert all(ratgeom.dot(row, v) == 0 for row in rows)
 
 
 @pytest.mark.parametrize("call", [
