@@ -294,9 +294,10 @@ def count_regions_in_cone(a: Arrangement, cone: ConeH) -> int:
 
 def _sorted_pieces(n: int, collect) -> None:
     """Split the sorted cone W: θ_1 ≥ … ≥ θ_n ≥ 0 inside C_0 by A(n), and
-    hand each piece to collect(rays, θ, fam, runs): its ray records (ray
-    first), θ the ray_sum of its rays, fam = family_mask(θ), and the
-    lengths of the runs of adjacent elements whose exchange fixes fam.
+    hand each piece to collect(rays, θ, fam, runs, rows): its ray records
+    (ray first), θ the ray_sum of its rays, fam = family_mask(θ), the
+    lengths of the runs of adjacent elements whose exchange fixes fam, and
+    the split's rows, which the records' masks index.
 
     A(n) and C_0 are S_n-invariant.  A chamber's complex is a threshold
     family, so its interchangeable elements form runs in the weight order,
@@ -315,6 +316,7 @@ def _sorted_pieces(n: int, collect) -> None:
                     for j in range(n)) for i in range(n - 1)]
     facets.append(tuple(1 if j == n - 1 else 0 for j in range(n)))
     facets.append(v_I(1, n))
+    rows = (*facets, *a.normals)
 
     def piece(rays):
         theta = ray_sum(rv[0] for rv in rays)
@@ -328,11 +330,10 @@ def _sorted_pieces(n: int, collect) -> None:
                 runs.append(run)
                 run = 1
         runs.append(run)
-        collect(rays, theta, fam, runs)
+        collect(rays, theta, fam, runs, rows)
 
     bounding = (1 << len(facets)) - 1
-    ratgeom.dd_regions(*ratgeom.dd_start((*facets, *a.normals), n, bounding),
-                       bounding, piece)
+    ratgeom.dd_regions(*ratgeom.dd_start(rows, n, bounding), bounding, piece)
 
 
 def chamber_orbits(n: int) -> list:
@@ -341,7 +342,7 @@ def chamber_orbits(n: int) -> list:
     product of the symmetric groups on its runs."""
     out = []
 
-    def collect(rays, theta, fam, runs):
+    def collect(rays, theta, fam, runs, rows):
         stab = 1
         for run in runs:
             stab *= factorial(run)

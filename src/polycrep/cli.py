@@ -26,18 +26,22 @@ One table, COMMANDS with GLOBAL_OPTIONS, declares every command and its
 options.  main reads a command line of the form `[global options] group
 command [options]` itself, each option a long flag written out in full
 and its value, if it takes one, the next token, which does not start
-with "-"; it builds no parser, and argparse (with gettext and locale)
-never loads.  Every other command line (help, a usage error, a bad or
-missing value, an abbreviation, `--flag=value`) goes to the one whole
-argparse parser that build_parser makes from the same table.
+with "-" unless a digit follows (_negative); it builds no parser, and
+argparse (with gettext and locale) never loads.  Every other command line
+(help, a usage error, a bad or missing value, an abbreviation,
+`--flag=value`) goes to the one whole argparse parser that build_parser
+makes from the same table, which reads such a token as a value too:
+`--at-ray -1,1,1,1` is a ray, as `--at-ray=-1,1,1,1` is.
 
-A process enters through run, which calls main, freezes the collector
-(gc.freeze) once the answer is flushed and exits with main's code, so
-interpreter finalization collects without walking every object the
-process holds: from the answer's last byte to the child's reaping,
-`complexes count --n 6 --full-only` took 1.8 ms instead of 6.8 ms.  The
-freeze is not in main, which tests and library callers run in their
-own process, where it would pin their garbage for good.
+A process enters through run, which calls main, flushes stdout and
+stderr, runs the atexit handlers and ends with os._exit(code): the answer
+is written by then, and interpreter finalization, which frees every
+object the process holds and collects its garbage, has nothing left to
+give the reader.  From the answer's last byte to the child's reaping,
+`resolutions census --n 6 --records` took 0.8 ms instead of 2.8 ms with
+gc.freeze before the exit, and 7.9 ms with neither.  This is not in
+main, which tests and library callers run in their own process, and
+which must return to them.
 """
 
 from __future__ import annotations
@@ -106,24 +110,31 @@ def _write_ndjson(n: int, rows, records: bool):
     """One line per (family mask, witness) row, as json.dumps(obj,
     sort_keys=True) writes it: the complex's maximal faces in member-tuple
     order and, for records, its kind and witness.  The maximal-face kernel
-    gives each face's rank in that order, and the text of every rank is
-    made once per stream."""
+    gives each face's rank in that order.  The text of every rank and the
+    text around the faces are made once per stream, the projective tail as
+    a format of the witness's n entries, so a line is its faces joined
+    between two pieces."""
     from . import complexes
     text = [str([i + 1 for i in range(n) if s >> i & 1])
             for s in complexes._face_order(n)[0]]
+    face = text.__getitem__
     ranks = complexes._maximal_face_ranks
-    tail = '], "n": %d}' % n
+    head = '{"maximal_faces": ['
+    plain = '], "n": %d}' % n
+    if records:
+        head = '{"complex": ' + head
+        plain += ', "kind": '
+        projective = (plain + '"projective", "witness": ["'
+                      + '", "'.join(["%d"] * n) + '"]}')
+        plain += '"non-projective", "witness": null}'
     write = sys.stdout.write
     chunk = []
     for fam, witness in rows:
-        line = ('{"maximal_faces": [' + ", ".join([text[r] for r in
-                                                   ranks(fam, n)]) + tail)
-        if records:
-            line = '{"complex": %s, "kind": %s}' % (line, (
-                '"non-projective", "witness": null' if witness is None else
-                '"projective", "witness": ["%s"]'
-                % '", "'.join(map(str, witness))))
-        chunk.append(line)
+        faces = ", ".join(map(face, ranks(fam, n)))
+        if witness is None or not records:
+            chunk.append(head + faces + plain)
+        else:
+            chunk.append(head + faces + projective % witness)
         if len(chunk) == CHUNK_LINES:
             chunk.append("")
             write("\n".join(chunk))
@@ -136,8 +147,8 @@ def _write_ndjson(n: int, rows, records: bool):
 def cmd_complexes_enumerate(args) -> int:
     from . import complexes
     _check_ndjson(args)
-    masks = complexes.max_biconnected_masks(args.n, args.full_only)
-    _write_ndjson(args.n, ((m, None) for m in masks), records=False)
+    leaves = complexes._max_biconnected_leaves(args.n, args.full_only)
+    _write_ndjson(args.n, ((m, None) for m in leaves), records=False)
     return 0
 
 
@@ -145,7 +156,8 @@ def cmd_resolutions_census(args) -> int:
     from . import hyper_cones
     if args.records:
         _check_ndjson(args)
-        _write_ndjson(args.n, hyper_cones.census(args.n), records=True)
+        _write_ndjson(args.n, hyper_cones.census(args.n, leaves=True),
+                      records=True)
         return 0
     _emit(hyper_cones.census_counts(args.n), args.format)
     return 0
@@ -292,19 +304,37 @@ def _add_options(parser, options, defaults=True):
             required=required, help=help, **kw)
 
 
+def _negative(token: str) -> bool:
+    """Whether a token is a value that starts with "-" rather than an
+    option: "-" and a digit, or "-." and a digit, as Python 3.13's argparse
+    reads it.  Python 3.11's reads only a whole negative number so, and
+    build_parser gives its parsers this rule instead, so that
+    `--at-ray -1,1,1,1` is a ray, as `--at-ray=-1,1,1,1` is."""
+    digit = token[2:3] if token[1:2] == "." else token[1:2]
+    return token[:1] == "-" and digit.isdecimal()
+
+
+def _negative_values(parser):
+    """The parser, made to read a token as a value where _negative says
+    so: argparse asks its negative-number matcher, whose match method is
+    all it calls, which tokens are values."""
+    parser._negative_number_matcher = types.SimpleNamespace(match=_negative)
+    return parser
+
+
 def build_parser():
     """The argparse parser of COMMANDS.  The global options' command-level
     copies have no defaults, so one not given after the command leaves the
     top-level value in place."""
     import argparse
-    p = argparse.ArgumentParser(prog="polycrep")
+    p = _negative_values(argparse.ArgumentParser(prog="polycrep"))
     _add_options(p, GLOBAL_OPTIONS)
     sub = p.add_subparsers(dest="command", required=True)
     for group, commands in COMMANDS.items():
-        leaves = sub.add_parser(group).add_subparsers(dest="sub",
-                                                      required=True)
+        leaves = _negative_values(sub.add_parser(group)).add_subparsers(
+            dest="sub", required=True)
         for name, (func, options) in commands.items():
-            c = leaves.add_parser(name)
+            c = _negative_values(leaves.add_parser(name))
             _add_options(c, GLOBAL_OPTIONS, defaults=False)
             _add_options(c, options)
             c.set_defaults(func=func)
@@ -315,10 +345,11 @@ def _read(argv):
     """The namespace build_parser().parse_args(argv) gives, for an argv of
     the form `[global options] group command [options]` in which every
     option is a long flag written out in full, with its value, if it takes
-    one, in the next token, a token that does not start with "-".  None for
-    any other argv, and for one whose value fails its converter or choices
-    or that lacks a required option: argparse parses those, and writes
-    their help or usage error.  Needs no argparse."""
+    one, in the next token, a token that does not start with "-" or that
+    _negative says is a value (build_parser reads those as values too).
+    None for any other argv, and for one whose value fails its converter
+    or choices or that lacks a required option: argparse parses those, and
+    writes their help or usage error.  Needs no argparse."""
     values = {_dest(o[0]): o[2] for o in GLOBAL_OPTIONS}
     options = {o[0]: o for o in GLOBAL_OPTIONS}
     path = []  # the group and the command, as read
@@ -342,7 +373,7 @@ def _read(argv):
             values[_dest(flag)] = True
             continue
         value = next(tokens, None)
-        if value is None or value.startswith("-"):
+        if value is None or value.startswith("-") and not _negative(value):
             return None
         if type(kind) is tuple:
             if value not in kind:
@@ -387,12 +418,16 @@ def main(argv=None) -> int:
 
 
 def run():
-    """The process entry: main, then gc.freeze, then exit with main's code
-    (the module docstring says why the freeze is here and not in main)."""
+    """The process entry: main, then the flush of both streams and the
+    atexit handlers, then os._exit with main's code (the module docstring
+    says why, and why this is not in main).  A SystemExit from argparse,
+    for help or a usage error, leaves through the normal exit."""
     code = main()
-    import gc
-    gc.freeze()
-    sys.exit(code)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    import atexit
+    atexit._run_exitfuncs()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -223,12 +223,37 @@ def max_biconnected_masks(n: int, full_only: bool = False) -> Iterator[int]:
     full_only, the full ones.  n is checked before the walk starts.  A
     representative in puts its ↓ in and the complements of its ↓ out; out
     puts its ↑ out and their complements in.  'In' is explored first."""
+    return _max_biconnected_leaves(n, full_only, covered=False)
+
+
+def _max_biconnected_leaves(n: int, full_only: bool = False,
+                            covered: bool = True) -> Iterator[int]:
+    """The walk of max_biconnected_masks, in its order.  With covered, the
+    default, each leaf carries its complex's covered mask (_covered) above
+    bit 2^n, which _maximal_face_ranks reads instead of computing it: the
+    walk's 'in' tables are then _covered_tables'."""
     _check_range(n)
     down, up, compdown, compup = _tables(n)
+    if covered:
+        down, compup = _covered_tables(n)
     masks = _mask_dfs(_pair_reps(n), (down, compdown), (compup, up))
     if full_only:
         return filter(_fullness_test(n), masks)
     return masks
+
+
+@functools.lru_cache(maxsize=None)
+def _covered_tables(n: int) -> tuple:
+    """The walk's two 'in' tables, ↓s and the complement image of ↑s, each
+    entry with its covered mask above bit 2^n.  _covered is OR-linear and
+    the walk only ORs entries into its member mask, so a leaf's high half
+    is the covered mask of its low half; the 'out' masks and the subsets
+    the walk tests all lie below bit 2^n, so the walk takes the same
+    branches."""
+    down, _, _, compup = _tables(n)
+    size = 1 << n
+    return tuple([m | _covered(m, n) << size for m in table]
+                 for table in (down, compup))
 
 
 def _iter_downset_masks(n: int, inside: int = -1) -> Iterator[int]:
@@ -297,44 +322,46 @@ def _lacking(n: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _swap_tables(n: int) -> tuple:
-    """Per index i < n-1: the family masks of the subsets holding element
-    i+1 but not i+2, and of those holding i+2 but not i+1."""
+    """Per index i < n-1: the family mask of the subsets holding element
+    i+1 but not i+2.  Adding 2^i to such a subset mask gives the subset
+    with i+2 in place of i+1."""
     lack = _lacking(n)
-    return tuple((lack[i + 1] & ~lack[i], lack[i] & ~lack[i + 1])
-                 for i in range(n - 1))
+    return tuple(lack[i + 1] & ~lack[i] for i in range(n - 1))
 
 
 def _swap_adjacent(fam: int, n: int, i: int) -> int:
     """The family with elements i+1 and i+2 exchanged: a member holding
     only the first moves up 2^i bits, one holding only the second moves
-    down as far."""
-    first, second = _swap_tables(n)[i]
+    down as far.  A delta swap: t marks the members holding only i+1 whose
+    partner 2^i bits up differs in membership, and both bits flip."""
     step = 1 << i
-    return (fam & ~(first | second) | (fam & first) << step
-            | (fam & second) >> step)
+    t = (fam >> step ^ fam) & _swap_tables(n)[i]
+    return fam ^ t ^ t << step
 
 
-def _orbits(masks, n: int) -> Iterator[tuple]:
+def _orbits(masks, n: int, labels=None) -> Iterator[tuple]:
     """(first member met, orbit) for each S_n-orbit the family masks on
     [n] meet, once.  orbit maps each member to a permutation p (0-based)
     with tuple(w[j] for j in p) carrying the first member's witness θ to
     that member's: the walk exchanges adjacent elements, which generate
     S_n, and swaps p[i], p[i+1] along with f's elements i+1 and i+2.  It
-    reads _swap_tables once and exchanges as _swap_adjacent does, inline."""
-    swaps = [(i, 1 << i, first, second, ~(first | second))
-             for i, (first, second) in enumerate(_swap_tables(n))]
+    reads _swap_tables once and exchanges as _swap_adjacent does, inline.
+    With labels, a map from each first member to an n-tuple, the walk
+    starts from labels[fam] instead of range(n), and so carries that tuple
+    itself: each member gets tuple(labels[fam][j] for j in p)."""
+    swaps = [(i, 1 << i, first) for i, first in enumerate(_swap_tables(n))]
     seen = set()
     for fam in masks:
         if fam in seen:
             continue
-        orbit = {fam: tuple(range(n))}
+        orbit = {fam: tuple(range(n)) if labels is None else labels[fam]}
         todo = [fam]
         while todo:
             f = todo.pop()
             p = orbit[f]
-            for i, step, first, second, rest in swaps:
-                g = (f & rest | (f & first) << step
-                     | (f & second) >> step)
+            for i, step, first in swaps:
+                t = (f >> step ^ f) & first
+                g = f ^ t ^ t << step
                 if g not in orbit:
                     orbit[g] = (*p[:i], p[i + 1], p[i], *p[i + 2:])
                     todo.append(g)
@@ -397,17 +424,32 @@ def _fill_byte_ranks(n: int, p: int) -> list:
     return table
 
 
-def _maximal_face_ranks(inm: int, n: int) -> list:
-    """The maximal faces of a downward-closed family bitmask, as ranks in
-    _face_order, ascending: the one maximal-face kernel.  The members s
-    with no member s ∪ {i}, i ∉ s, are found by the _closure step taken
-    once per i without folding it in, and read one byte at a time through
-    the byte tables, so a mask pays only for the positions it has."""
+def _covered(inm: int, n: int) -> int:
+    """The members s of a family bitmask with some member s ∪ {i}, i ∉ s:
+    the _closure step taken once per i without folding it in.  It is
+    OR-linear in the family."""
     covered = 0
     step = 1
     for lacking in _lacking(n):
         covered |= inm >> step & lacking
         step <<= 1
+    return covered
+
+
+def _maximal_face_ranks(inm: int, n: int) -> list:
+    """The maximal faces of a downward-closed family bitmask, as ranks in
+    _face_order, ascending: the one maximal-face kernel.  The maximal
+    members are those not _covered, read one byte at a time through the
+    byte tables, so a mask pays only for the positions it has.  A leaf of
+    _max_biconnected_leaves carries its covered mask above bit 2^n, and
+    that half is read instead; a plain family mask has none there (every
+    maximally-biconnected complex covers ∅)."""
+    size = 1 << n
+    covered = inm >> size
+    if covered:
+        inm &= (1 << size) - 1
+    else:
+        covered = _covered(inm, n)
     tables = _byte_ranks(n)
     out = []
     for p, byte in enumerate((inm & ~covered).to_bytes(len(tables),

@@ -126,7 +126,12 @@ def iota_substitution_identities(n: int) -> bool:
     """Exact expansion of ι on the six moment-map generator families:
     Σ y_i z_i, Σ x_i w_i, Σ x_i z_i, Σ y_i w_i and Σ (x_i z_i − y_i w_i)
     go to the quadrics Σc_i y_i², −Σc_i x_i², Σc_i x_i y_i, −Σc_i x_i y_i
-    and 2Σc_i x_i y_i, and each x_i z_i + y_i w_i to zero."""
+    and 2Σc_i x_i y_i, and each x_i z_i + y_i w_i to zero.
+
+    ι rewrites each monomial on its own and keeps the index i, so each
+    sum's identity holds term by term, the i-th term of one side equal to
+    the i-th of the other: the sums add no check beyond that of one index.
+    _sum_over stopped at n − 1, say, still passes."""
     _check_n(n)
     checks = [
         (((1, "yz"),), (1, "cyy")),

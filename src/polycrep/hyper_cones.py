@@ -17,14 +17,15 @@ rays: with S the stabiliser of C, the product of the symmetric groups on
 the runs the split reads, C̄ = ∪_{σ∈S} σP, so ext(C̄) is the S-orbit of
 the rays of P extreme in C̄, those on which the hyperplanes of A(n)
 through them have rank n − 1 (tested only for the rays on a wall
-θ_i = θ_{i+1} of W, once per ray), and the witness is
+θ_i = θ_{i+1} of W, once per ray; the walls and the hyperplanes through
+a ray are read off its DD record's tight mask), and the witness is
 primitive(Σ_r Σ_{v∈S·r} v), whose inner sum is, within each run,
-|S·r| × (r's sum over the run) / (the run's length).  complexes._orbits
-then carries it over C's orbit.  The second routes, which the tests
-compare it with, split all of C_0 (arrangements.count_regions_in_cone,
-and chambers_in_cone in tests/routes.py), walk every complex, and certify
-each representative's complex by bunches.projectivity_witness, its own
-double description.
+|S·r| × (r's sum over the run) / (the run's length).  complexes._orbits,
+started from the witness, then carries it over C's orbit.  The second
+routes, which the tests compare it with, split all of C_0
+(arrangements.count_regions_in_cone, and chambers_in_cone in
+tests/routes.py), walk every complex, and certify each representative's
+complex by bunches.projectivity_witness, its own double description.
 
 All closed forms here are cross-validated against the ratgeom oracle in the
 test suite; any disagreement is a test failure, not a warning.
@@ -35,13 +36,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from math import factorial
-from operator import itemgetter
 
 from . import arrangements, polygon_cones, ratgeom
 from .complexes import (Complex, Partition, _check_range, _closure,
-                        _orbits, cone_rows, count_max_biconnected,
-                        enumerate_partitions, family_mask, is_full,
-                        is_maximal_biconnected, max_biconnected_masks)
+                        _max_biconnected_leaves, _orbits,
+                        count_max_biconnected, enumerate_partitions,
+                        is_full, is_maximal_biconnected)
 from .polygon_cones import eta
 from .values import Value
 
@@ -186,13 +186,13 @@ def _corner_witness(n: int, i: int) -> tuple:
     return tuple(theta)
 
 
-def _chamber_ray(ray, normals) -> bool:
+def _chamber_ray(through, n: int) -> bool:
     """Whether a ray of a chamber's W-piece is extreme in the closed chamber
-    C̄: exactly when the hyperplanes of A(n) through it, normals the rows
-    of A(n), have rank n − 1.  C̄ is cut out by those normals, each with
-    the sign it takes on C, so this does not depend on the chamber."""
-    return ratgeom.rank([h for h in normals
-                         if ratgeom.dot(h, ray) == 0]) == len(ray) - 1
+    C̄: exactly when the hyperplanes of A(n) through it, whose normals are
+    the rows through, have rank n − 1.  C̄ is cut out by those normals,
+    each with the sign it takes on C, so this does not depend on the
+    chamber."""
+    return ratgeom.rank(through) == n - 1
 
 
 def _projective_bank(n: int) -> dict:
@@ -207,7 +207,9 @@ def _projective_bank(n: int) -> dict:
     rays of P, all sorted, have disjoint orbits.  A ray of P on no wall
     θ_i = θ_{i+1} of W is tight only on hyperplanes of A(n), so it is
     extreme in C̄; one on such a wall is kept when _chamber_ray says so,
-    found once per ray.  The witness, the ray_sum of ext(C̄), is then
+    found once per ray.  A ray's record says which rows of the split it is
+    tight on: the walls are the first n − 1, and every later row is a
+    hyperplane of A(n).  The witness, the ray_sum of ext(C̄), is then
     primitive(Σ_r Σ_{v∈S·r} v), and within a run of length L the inner sum
     is |S·r| times r's sum over the run, divided by L, at every element of
     the run.  It is the projectivity witness of C's complex (the tests
@@ -215,24 +217,25 @@ def _projective_bank(n: int) -> dict:
 
     σC has extreme rays σ·(those of C), so its witness is σ·w_C, and its
     family mask is σ applied to C's: complexes._orbits walks the orbit of
-    C's mask and gives each member the permutation p with σ·w_C =
-    tuple(w_C[j] for j in p)."""
-    normals = cone_rows(n, range(1 << n - 1))
+    C's mask starting from w_C, and so gives each member its witness."""
+    walls = (1 << n - 1) - 1
     extreme = {}
     reps = {}
 
-    def collect(rays, theta, fam, runs):
+    def collect(rays, theta, fam, runs, rows):
         spans = []
         start = 0
         for run in runs:
             spans.append((start, start + run))
             start += run
         total = [0] * n
-        for r, *_ in rays:
-            if any(x == y for x, y in zip(r, r[1:])):
+        for r, _, _, _, tight in rays:
+            if tight & walls:
                 keep = extreme.get(r)
                 if keep is None:
-                    keep = extreme[r] = _chamber_ray(r, normals)
+                    keep = extreme[r] = _chamber_ray(
+                        [h for j, h in enumerate(rows)
+                         if j >= n - 1 and tight >> j & 1], n)
                 if not keep:
                     continue
             size = 1
@@ -248,17 +251,18 @@ def _projective_bank(n: int) -> dict:
 
     arrangements._sorted_pieces(n, collect)
     bank = {}
-    for fam, orbit in _orbits(reps, n):
-        w = reps[fam]
-        for member, p in orbit.items():
-            bank[member] = itemgetter(*p)(w)  # n >= 4 indices: a tuple
+    for _, orbit in _orbits(reps, n, reps):
+        bank.update(orbit)
     return bank
 
 
-def census(n: int) -> Iterator[tuple]:
+def census(n: int, leaves: bool = False) -> Iterator[tuple]:
     """(family mask, witness) for each maximally-biconnected complex on
     [n], in the order of max_biconnected_masks; the witness is None
-    exactly when the complex is not projective.
+    exactly when the complex is not projective.  With leaves, each mask is
+    the walk's leaf, which carries the complex's covered mask above bit
+    2^n (complexes._max_biconnected_leaves): the rows that `resolutions
+    census --records` writes.
 
     Non-full complexes, ↓([n] minus {i}), are always projective (corner
     chambers, witness _corner_witness); a full complex is projective exactly
@@ -270,7 +274,9 @@ def census(n: int) -> Iterator[tuple]:
     bank = _projective_bank(n)
     bank.update((_closure(n, ((1 << n) - 1 ^ 1 << (i - 1),)),
                  _corner_witness(n, i)) for i in range(1, n + 1))
-    return ((inm, bank.get(inm)) for inm in max_biconnected_masks(n))
+    low = (1 << (1 << n)) - 1
+    return ((m, bank.get(m & low))
+            for m in _max_biconnected_leaves(n, covered=leaves))
 
 
 def census_counts(n: int) -> dict:

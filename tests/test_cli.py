@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polycrep import cli, hyper_cones
+from polycrep.complexes import Complex
 
 GOLDEN = [
     (["complexes", "count", "--n", "5"],
@@ -136,6 +137,26 @@ def test_census_records_stream(capsys):
     assert len(lines) == 81
     kinds = {json.loads(line)["kind"] for line in lines}
     assert kinds == {"projective"}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_census_records_are_census_rendered(n, capsys):
+    # the stream, which the writer makes from the walk's leaves, is
+    # census(n), which yields plain family masks, rendered a row at a time
+    # by json.dumps from Complex's maximal faces
+    assert cli.main(["resolutions", "census", "--n", str(n),
+                     "--records"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = []
+    for fam, witness in hyper_cones.census(n):
+        assert fam < 1 << (1 << n)
+        faces = [sorted(f) for f in Complex(n, fam).maximal_faces]
+        want.append(json.dumps({
+            "complex": {"maximal_faces": faces, "n": n},
+            "kind": "non-projective" if witness is None else "projective",
+            "witness": witness and [str(x) for x in witness]},
+            sort_keys=True))
+    assert lines == want
 
 
 def test_parallelism_does_not_change_output(capsys):
@@ -440,23 +461,43 @@ def test_python_dash_m_polycrep(module):
 
 
 @pytest.mark.parametrize("module", ["polycrep", "polycrep.cli"])
-def test_process_entry_freezes_the_collector(module):
-    # once the answer is written, run freezes every object the process
-    # holds, so the collections of interpreter finalization skip them
+def test_process_entry_runs_atexit_then_exits(module):
+    # run ends the process with os._exit once the answer is flushed: an
+    # atexit handler registered before the module ran still runs, the whole
+    # answer reaches the pipe, and the exit codes 0 (an answer), 1 (a
+    # computation error) and 2 (a usage error, through argparse's
+    # SystemExit) are kept
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    probe = ("import atexit, gc, runpy, sys\n"
-             "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
-             "sys.argv[1:] = ['complexes', 'count', '--n', '5']\n"
+    probe = ("import atexit, runpy, sys\n"
+             "atexit.register(lambda: print('atexit', flush=True))\n"
+             "sys.argv[1:] = sys.argv[2:]\n"
              f"runpy.run_module({module!r}, run_name='__main__')\n")
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src})
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def ran(*argv):
+        return subprocess.run([sys.executable, "-c", probe, "-", *argv],
+                              capture_output=True, text=True, env=env)
+
+    res = ran("complexes", "count", "--n", "5")
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == [GOLDEN[0][1], "True"]
+    assert res.stdout.splitlines() == [GOLDEN[0][1], "atexit"]
+    res = ran("complexes", "enumerate", "--n", "6")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert len(lines) == 2647 and lines[-1] == "atexit"
+    assert hashlib.sha256("".join(f"{line}\n" for line in lines[:-1])
+                          .encode()).hexdigest() == STREAMED[1][2]
+    res = ran("complexes", "count", "--n", "99")
+    assert res.returncode == 1 and "error:" in res.stderr
+    assert res.stdout.splitlines() == ["atexit"]
+    res = ran("complexes", "count")
+    assert res.returncode == 2 and "usage:" in res.stderr
+    assert res.stdout.splitlines() == ["atexit"]
 
 
 def test_main_leaves_the_collector_unfrozen(capsys):
     # tests and library callers run main in their own process: main must
-    # not pin their objects
+    # return to them and not pin their objects
     before = gc.get_freeze_count()
     assert cli.main(["complexes", "count", "--n", "5"]) == 0
     assert capsys.readouterr().out.strip() == GOLDEN[0][1]
@@ -872,3 +913,15 @@ def test_reader_takes_every_documented_command_line():
         read = cli._read(argv)
         assert read is not None, argv
         assert _typed(vars(read)) == _typed(_parsed(FULL_PARSER, argv))
+
+
+def test_negative_ray_is_a_value(capsys):
+    # a ray whose first coordinate is negative is a value, whether it
+    # follows --at-ray as the next token, which main reads itself, or after
+    # "=", which argparse reads; 8 chambers of A(4) meet at (-1, 1, 1, 1)
+    base = ["chambers", "count", "--arrangement", "A", "--n", "4"]
+    assert cli._read(base + ["--at-ray", "-1,1,1,1"]).at_ray == [-1, 1, 1, 1]
+    for ray in (["--at-ray", "-1,1,1,1"], ["--at-ray=-1,1,1,1"]):
+        assert _parsed(FULL_PARSER, base + ray)["at_ray"] == [-1, 1, 1, 1]
+        assert cli.main(base + ray) == 0
+        assert json.loads(capsys.readouterr().out)["regions"] == 8

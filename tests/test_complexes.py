@@ -396,6 +396,38 @@ def test_maximal_face_kernel_on_every_complex(n):
             faces_by_definition(Complex(n, m)))
 
 
+@pytest.mark.parametrize("n,limit", [(4, None), (5, None), (6, None),
+                                     (7, 20000)])
+def test_kernel_reads_the_leaves_covered_masks(n, limit):
+    """The covered walk's leaves come in the plain walk's order, each its
+    plain mask with that mask's covered members above bit 2^n, and the
+    kernel gives the same ranks for a leaf as for its plain mask: on every
+    complex at n = 4..6 and on the first 20 000 at n = 7.  The covered
+    members are checked by definition on the first 3000."""
+    size = 1 << n
+    pairs = list(itertools.islice(zip(cx.max_biconnected_masks(n),
+                                      cx._max_biconnected_leaves(n)), limit))
+    if limit is None:
+        assert len(pairs) == {4: 12, 5: 81, 6: 2646}[n]
+    for plain, leaf in pairs:
+        assert leaf & (1 << size) - 1 == plain
+        assert cx._maximal_face_ranks(leaf, n) == cx._maximal_face_ranks(
+            plain, n)
+    for plain, leaf in pairs[:3000]:
+        covered = {s for s in range(size) if plain >> s & 1 and any(
+            plain >> (s | 1 << i) & 1 for i in range(n) if not s >> i & 1)}
+        assert {s for s in range(size) if leaf >> (size + s) & 1} == covered
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_walks_yield_plain_masks(n):
+    """max_biconnected_masks, full_only or not, yields family masks on
+    [n]: every value is below 2^(2^n), with no covered half."""
+    top = 1 << (1 << n)
+    for full_only in (False, True):
+        assert all(m < top for m in cx.max_biconnected_masks(n, full_only))
+
+
 def test_maximal_face_kernel_on_random_downsets():
     """The same on random downsets at n = 0..10, the families 0 and {∅}
     too; at n <= 2 the family mask is shorter than one byte.  Each family

@@ -6,6 +6,8 @@ closed form made wrong on one ordered instance gives exactly one mismatch,
 so the suites' shared LPs and incidence masks still check every instance.
 """
 
+import inspect
+import json
 import random
 import time
 
@@ -177,3 +179,42 @@ def test_orbit_cones_cached_once_per_clamped_bound():
         a.pop("max_k", None)
         b.pop("max_k", None)
         assert a == b
+
+
+# `oracle crosscheck --n 5 --max-k 5` checks every orbit datum, #K up to n;
+# its checked counts per suite
+CHECKED_N5_K5 = {"polygon": 2628, "hyper": 2405, "psi": 25272,
+                 "orbit-membership": 1632}
+
+
+def test_oracle_n5_every_k_is_pinned(capsys):
+    """The orbit-membership suite only checks that accepted data are
+    top-dimensional, so a freeness test that rejects too much would pass
+    it; the counts of free data that the hyper and Ψ suites check, at every
+    #K, pin what in_omega_X_free accepts."""
+    from polycrep import cli
+    assert cli.main(["oracle", "crosscheck", "--n", "5", "--max-k", "5"]) == 0
+    reports = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert {r["suite"]: r["checked"] for r in reports} == CHECKED_N5_K5
+    assert [r["mismatches"] for r in reports] == [0] * 4
+
+
+def test_oracle_n5_counts_catch_a_strict_meets_bound(monkeypatch):
+    """in_omega_X_free with `meets > 4` for `meets >= 4` rejects free data
+    that meet four parts; every suite still reports 0 mismatches, and only
+    the pinned counts of the hyper and Ψ suites move."""
+    source = inspect.getsource(hyper_cones.in_omega_X_free)
+    assert source.count("meets >= 4") == 1
+    namespace = dict(vars(hyper_cones))
+    exec(source.replace("meets >= 4", "meets > 4"), namespace)
+    monkeypatch.setattr(hyper_cones, "in_omega_X_free",
+                        namespace["in_omega_X_free"])
+    crosscheck._orbit_cones.cache_clear()
+    try:
+        reports = crosscheck.run_all(5, 5)
+    finally:
+        crosscheck._orbit_cones.cache_clear()
+    assert [r["mismatches"] for r in reports] == [0] * 4
+    assert {r["suite"]: r["checked"] for r in reports} == {
+        **CHECKED_N5_K5, "hyper": 2160, "psi": 22437}
