@@ -256,13 +256,11 @@ def _covered_tables(n: int) -> tuple:
                  for table in (down, compup))
 
 
-def _iter_downset_masks(n: int, inside: int = -1) -> Iterator[int]:
-    """Every downset of 2^[n] inside the downset `inside` (all of 2^[n] by
-    default) as a family bitmask, the empty family too."""
+def _iter_downset_masks(n: int) -> Iterator[int]:
+    """Every downset of 2^[n] as a family bitmask, the empty family too."""
     down, up, _, _ = _tables(n)
     zero = [0] * len(down)
-    items = [s for s in range(1 << n) if inside >> s & 1]
-    return _mask_dfs(items, (down, zero), (zero, up))
+    return _mask_dfs(range(1 << n), (down, zero), (zero, up))
 
 
 def _fullness_test(n: int):
@@ -470,20 +468,23 @@ def _maximal_faces_of_mask(inm: int, n: int) -> list:
     return [order[r] for r in _maximal_face_ranks(inm, n)]
 
 
-def _count_downsets(p: int, down, up, memo: dict) -> int:
-    """Number of downsets of the subposet p (a family mask) of 2^[k].
+def _downset_counter(k: int):
+    """The number of downsets of a subposet p (a family mask) of 2^[k], as
+    a function of p with a memo of its own, shared by every p it is given.
 
     Split on the largest member x: a downset either leaves x out, and with
     it all of ↑x, or takes x in, and with it all of ↓x."""
-    if not p:
-        return 1
-    c = memo.get(p)
-    if c is None:
-        x = p.bit_length() - 1
-        c = (_count_downsets(p & ~up[x], down, up, memo)
-             + _count_downsets(p & ~down[x], down, up, memo))
-        memo[p] = c
-    return c
+    down, up, _, _ = _tables(k)
+    memo = {0: 1}
+
+    def count(p: int) -> int:
+        c = memo.get(p)
+        if c is None:
+            x = p.bit_length() - 1
+            c = memo[p] = count(p & ~up[x]) + count(p & ~down[x])
+        return c
+
+    return count
 
 
 def count_max_biconnected(n: int) -> int:
@@ -498,24 +499,38 @@ def count_max_biconnected(n: int) -> int:
     #downsets(T(D₀)).
 
     The sum runs over S_h-orbits, h = k-1.  Split D₀ in turn by the element
-    k into E₁ ⊆ E₀, downsets of 2^[h], so that D₀ = E₀ | E₁ << 2^h.  S_h
-    fixes k and commutes with complementation in [k], so σ carries the
+    k into E₁ ⊆ E₀, downsets of 2^[h], so that D₀ = E₀ | E₁ << H, H = 2^h.
+    S_h fixes k and commutes with complementation in [k], so σ carries the
     terms of E₀ onto those of σE₀: the terms of one E₀ per orbit, times the
-    orbit size, cover the orbit (1568 terms at n=7 where the plain sum has
-    7581, and 268 989 at n=8).
+    orbit size, cover the orbit.  Complementation in [k] exchanges the
+    halves and complements each in [h]: comp_k(D₀) = comp_h(E₁) |
+    comp_h(E₀) << H, so T(D₀) = (E₀ & ~comp_h(E₁)) | (E₁ & ~comp_h(E₀)) << H
+    and no term reverses a 2^k-bit word.  The orbit walk lists the
+    downsets of 2^[h] once, orbit by orbit, each gets its complement image
+    once, and each orbit's E₀ scans that list for the E₁ with
+    E₁ & ~E₀ = 0: 210 × 7581 mask tests for the 268 989 terms at n=8
+    (30 × 168 for 1568 at n=7, where the plain sum has 7581).
     """
     _check_range(n, MAX_COUNT_N)
     k, h = n - 2, n - 3
-    down, up, _, _ = _tables(k)
-    memo = {}
-    total = 0
+    size = 1 << h
+    # the walk ends before the memo grows, so its seen set is freed and the
+    # list keeps the walk's ints: `complexes count --n 8` peaks 1.4 MB
+    # lower than with the downsets in a dict beside a running walk
+    reps, downsets = [], []
     for e0, orbit in _orbits(_iter_downset_masks(h), h):
+        reps.append((e0, len(orbit)))
+        downsets += orbit
+    keeps = [~_complement_image(e, h) for e in downsets]
+    count = _downset_counter(k)
+    total = 0
+    for e0, members in reps:
+        out0, keep0 = ~e0, ~_complement_image(e0, h)
         terms = 0
-        for e1 in _iter_downset_masks(h, e0):
-            d0 = e0 | e1 << (1 << h)
-            terms += _count_downsets(d0 & ~_complement_image(d0, k),
-                                     down, up, memo)
-        total += len(orbit) * terms
+        for e1, keep1 in zip(downsets, keeps):
+            if not e1 & out0:
+                terms += count(e0 & keep1 | (e1 & keep0) << size)
+        total += members * terms
     return total
 
 

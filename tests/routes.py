@@ -38,10 +38,10 @@ from fractions import Fraction
 from polycrep import hyper_cones, ratgeom
 from polycrep.arrangements import Arrangement, _split_rows
 from polycrep.complexes import (Complex, Partition, _check_range, _closure,
-                                _complement_image, _count_downsets,
+                                _complement_image, _downset_counter,
                                 _iter_downset_masks, _mask_is_full,
                                 _maximal_faces_of_mask, _partition_masks,
-                                _splits_every_pair, _tables, cone_rows,
+                                _splits_every_pair, cone_rows,
                                 family_mask, is_full, is_maximal_biconnected)
 from polycrep.coxrelations import XPoint, _evaluate, _point_values
 from polycrep.polygon_cones import is_free
@@ -247,9 +247,8 @@ def count_max_biconnected_plain(n: int) -> int:
     k = n-2, one term each (7581 at n=7)."""
     _check_range(n)
     k = n - 2
-    down, up, _, _ = _tables(k)
-    memo = {}
-    return sum(_count_downsets(d0 & ~_complement_image(d0, k), down, up, memo)
+    count = _downset_counter(k)
+    return sum(count(d0 & ~_complement_image(d0, k))
                for d0 in _iter_downset_masks(k))
 
 

@@ -1,5 +1,6 @@
 """Complex/partition combinatorics and the enumeration counts."""
 
+import inspect
 import itertools
 import json
 import math
@@ -218,7 +219,8 @@ def test_downset_counter_matches_brute_force():
     is closed downward in P, on seeded random downsets P of 2^[4]."""
     rng = random.Random(11)
     k = 4
-    down, up, _, _ = cx._tables(k)
+    down = cx._tables(k)[0]
+    count = cx._downset_counter(k)
     for _ in range(40):
         p = 0
         for s in rng.sample(range(1 << k), rng.randint(0, 6)):
@@ -229,7 +231,7 @@ def test_downset_counter_matches_brute_force():
             d = sum(1 << s for i, s in enumerate(members) if bits >> i & 1)
             brute += all(down[s] & p & ~d == 0
                          for s in members if d >> s & 1)
-        assert cx._count_downsets(p, down, up, {}) == brute
+        assert count(p) == brute
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -248,6 +250,42 @@ def test_count_range_errors():
     with pytest.raises(ValueError, match=r"λ\(9\) .* Dedekind\(7\)/720"):
         cx.count_max_biconnected(9)
     assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_complement_image_from_halves(h):
+    """With k = h+1 and H = 2^h, the pairs E₁ ⊆ E₀ of downsets of 2^[h]
+    are the downsets D₀ = E₀ | E₁ << H of 2^[k], comp_k(D₀) is
+    comp_h(E₁) | comp_h(E₀) << H, and the term count_max_biconnected
+    assembles from the halves is T(D₀) = D₀ & ~comp_k(D₀): on every pair
+    for h ≤ 3 and on 500 seeded pairs at h = 4."""
+    size = 1 << h
+    downsets = list(cx._iter_downset_masks(h))
+    pairs = [(e0, e1) for e0 in downsets for e1 in downsets if not e1 & ~e0]
+    assert (sorted(e0 | e1 << size for e0, e1 in pairs)
+            == sorted(cx._iter_downset_masks(h + 1)))
+    if h == 4:
+        pairs = random.Random(37).sample(pairs, 500)
+    for e0, e1 in pairs:
+        d0 = e0 | e1 << size
+        comp0, comp1 = (cx._complement_image(e, h) for e in (e0, e1))
+        assert cx._complement_image(d0, h + 1) == comp1 | comp0 << size
+        assert (e0 & ~comp1 | (e1 & ~comp0) << size
+                == d0 & ~cx._complement_image(d0, h + 1))
+
+
+def test_count_catches_swapped_halves():
+    """count_max_biconnected with the halves' complement images swapped,
+    T(D₀) taken as (E₀ & ~comp_h(E₀)) | (E₁ & ~comp_h(E₁)) << H, no
+    longer gives λ(6) = 2646."""
+    source = inspect.getsource(cx.count_max_biconnected)
+    right = "e0 & keep1 | (e1 & keep0) << size"
+    assert source.count(right) == 1
+    namespace = dict(vars(cx))
+    exec(source.replace(right, "e0 & keep0 | (e1 & keep1) << size"),
+         namespace)
+    assert cx.count_max_biconnected(6) == 2646
+    assert namespace["count_max_biconnected"](6) != 2646
 
 
 @pytest.mark.parametrize("h,orbits,downsets",
